@@ -6,7 +6,7 @@ Subcommands::
                    [--nb 22|23|24] [--audit] [-o mesh.p4m]
     pentamesh quality <mesh.p4m> [--heuristic 1|2|3] [--metric ...] [-o csv]
     pentamesh improve <mesh.p4m> [--heuristic 1|2|3] [--metric ...]
-                      [--seed N] [-o csv] [--mesh-out improved.p4m]
+                      [-o csv] [--mesh-out improved.p4m]
     pentamesh study convergence|predicates|flips [--seed N] [--levels K]
                     [--dims 2,3,4,...] [-o csv]
     pentamesh export <mesh.p4m> --format p4m|tet3 -o <path>
@@ -182,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mesh")
     p.add_argument("--heuristic", type=int, choices=(1, 2, 3), default=1)
     p.add_argument("--metric", type=parse_metric, default=MetricField.identity())
-    p.add_argument("--seed", type=int, default=0)  # reserved; loop is deterministic
     p.add_argument("--no-point-flips", action="store_true")
     p.add_argument("--mesh-out")
     p.add_argument("-o", "--output")

@@ -10,8 +10,10 @@ total hypervolume is conserved exactly in rational arithmetic.
 
 Candidate detection is entity-driven: configurations are recognized from
 the stars of the starter element's facets, triangles, edges, and
-vertices, and every candidate is checked by :func:`validate_flip` before
-it may be applied.
+vertices.  The greedy driver ranks a starter's candidates by quality gain
+first and checks only the improving ones with :func:`validate_flip`, best
+first, until one passes; :func:`apply_flip` validates again before it
+changes the mesh.
 """
 
 from __future__ import annotations
@@ -219,7 +221,6 @@ class FlipCandidate:
     kind: str
     stage1: tuple[int, ...]                     # element ids
     stage2: tuple[tuple[int, ...], ...]         # vertex-id tuples
-    label_map: dict
     new_point: tuple | None = None
     removed_vertex: int | None = None
 
@@ -278,13 +279,11 @@ def _entity_centroid(mesh: Mesh4, vids) -> tuple:
     return tuple(sum(mesh.vertices[v][j] for v in vids) / len(vids) for j in range(4))
 
 
-def _mk(kind, elems, stage2, label_map, new_entity_vids=None, mesh=None,
-        removed_vertex=None):
+def _mk(kind, elems, stage2, new_entity_vids=None, mesh=None, removed_vertex=None):
     new_point = _entity_centroid(mesh, new_entity_vids) if new_entity_vids else None
     return FlipCandidate(kind=kind, stage1=tuple(sorted(elems)),
                          stage2=tuple(tuple(t) for t in stage2),
-                         label_map=dict(label_map), new_point=new_point,
-                         removed_vertex=removed_vertex)
+                         new_point=new_point, removed_vertex=removed_vertex)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +318,10 @@ def find_candidates(mesh: Mesh4, starter: int,
     _edge_family(mesh, starter, sverts, emit, include_point_inserting)
     _vertex_family(mesh, starter, sverts, emit)
     if include_point_inserting:
-        labels = dict(zip((1, 2, 3, 4, 5), sverts))
         emit(_mk("1_5", (starter,),
                  [tuple(v for v in sverts if v != skip) + (NEW_LABEL,)
                   for skip in reversed(sverts)],
-                 labels, new_entity_vids=sverts, mesh=mesh))
+                 new_entity_vids=sverts, mesh=mesh))
     return out
 
 
@@ -336,14 +334,12 @@ def _facet_family(mesh, starter, sverts, emit, with_points):
         shared = [sverts[i] for i in CANONICAL_FACETS[li]]
         apex_s = next(v for v in sverts if v not in shared)
         apex_o = next(v for v in mesh.elements[other] if v not in shared)
-        labels = {1: shared[0], 2: shared[1], 3: shared[2], 5: shared[3],
-                  4: apex_s, 6: apex_o}
         stage2 = [tri + (apex_s, apex_o) for tri in combinations(shared, 3)]
-        emit(_mk("2_4", (starter, other), stage2, labels))
+        emit(_mk("2_4", (starter, other), stage2))
         if with_points:
             stage2 = [tri + (apex, NEW_LABEL)
                       for tri in combinations(shared, 3) for apex in (apex_s, apex_o)]
-            emit(_mk("2_8", (starter, other), stage2, labels,
+            emit(_mk("2_8", (starter, other), stage2,
                      new_entity_vids=shared, mesh=mesh))
 
 
@@ -369,30 +365,31 @@ def _triangle_family(mesh, starter, sverts, emit, with_points):
         tri_edges = list(combinations(tri, 2))
         cyc_edges = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
         if len(elems) == 3:
-            labels = {1: tri[0], 4: tri[1], 5: tri[2],
-                      2: cycle[0], 3: cycle[1], 6: cycle[2]}
             stage2 = [tuple(cycle) + e for e in tri_edges]
-            emit(_mk("3_3", elems, stage2, labels))
+            emit(_mk("3_3", elems, stage2))
             if with_points:
                 stage2 = [te + ce + (NEW_LABEL,) for te in tri_edges for ce in cyc_edges]
-                emit(_mk("3_9", elems, stage2, labels,
-                         new_entity_vids=tri, mesh=mesh))
+                emit(_mk("3_9", elems, stage2, new_entity_vids=tri, mesh=mesh))
         else:  # 4 elements around the triangle, quadrilateral ring
-            labels = {2: tri[0], 3: tri[1], 4: tri[2],
-                      1: cycle[0], 5: cycle[1], 6: cycle[2], 7: cycle[3]}
             for diag in ((cycle[0], cycle[2]), (cycle[1], cycle[3])):
                 off = tuple(v for v in cycle if v not in diag)
                 stage2 = [diag + te + (v,) for te in tri_edges for v in off]
-                emit(_mk("4_6", elems, stage2, labels))
+                emit(_mk("4_6", elems, stage2))
             if with_points:
                 stage2 = [te + ce + (NEW_LABEL,) for te in tri_edges for ce in cyc_edges]
-                emit(_mk("4_12", elems, stage2, labels,
-                         new_entity_vids=tri, mesh=mesh))
+                emit(_mk("4_12", elems, stage2, new_entity_vids=tri, mesh=mesh))
 
 
 def _edge_star(mesh, edge):
-    """Ring triangles of an edge star, or None when the link is not closed."""
+    """Sorted elements and ring triangles of an edge star, or ``(None, None)``.
+
+    Only stars of 4, 6 or 8 elements can match an edge-family kind, so any
+    other size is rejected before the ring is built; so is a star whose
+    ring triangles do not form a closed link.
+    """
     elems = mesh.elements_with_vertices(edge)
+    if len(elems) not in (4, 6, 8):
+        return None, None
     rings = []
     for eid in elems:
         extra = tuple(v for v in mesh.elements[eid] if v not in edge)
@@ -411,32 +408,27 @@ def _edge_family(mesh, starter, sverts, emit, with_points):
             continue
         k = len(elems)
         ring_tris = [r for _, r in rings]
-        if with_points and k in (4, 6, 8):
+        if with_points:
             kind = {4: "4_8", 6: "6_12a", 8: "8_16"}[k]
             stage2 = [tri + (end, NEW_LABEL) for tri in ring_tris for end in edge]
-            emit(_mk(kind, elems, stage2, _edge_labels(kind, edge, rings),
-                     new_entity_vids=edge, mesh=mesh))
+            emit(_mk(kind, elems, stage2, new_entity_vids=edge, mesh=mesh))
         if k == 4:
             ring = sorted({v for tri in ring_tris for v in tri})
             if len(ring) == 4:
-                labels = {4: edge[0], 6: edge[1],
-                          1: ring[0], 2: ring[1], 3: ring[2], 5: ring[3]}
                 stage2 = [tuple(ring) + (edge[0],), tuple(ring) + (edge[1],)]
-                emit(_mk("4_2", elems, stage2, labels))
+                emit(_mk("4_2", elems, stage2))
         elif k == 6:
             deg = Counter(v for tri in ring_tris for v in tri)
             apexes = sorted(v for v, c in deg.items() if c == 3)
             base = sorted(v for v, c in deg.items() if c == 4)
             if len(apexes) == 2 and len(base) == 3:
-                labels = {4: edge[0], 5: edge[1], 1: apexes[0], 7: apexes[1],
-                          2: base[0], 3: base[1], 6: base[2]}
                 stage2 = [tuple(apexes) + be + (end,)
                           for be in combinations(base, 2) for end in edge]
-                emit(_mk("6_6", elems, stage2, labels))
+                emit(_mk("6_6", elems, stage2))
                 stage2 = [tuple(base) + pair for pair in
                           ((edge[0], apexes[0]), (apexes[0], edge[1]),
                            (edge[1], apexes[1]), (apexes[1], edge[0]))]
-                emit(_mk("6_4", elems, stage2, labels))
+                emit(_mk("6_4", elems, stage2))
         elif k == 8:
             # octahedral link: three antipodal pairs, flip to another pair
             verts = sorted({v for tri in ring_tris for v in tri})
@@ -459,26 +451,11 @@ def _edge_family(mesh, starter, sverts, emit, with_points):
             pairs = sorted({tuple(sorted((v, antipodes[v]))) for v in verts})
             if len(pairs) != 3:
                 continue
-            labels = _eight_labels(edge, pairs)
             for idx, new_edge in enumerate(pairs):
                 others = [p for p in pairs if p != new_edge]
                 stage2 = [new_edge + (q1, q2, q3)
                           for q1 in others[0] for q2 in others[1] for q3 in edge]
-                emit(_mk(f"8_8v{idx + 1}", elems, stage2, labels))
-
-
-def _edge_labels(kind, edge, rings):
-    # any consistent assignment works: stage-2 tuples are built directly
-    labels = {}
-    t = flip_table(kind)
-    shared = t.new_entity
-    labels[shared[0]] = edge[0]
-    labels[shared[1]] = edge[1]
-    return labels
-
-
-def _eight_labels(edge, pairs):
-    return {"edge": edge, "pairs": tuple(pairs)}
+                emit(_mk(f"8_8v{idx + 1}", elems, stage2))
 
 
 def _vertex_family(mesh, starter, sverts, emit):
@@ -491,8 +468,7 @@ def _vertex_family(mesh, starter, sverts, emit):
         outer = sorted(set().union(*outer_sets))
         if k == 5 and len(outer) == 5:
             if {frozenset(c) for c in combinations(outer, 4)} == set(outer_sets):
-                emit(_mk("5_1", star, [tuple(outer)],
-                         {6: v}, removed_vertex=v))
+                emit(_mk("5_1", star, [tuple(outer)], removed_vertex=v))
             continue
         cnt = Counter(w for s in outer_sets for w in s)
         if k == 8 and len(outer) == 6:
@@ -519,7 +495,7 @@ def _try_unsplit_edge(mesh, star, v, outer_sets, cnt, kind, emit):
         if not _closed_triangle_link([tuple(r) for r in rings_a]):
             continue
         stage2 = [tuple(sorted(r)) + (a, b) for r in sorted(rings_a, key=sorted)]
-        emit(_mk(kind, star, stage2, {"poles": (a, b)}, removed_vertex=v))
+        emit(_mk(kind, star, stage2, removed_vertex=v))
         return
 
 
@@ -534,8 +510,7 @@ def _try_unsplit_tet(mesh, star, v, outer_sets, cnt, emit):
     if set(outer_sets) != want:
         return
     stage2 = [tuple(tet) + (apexes[0],), tuple(tet) + (apexes[1],)]
-    emit(_mk("8_2", star, stage2, {"tet": tuple(tet), "apexes": tuple(apexes)},
-             removed_vertex=v))
+    emit(_mk("8_2", star, stage2, removed_vertex=v))
 
 
 def _try_unsplit_triangle(mesh, star, v, outer_sets, outer, emit, kind):
@@ -556,7 +531,7 @@ def _try_unsplit_triangle(mesh, star, v, outer_sets, outer, emit, kind):
         if set(outer_sets) != want:
             continue
         stage2 = [tuple(sorted(tri)) + tuple(sorted(ce)) for ce in cyc_edges]
-        emit(_mk(kind, star, stage2, {"triangle": tuple(tri)}, removed_vertex=v))
+        emit(_mk(kind, star, stage2, removed_vertex=v))
         return
 
 
@@ -703,11 +678,17 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
     """Greedy quality improvement by bistellar flips.
 
     Repeatedly takes the worst alive element that is neither frozen nor a
-    previous starter, enumerates flips in its star, keeps those that are
-    geometrically valid and strictly raise the minimum quality over the
-    affected group, and executes the one with the largest such gain.
-    Elements produced by a flip are frozen; the loop ends when every
-    element is frozen or has already served as starter.
+    previous starter, enumerates flips in its star, and executes the
+    geometrically valid one with the largest gain in the minimum quality
+    over the affected group; only strict gains count.  Ties go to the
+    smaller ``(kind, stage1)``, then to the candidate enumerated first.
+
+    The gain comes first: a candidate is dropped as soon as one of its
+    replacement elements is no better than the group's current minimum,
+    the improving candidates are ranked by gain, and
+    :func:`validate_flip` runs on them in that order only until one
+    passes.  Elements produced by a flip are frozen; the loop ends when
+    every element is frozen or has already served as starter.
     """
     fld = resolve_field(field)
     use_metric = fld.kind != "identity"
@@ -753,24 +734,24 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
         started.add(starter)
         report.starters += 1
 
-        best = None
+        ranked = []
         for cand in find_candidates(mesh, starter, include_point_inserting):
             if any(e in frozen for e in cand.stage1):
                 continue
-            ok, _reason = validate_flip(mesh, cand)
-            if not ok:
-                continue
             before = min(quality_of[e] for e in cand.stage1)
-            after = min(cand_quality(cand, tup) for tup in cand.stage2)
-            gain = after - before
-            if after > before:
-                key = (-gain, cand.kind, cand.stage1)
-                if best is None or key < best[0]:
-                    best = (key, cand)
-        if best is None:
+            after = math.inf
+            for tup in cand.stage2:
+                after = min(after, cand_quality(cand, tup))
+                if after <= before:
+                    break
+            else:
+                ranked.append(((-(after - before), cand.kind, cand.stage1), cand))
+        # stable: equal keys keep enumeration order, so the first seen wins
+        ranked.sort(key=lambda item: item[0])
+        cand = next((c for _, c in ranked if validate_flip(mesh, c)[0]), None)
+        if cand is None:
             continue
 
-        cand = best[1]
         fr = apply_flip(mesh, cand)
         report.flips_by_kind[fr.kind] += 1
         report.flips.append(fr)

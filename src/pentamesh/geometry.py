@@ -116,25 +116,53 @@ def hypervolume(p1, p2, p3, p4, p5) -> float:
     return _det4(*rows) / 24.0
 
 
+def _scale_to_ints(values):
+    """Exact integers ``n_i`` and one denominator ``den`` with ``values[i] == n_i / den``.
+
+    Takes floats, ints and ``Fraction``s.  Float denominators are powers of
+    two, so for floats ``den`` is the largest of them.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    den = 1
+    for _, d in ratios:
+        if den % d:
+            den = math.lcm(den, d)
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _det4_int(r1, r2, r3, r4) -> int:
+    """4x4 determinant of four integer row 4-vectors, exactly."""
+    a0, a1, a2, a3 = r1
+    b0, b1, b2, b3 = r2
+    c0, c1, c2, c3 = r3
+    d0, d1, d2, d3 = r4
+    return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
+
+
+def _hypervolume_int(p1, p2, p3, p4, p5) -> int:
+    """24 times the signed hypervolume of five integer points."""
+    x1, y1, z1, t1 = p1
+    return _det4_int(*[(p[0] - x1, p[1] - y1, p[2] - z1, p[3] - t1)
+                       for p in (p2, p3, p4, p5)])
+
+
 def hypervolume_exact(p1, p2, p3, p4, p5) -> Fraction:
     """Signed hypervolume in exact rational arithmetic.
 
-    Float coordinates convert to rationals without rounding, so this is
-    the exact measure of the simplex stored in the mesh.
+    Coordinates are floats, ints or ``Fraction``s.  Float coordinates
+    convert to rationals without rounding, so this is the exact measure of
+    the simplex stored in the mesh.  The coordinates are scaled to integers
+    over one denominator ``den``; the integer determinant then equals
+    ``24 * den**4`` times the hypervolume.
     """
-    base = [Fraction(c) for c in p1]
-    rows = [[Fraction(p[j]) - base[j] for j in range(4)] for p in (p2, p3, p4, p5)]
-
-    def det3(m):
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-    tot = Fraction(0)
-    for j in range(4):
-        sub = [[rows[r][c] for c in range(4) if c != j] for r in range(1, 4)]
-        tot += (-1) ** j * rows[0][j] * det3(sub)
-    return tot / 24
+    ints, den = _scale_to_ints([c for p in (p1, p2, p3, p4, p5) for c in p])
+    pts = [ints[4 * k:4 * k + 4] for k in range(5)]
+    return Fraction(_hypervolume_int(*pts), 24 * den ** 4)
 
 
 def facet_normal(a, b, c, d) -> np.ndarray:

@@ -16,6 +16,8 @@ import numpy as np
 
 from .geometry import (
     CANONICAL_FACETS,
+    _hypervolume_int,
+    _scale_to_ints,
     as_point4,
     canonical_facets,
     facet_key,
@@ -164,11 +166,18 @@ class Mesh4:
         return hypervolume_exact(*pts) if exact else hypervolume(*pts)
 
     def total_hypervolume(self, exact: bool = False):
+        """Sum of signed element hypervolumes; a ``Fraction`` when ``exact``.
+
+        The exact sum scales every vertex to integers over one common
+        denominator ``den``, adds the integer determinants, and divides once.
+        """
         if exact:
-            total = Fraction(0)
-            for eid in self.alive_elements():
-                total += hypervolume_exact(*self.element_points(eid))
-            return total
+            tuples = [self.elements[eid] for eid in self.alive_elements()]
+            used = {v for verts in tuples for v in verts}
+            ints, den = _scale_to_ints([c for v in used for c in self.vertices[v]])
+            pos = {v: ints[4 * k:4 * k + 4] for k, v in enumerate(used)}
+            det_sum = sum(_hypervolume_int(*[pos[v] for v in verts]) for verts in tuples)
+            return Fraction(det_sum, 24 * den ** 4)
         return float(sum(hypervolume(*self.element_points(eid))
                          for eid in self.alive_elements()))
 

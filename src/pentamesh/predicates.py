@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import Metric4
+from .geometry import Metric4, _det4_int, _scale_to_ints
 
 __all__ = [
     "MetricDecomposition",
@@ -191,33 +191,10 @@ def _det_mag(rows):
     return _det_general_mag(rows)
 
 
-def _scale_to_ints(values):
-    """Scale a flat list of floats to exact integers (dyadic rationals)."""
-    ratios = [float(v).as_integer_ratio() for v in values]
-    max_den = 1
-    for _, den in ratios:
-        if den > max_den:
-            max_den = den
-    return [num * (max_den // den) for num, den in ratios]
-
-
-def _det4_int(r1, r2, r3, r4) -> int:
-    a0, a1, a2, a3 = r1
-    b0, b1, b2, b3 = r2
-    c0, c1, c2, c3 = r3
-    d0, d1, d2, d3 = r4
-    return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
-            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
-            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
-            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
-            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
-            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
-
-
 def _orient4_exact_sign(pts) -> int:
     """Exact orientation sign of five 4D float points via integer arithmetic."""
     flat = [c for p in pts for c in p]
-    ints = _scale_to_ints(flat)
+    ints, _ = _scale_to_ints(flat)
     e = ints[16:20]
     rows = [[ints[4 * k + j] - e[j] for j in range(4)] for k in range(4)]
     det = _det4_int(*rows)
@@ -232,13 +209,13 @@ def _insphere4_exact_sign(pts, mrows) -> int:
     cofactor expansion carries the same power of the two scale factors.
     """
     flat = [c for p in pts for c in p]
-    ints = _scale_to_ints(flat)
+    ints, _ = _scale_to_ints(flat)
     f = ints[20:24]
     us = [tuple(ints[4 * k + j] - f[j] for j in range(4)) for k in range(5)]
     if mrows is None:
         qs = [u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + u[3] * u[3] for u in us]
     else:
-        ments = _scale_to_ints([x for row in mrows for x in row])
+        ments, _ = _scale_to_ints([x for row in mrows for x in row])
         m = [ments[0:4], ments[4:8], ments[8:12], ments[12:16]]
         qs = [sum(u[i] * sum(m[i][j] * u[j] for j in range(4)) for i in range(4))
               for u in us]

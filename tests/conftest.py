@@ -41,6 +41,23 @@ def insphere_sign_fraction(pts6, M=None):
     return 0 if tot == 0 else (1 if tot > 0 else -1)
 
 
+def hypervolume_fraction(p1, p2, p3, p4, p5):
+    """Signed hypervolume by cofactor expansion over ``Fraction``s."""
+    base = [Fraction(c) for c in p1]
+    rows = [[Fraction(p[j]) - base[j] for j in range(4)] for p in (p2, p3, p4, p5)]
+
+    def det3(m):
+        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+    tot = Fraction(0)
+    for j in range(4):
+        sub = [[rows[r][c] for c in range(4) if c != j] for r in range(1, 4)]
+        tot += (-1) ** j * rows[0][j] * det3(sub)
+    return tot / 24
+
+
 def circumsphere(pts5):
     """Circumcenter and squared radius of five 4D points (float)."""
     P = np.asarray(pts5, dtype=float)

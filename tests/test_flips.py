@@ -1,3 +1,4 @@
+import heapq
 import itertools
 from collections import Counter
 
@@ -5,7 +6,10 @@ import numpy as np
 import pytest
 
 from pentamesh.flips import (
+    AMQ_FRACTIONS,
     FLIP_KINDS_FORWARD,
+    NEW_LABEL,
+    amq,
     apply_flip,
     find_candidates,
     flip_kinds,
@@ -14,9 +18,10 @@ from pentamesh.flips import (
     improve_quality,
     validate_flip,
 )
-from pentamesh.geometry import hypervolume, regular_pentatope
+from pentamesh.geometry import MetricField, hypervolume, regular_pentatope, resolve_field
 from pentamesh.insertion import triangulate
 from pentamesh.mesh import Mesh4
+from pentamesh.quality import pentatope_quality, quality_metric
 
 
 def boundary_multiset(tuples):
@@ -190,8 +195,7 @@ class TestValidity:
         from pentamesh.flips import FlipCandidate
         cand = FlipCandidate(
             kind="2_4", stage1=(0, 1),
-            stage2=tuple(tri + (a, b) for tri in itertools.combinations(ids, 3)),
-            label_map={})
+            stage2=tuple(tri + (a, b) for tri in itertools.combinations(ids, 3)))
         add_positive(mesh, tuple(ids) + (b,))
         # stage1 elements share only the base facet; apexes are not separated
         ok, reason = validate_flip(mesh, cand)
@@ -326,3 +330,72 @@ class TestImproveQuality:
         rep = improve_quality(mesh, heuristic=1, include_point_inserting=True)
         inserting = {"1_5", "4_8", "3_9", "6_12a", "2_8", "4_12", "6_12b", "8_16"}
         assert sum(rep.flips_by_kind[k] for k in inserting) == 0
+
+
+def reference_improve(mesh, heuristic, field, include_point_inserting):
+    """The greedy loop with the plain selector: validate every candidate first,
+    then take the minimum ``(-gain, kind, stage1)``, the first one seen on ties.
+
+    Returns the executed ``(kind, removed_elements, new_elements)`` sequence
+    and the final AMQ table.
+    """
+    fld = resolve_field(field)
+
+    def quality(pts):
+        if fld.kind == "identity":
+            return pentatope_quality(pts, which=heuristic)
+        return quality_metric(pts, fld, which=heuristic)
+
+    quality_of = {e: quality(mesh.element_points(e)) for e in mesh.alive_elements()}
+    heap = [(q, e) for e, q in quality_of.items()]
+    heapq.heapify(heap)
+    frozen, started, sequence = set(), set(), []
+    while heap:
+        q, starter = heapq.heappop(heap)
+        if (not mesh.alive(starter) or starter in frozen or starter in started
+                or quality_of[starter] != q):
+            continue
+        started.add(starter)
+        best = None
+        for cand in find_candidates(mesh, starter, include_point_inserting):
+            if any(e in frozen for e in cand.stage1) or not validate_flip(mesh, cand)[0]:
+                continue
+            before = min(quality_of[e] for e in cand.stage1)
+            after = min(quality([cand.new_point if v == NEW_LABEL else mesh.vertices[v]
+                                 for v in tup]) for tup in cand.stage2)
+            if after > before:
+                key = (-(after - before), cand.kind, cand.stage1)
+                if best is None or key < best[0]:
+                    best = (key, cand)
+        if best is None:
+            continue
+        fr = apply_flip(mesh, best[1])
+        sequence.append((fr.kind, fr.removed_elements, fr.new_elements))
+        for e in fr.removed_elements:
+            del quality_of[e]
+        for e in fr.new_elements:
+            quality_of[e] = quality(mesh.element_points(e))
+            frozen.add(e)
+    final = [quality_of[e] for e in mesh.alive_elements()]
+    return sequence, {f: amq(final, f) for f in AMQ_FRACTIONS}
+
+
+class TestDriverMatchesReferenceSelector:
+    """Gain-first ranking executes exactly the flips of the plain selector."""
+
+    @pytest.mark.parametrize("field,heuristic,with_points,n_points,seed", [
+        (None, 1, True, 40, 5),
+        (MetricField.constant(np.diag([1.0, 4.0, 0.25, 2.0])), 2, False, 35, 7),
+        (MetricField.speed(c0=1.0, beta=0.5, center=0.5), 3, True, 30, 99),
+    ], ids=["identity-eta1", "constant-eta2-no-point-flips", "speed-eta3"])
+    def test_same_flip_sequence(self, field, heuristic, with_points, n_points, seed):
+        pts = np.random.default_rng(seed).random((n_points, 4))
+        mesh = triangulate(pts, field)
+        twin = triangulate(pts, field)
+        expected, expected_amq = reference_improve(twin, heuristic, field, with_points)
+        rep = improve_quality(mesh, heuristic=heuristic, field=field,
+                              include_point_inserting=with_points)
+        got = [(f.kind, f.removed_elements, f.new_elements) for f in rep.flips]
+        assert len(expected) > 0
+        assert got == expected
+        assert rep.amq_after == expected_amq

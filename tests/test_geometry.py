@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pentamesh.geometry import (
     Metric4,
@@ -18,7 +19,8 @@ from pentamesh.geometry import (
     regular_pentatope,
     _grundmann_moller,
 )
-from conftest import random_pentatope
+from pentamesh.mesh import Mesh4
+from conftest import hypervolume_fraction, random_pentatope
 
 E = np.eye(4)
 UNIT_CORNER = np.vstack([np.zeros(4), E])
@@ -69,6 +71,37 @@ class TestHypervolume:
             swapped = list(pts)
             swapped[i], swapped[j] = swapped[j], swapped[i]
             assert hypervolume_exact(*swapped) == -v
+
+
+# floats of either sign with binary exponents of about +-500 (1e-150 .. 1e150)
+WIDE_FLOATS = st.builds(lambda m, e, s: s * math.ldexp(m, e),
+                        st.floats(1.0, 2.0, exclude_max=True), st.integers(-500, 500),
+                        st.sampled_from((1.0, -1.0, 0.0)))
+COORDS = st.one_of(WIDE_FLOATS, st.integers(-10 ** 20, 10 ** 20),
+                   st.fractions(max_denominator=10 ** 6))
+POINTS = st.tuples(COORDS, COORDS, COORDS, COORDS)
+
+
+class TestHypervolumeExactOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(POINTS, min_size=5, max_size=5))
+    def test_matches_fraction_cofactor_expansion(self, pts):
+        assert hypervolume_exact(*pts) == hypervolume_fraction(*pts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(WIDE_FLOATS, WIDE_FLOATS, WIDE_FLOATS, WIDE_FLOATS),
+                    min_size=8, max_size=8))
+    def test_mesh_total_is_sum_of_elements(self, pts):
+        mesh = Mesh4()
+        for p in pts:
+            mesh.add_vertex(p)
+        for elem in ((0, 1, 2, 3, 4), (1, 2, 3, 4, 5), (2, 3, 4, 5, 6), (0, 2, 4, 6, 7)):
+            mesh.add_element(elem)
+        mesh.remove_element(1)  # a dead element does not count
+        alive = list(mesh.alive_elements())
+        total = mesh.total_hypervolume(exact=True)
+        assert total == sum(mesh.element_hypervolume(e, exact=True) for e in alive)
+        assert total == sum(hypervolume_fraction(*mesh.element_points(e)) for e in alive)
 
 
 class TestFacetNormal:
