@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -119,10 +120,15 @@ def hypervolume(p1, p2, p3, p4, p5) -> float:
 def _scale_to_ints(values):
     """Exact integers ``n_i`` and one denominator ``den`` with ``values[i] == n_i / den``.
 
-    Takes floats, ints and ``Fraction``s.  Float denominators are powers of
-    two, so for floats ``den`` is the largest of them.
+    Takes floats, ints and ``Fraction``s, numpy's included.  Float
+    denominators are powers of two, so for floats ``den`` is the largest of
+    them.
     """
-    ratios = [v.as_integer_ratio() for v in values]
+    try:
+        ratios = [v.as_integer_ratio() for v in values]
+    except AttributeError:  # numpy integers have no as_integer_ratio
+        ratios = [(int(v), 1) if isinstance(v, numbers.Integral) else v.as_integer_ratio()
+                  for v in values]
     den = 1
     for _, d in ratios:
         if den % d:
@@ -130,18 +136,24 @@ def _scale_to_ints(values):
     return [n * (den // d) for n, d in ratios], den
 
 
+def _pair_minors(a, b):
+    """The six 2x2 minors of rows a, b in column-pair order 01 02 03 12 13 23."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0,
+            a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2)
+
+
+def _laplace4(p, q):
+    """4x4 determinant from the pair minors of its top and bottom row pairs."""
+    p01, p02, p03, p12, p13, p23 = p
+    q01, q02, q03, q12, q13, q23 = q
+    return p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01
+
+
 def _det4_int(r1, r2, r3, r4) -> int:
     """4x4 determinant of four integer row 4-vectors, exactly."""
-    a0, a1, a2, a3 = r1
-    b0, b1, b2, b3 = r2
-    c0, c1, c2, c3 = r3
-    d0, d1, d2, d3 = r4
-    return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
-            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
-            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
-            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
-            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
-            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
+    return _laplace4(_pair_minors(r1, r2), _pair_minors(r3, r4))
 
 
 def _hypervolume_int(p1, p2, p3, p4, p5) -> int:
@@ -154,9 +166,9 @@ def _hypervolume_int(p1, p2, p3, p4, p5) -> int:
 def hypervolume_exact(p1, p2, p3, p4, p5) -> Fraction:
     """Signed hypervolume in exact rational arithmetic.
 
-    Coordinates are floats, ints or ``Fraction``s.  Float coordinates
-    convert to rationals without rounding, so this is the exact measure of
-    the simplex stored in the mesh.  The coordinates are scaled to integers
+    Coordinates are floats, ints or ``Fraction``s, numpy's included.  Float
+    coordinates convert to rationals without rounding, so this is the exact
+    measure of the simplex stored in the mesh.  The coordinates are scaled to integers
     over one denominator ``den``; the integer determinant then equals
     ``24 * den**4`` times the hypervolume.
     """

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -27,7 +28,15 @@ from .mesh import (
     Mesh4,
 )
 from .bounding import build_bounding_mesh
-from .predicates import inhypersphere_m_d, orientation4
+from .predicates import (
+    _EPS,
+    _INSPHERE_SAFETY,
+    _insphere4_core,
+    _insphere4_exact_sign,
+    _metric_info,
+    inhypersphere_m_d,
+    orientation4,
+)
 from .geometry import _det4
 
 __all__ = [
@@ -157,17 +166,14 @@ def find_base_element(mesh: Mesh4, p, start: int | None = None,
         ok, _ = inside_element(mesh, eid, p, tol_factor)
         if ok:
             return eid, WalkStats(steps, True)
-    raise GhostPointError(f"no element contains point {p}")
+    raise GhostPointError(
+        f"no element contains point {p!r}: walk from element {start} "
+        f"{mesh.elements[start]} took {steps} steps, full scan of {mesh.n_alive} elements")
 
 
 # ---------------------------------------------------------------------------
 # cavity
 # ---------------------------------------------------------------------------
-
-def _strictly_in_sphere(mesh: Mesh4, eid: int, p, metric) -> bool:
-    pts = list(mesh.element_points(eid)) + [p]
-    return inhypersphere_m_d(metric, pts).sign > 0
-
 
 def cavity_boundary(mesh: Mesh4, elements: set[int]):
     """Boundary facets of an element set, each carried once by its owner."""
@@ -181,30 +187,56 @@ def cavity_boundary(mesh: Mesh4, elements: set[int]):
     return boundary
 
 
+def _in_sphere_rows(mesh: Mesh4, eids: list[int], p, mrows, mdiag) -> list[bool]:
+    """Strict in-sphere membership of p for each listed element, in one bracket.
+
+    Rows whose float bracket clears the error bound are decided by its
+    sign; the others go straight to the integer-exact sign.
+    """
+    elems, verts = mesh.elements, mesh.vertices
+    corners = [verts[v] for eid in eids for v in elems[eid]]
+    P = np.fromiter(chain.from_iterable(corners), float, 20 * len(eids)).reshape(-1, 5, 4)
+    total, mag = _insphere4_core(P, p, mrows, mdiag)
+    certified = np.abs(total) > _INSPHERE_SAFETY * _EPS * mag
+    inside = (total > 0.0).tolist()
+    for k in np.flatnonzero(~certified).tolist():
+        inside[k] = _insphere4_exact_sign(corners[5 * k:5 * k + 5] + [p], mrows, mdiag) > 0
+    return inside
+
+
 def build_cavity(mesh: Mesh4, base: int, p, metric) -> Cavity:
     """Breadth-first growth of the strictly-in-sphere element set.
 
     The metric tensor is the one evaluated at the inserted point; the base
     element joins unconditionally, every other element joins exactly when
-    its metric circumhypersphere strictly contains p.
+    its metric circumhypersphere strictly contains p.  Membership depends
+    only on each element's own predicate, and the elements tested are the
+    neighbors of members, so the cavity is the same set in any visiting
+    order: each BFS layer is tested with one array-shaped bracket.  That
+    bracket performs the scalar expansion's IEEE operations in the same
+    order, so its certified signs and its escalations to the exact tier
+    are those of :func:`~pentamesh.predicates.inhypersphere_m_d`.
     """
+    p = as_point4(p)
+    mrows, mdiag, _ = _metric_info(metric, 4)
     elements = {base}
-    front = deque()
-    for li in range(5):
-        nb = mesh.neighbor(base, li)
-        if nb is not None:
-            front.append(nb[0])
-    seen = {base} | set(front)
-    while front:
-        eid = front.popleft()
-        if not _strictly_in_sphere(mesh, eid, p, metric):
-            continue
-        elements.add(eid)
-        for li in range(5):
-            nb = mesh.neighbor(eid, li)
-            if nb is not None and nb[0] not in seen:
-                seen.add(nb[0])
-                front.append(nb[0])
+    seen = {base}
+    layer = [base]
+    inside = [True]
+    while layer:
+        front = []
+        for eid, ok in zip(layer, inside):
+            if not ok:
+                continue
+            elements.add(eid)
+            for li in range(5):
+                nb = mesh.neighbor(eid, li)
+                if nb is not None and nb[0] not in seen:
+                    seen.add(nb[0])
+                    front.append(nb[0])
+        layer = front
+        if layer:
+            inside = _in_sphere_rows(mesh, layer, p, mrows, mdiag)
     cav = Cavity(elements)
     cav.boundary = cavity_boundary(mesh, elements)
     return cav
@@ -286,6 +318,7 @@ def enforce_visibility(mesh: Mesh4, cavity: Cavity, p, metric,
     which raises :class:`CavityError`.
     """
     elements = cavity.elements
+    size = len(elements)
     queue = deque(cavity.boundary)
     changed = False
     while queue:
@@ -296,9 +329,11 @@ def enforce_visibility(mesh: Mesh4, cavity: Cavity, p, metric,
         if q > q_tol:
             continue
         if owner == base or len(elements) == 1:
+            base_verts = mesh.elements[base] if base is not None else None
             raise CavityError(
-                "visibility repair attempted to remove the base element; "
-                "check element orientations")
+                f"visibility repair attempted to remove element {owner}, the "
+                f"{'base' if owner == base else 'last'} element, while "
+                f"{_failure_context(p, base, base_verts, size)}; check element orientations")
         elements.discard(owner)
         changed = True
         for li2 in range(5):
@@ -315,6 +350,12 @@ def enforce_visibility(mesh: Mesh4, cavity: Cavity, p, metric,
 # ---------------------------------------------------------------------------
 # insertion
 # ---------------------------------------------------------------------------
+
+def _failure_context(p, base, base_verts, cavity_size: int) -> str:
+    """What reproduces a failed insertion: the exact point, base element, cavity size."""
+    return (f"inserting {p!r} from base element {base} {base_verts} "
+            f"with a cavity of {cavity_size} elements")
+
 
 def _positive_tuple(mesh: Mesh4, facet, new_vid: int):
     """Order (facet + new vertex) positively; None if exactly degenerate."""
@@ -349,9 +390,10 @@ def insert_point(mesh: Mesh4, p, field=None, *,
     if mesh.bounding_lo is not None:
         lo, hi = mesh.bounding_lo, mesh.bounding_hi
         if not all(lo[j] < p[j] < hi[j] for j in range(4)):
-            raise GhostPointError(f"point {p} is outside the bounding tesseract")
+            raise GhostPointError(f"point {p!r} is outside the bounding tesseract")
 
     base, walk = find_base_element(mesh, p, start=start, tol_factor=tol_factor)
+    base_verts = mesh.elements[base]
     metric = None if fld.kind == "identity" else fld(p)
     cavity = build_cavity(mesh, base, p, metric)
 
@@ -365,7 +407,9 @@ def insert_point(mesh: Mesh4, p, field=None, *,
             q = mesh.vertices[v]
             d2 = sum((p[j] - q[j]) ** 2 for j in range(4))
             if d2 <= snap2:
-                raise DuplicateVertexError(f"point {p} duplicates vertex {v}")
+                raise DuplicateVertexError(
+                    f"point duplicates vertex {v} {q!r}; "
+                    + _failure_context(p, base, base_verts, len(cavity.elements)))
 
     enforce_visibility(mesh, cavity, p, metric, q_tol=q_tol, base=base)
 
@@ -378,7 +422,8 @@ def insert_point(mesh: Mesh4, p, field=None, *,
         tup = _positive_tuple(mesh, facet, new_vid)
         if tup is None:
             raise CavityError(
-                f"degenerate reconnection of facet {facet} to vertex {new_vid}")
+                f"degenerate reconnection of facet {facet} to vertex {new_vid} while "
+                + _failure_context(p, base, base_verts, len(cavity.elements)))
         created.append(mesh.add_element(tup))
     return InsertionReport(new_vid, tuple(created), len(cavity.elements), walk)
 
@@ -393,7 +438,11 @@ def triangulate(points, field=None, *, n_b: int = 24, margin: float = 1.0,
 
     With ``strip_super`` the 16 bounding vertices and every element that
     touches them are removed afterwards and the mesh is compacted, leaving
-    a tessellation of the convex hull of the inputs.
+    the elements whose five vertices are all input points.  That mesh lies
+    inside the convex hull of the inputs but does not tile all of it: hull
+    regions whose elements reach a bounding vertex are lost with them.  For
+    200 uniform points at ``margin=1`` it covers 98.4-99.2% of the hull
+    volume; larger margins lose less.
     """
     pts = np.asarray(points, dtype=float)
     fld = resolve_field(field)

@@ -11,7 +11,18 @@ Two formulations are provided for metric-weighted tests:
 Signs are exact on demand: a forward-error filter certifies the double
 precision result when possible, escalates to 80-bit extended floats, and
 finally to arbitrary-precision rational arithmetic (float inputs convert
-to rationals exactly).
+to rationals exactly).  The 4D in-hypersphere test has two tiers: its
+float filter (Shewchuk-style, a bound of 64 eps times the magnitude of
+the expansion) escalates straight to a scaled-integer expansion.
+
+The 4D float bracket ``_insphere4_core`` is array-shaped: it evaluates k
+simplices against one query point in one call, which is how cavity growth
+tests a whole BFS layer at once.  It is written with elementwise ufuncs
+only, each sum spelled out term by term in the scalar expansion's order,
+so every row equals the one-simplex result bit for bit and a batched
+caller certifies and escalates exactly the rows a per-element caller
+would.  Reductions that reorder or fuse the additions (``sum``,
+``einsum``, ``@``, ``dot``, ``linalg``) must not be used in it.
 
 Sign conventions
 ----------------
@@ -29,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import Metric4, _det4_int, _scale_to_ints
+from .geometry import Metric4, _det4_int, _laplace4, _pair_minors, _scale_to_ints
 
 __all__ = [
     "MetricDecomposition",
@@ -201,99 +212,102 @@ def _orient4_exact_sign(pts) -> int:
     return 0 if det == 0 else (1 if det > 0 else -1)
 
 
-def _insphere4_exact_sign(pts, mrows) -> int:
+def _insphere4_exact_sign(pts, mrows, mdiag) -> int:
     """Exact metric in-hypersphere sign of six 4D float points.
 
     All inputs are dyadic rationals, so scaling coordinates (and metric
     entries) to integers preserves signs exactly: every term of the
     cofactor expansion carries the same power of the two scale factors.
+    A diagonal metric scales only its four diagonal entries.  The five
+    determinants share six pair minors, as in :func:`_insphere4_core`.
     """
-    flat = [c for p in pts for c in p]
-    ints, _ = _scale_to_ints(flat)
-    f = ints[20:24]
-    us = [tuple(ints[4 * k + j] - f[j] for j in range(4)) for k in range(5)]
+    ints, _ = _scale_to_ints([c for p in pts for c in p])
+    f0, f1, f2, f3 = ints[20:24]
+    us = [(ints[k] - f0, ints[k + 1] - f1, ints[k + 2] - f2, ints[k + 3] - f3)
+          for k in range(0, 20, 4)]
     if mrows is None:
-        qs = [u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + u[3] * u[3] for u in us]
+        qs = [u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3 for u0, u1, u2, u3 in us]
+    elif mdiag is not None:
+        (d0, d1, d2, d3), _ = _scale_to_ints(mdiag)
+        qs = [d0 * u0 * u0 + d1 * u1 * u1 + d2 * u2 * u2 + d3 * u3 * u3
+              for u0, u1, u2, u3 in us]
     else:
         ments, _ = _scale_to_ints([x for row in mrows for x in row])
         m = [ments[0:4], ments[4:8], ments[8:12], ments[12:16]]
         qs = [sum(u[i] * sum(m[i][j] * u[j] for j in range(4)) for i in range(4))
               for u in us]
-    total = 0
-    sign = 1
-    for i in range(5):
-        rows = us[:i] + us[i + 1:]
-        total += sign * qs[i] * _det4_int(*rows)
-        sign = -sign
+    m01, m02, m12 = (_pair_minors(us[0], us[1]), _pair_minors(us[0], us[2]),
+                     _pair_minors(us[1], us[2]))
+    m23, m24, m34 = (_pair_minors(us[2], us[3]), _pair_minors(us[2], us[4]),
+                     _pair_minors(us[3], us[4]))
+    total = (qs[0] * _laplace4(m12, m34) - qs[1] * _laplace4(m02, m34)
+             + qs[2] * _laplace4(m01, m34) - qs[3] * _laplace4(m01, m24)
+             + qs[4] * _laplace4(m01, m23))
     return 0 if total == 0 else (1 if total > 0 else -1)
 
 
-def _insphere4_core(pts, mrows, mdiag=None, cast=float):
-    """Value and magnitude of the 4D in-hypersphere bracket, shared minors.
+# Index tables of the array bracket.  Row pairs (a, b) of the six shared
+# pair minors; columns (i, j) of each minor; for each of the five
+# determinants (row i left out) its top and bottom row pair; and the
+# bottom minors in the order 23 13 12 03 02 01 that meets 01 02 03 12 13 23.
+_PAIR_A = np.array([0, 0, 1, 2, 2, 3])[:, None]
+_PAIR_B = np.array([1, 2, 2, 3, 4, 4])[:, None]
+_COL_I = np.array([0, 0, 0, 1, 1, 2])[None, :]
+_COL_J = np.array([1, 2, 3, 2, 3, 3])[None, :]
+_DET_TOP = np.array([2, 1, 0, 0, 0])          # pairs 12 02 01 01 01
+_DET_BOT = np.array([5, 5, 5, 4, 3])[:, None]  # pairs 34 34 34 24 23
+_COL_REV = np.array([5, 4, 3, 2, 1, 0])[None, :]
 
-    The five 4x4 determinants of the cofactor expansion share their 2x2
-    pair minors; only six of the ten row pairs are needed when each
-    determinant is expanded across its first and last two rows.  Diagonal
-    metrics take a reduced quadratic-form path.
+
+def _insphere4_core(P, f, mrows, mdiag):
+    """Value and magnitude of the 4D in-hypersphere bracket for k simplices.
+
+    ``P`` holds the corners as a ``(k, 5, 4)`` array and ``f`` is the query
+    point; the result is a pair of ``(k,)`` arrays.  The five 4x4
+    determinants of the cofactor expansion share their 2x2 pair minors;
+    only six of the ten row pairs are needed when each determinant is
+    expanded across its first and last two rows.  Diagonal metrics take a
+    reduced quadratic-form path.
+
+    Every sum is written out term by term with elementwise ufuncs, in the
+    order of the scalar expansion, so each row is the IEEE result of that
+    expansion bit for bit.  Reductions (``sum``, ``einsum``, ``@``) would
+    reorder or fuse the additions and must not be used here.
     """
-    if cast is float:
-        f = pts[5]
-        us = [(p[0] - f[0], p[1] - f[1], p[2] - f[2], p[3] - f[3]) for p in pts[:5]]
-    else:
-        f = [cast(x) for x in pts[5]]
-        us = [tuple(cast(p[j]) - f[j] for j in range(4)) for p in pts[:5]]
-        if mrows is not None:
-            mrows = tuple(tuple(cast(x) for x in row) for row in mrows)
-            mdiag = None
+    U = P - np.asarray(f, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mrows is None:
+            S = U * U
+            qs = S[:, :, 0] + S[:, :, 1] + S[:, :, 2] + S[:, :, 3]
+            qmags = qs
+        elif mdiag is not None:
+            S = np.array(mdiag) * U * U
+            qs = S[:, :, 0] + S[:, :, 1] + S[:, :, 2] + S[:, :, 3]
+            qmags = qs  # all terms non-negative
+        else:
+            RU = np.array(mrows) * U[:, :, None, :]   # row[i][j] * u[j]
+            A = np.abs(RU)
+            s = RU[..., 0] + RU[..., 1] + RU[..., 2] + RU[..., 3]
+            smag = A[..., 0] + A[..., 1] + A[..., 2] + A[..., 3]
+            V = U * s
+            W = np.abs(U) * smag
+            qs = 0.0 + V[:, :, 0] + V[:, :, 1] + V[:, :, 2] + V[:, :, 3]
+            qmags = 0.0 + W[:, :, 0] + W[:, :, 1] + W[:, :, 2] + W[:, :, 3]
 
-    if mrows is None:
-        qs = [(u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + u[3] * u[3]) for u in us]
-        qmags = qs
-    elif mdiag is not None:
-        d0, d1, d2, d3 = mdiag
-        qs = [d0 * u[0] * u[0] + d1 * u[1] * u[1]
-              + d2 * u[2] * u[2] + d3 * u[3] * u[3] for u in us]
-        qmags = qs  # all terms non-negative
-    else:
-        qs, qmags = [], []
-        for u in us:
-            val = mag = cast(0) if cast is not float else 0.0
-            for i in range(4):
-                row = mrows[i]
-                s = row[0] * u[0] + row[1] * u[1] + row[2] * u[2] + row[3] * u[3]
-                smag = (abs(row[0] * u[0]) + abs(row[1] * u[1])
-                        + abs(row[2] * u[2]) + abs(row[3] * u[3]))
-                val = val + u[i] * s
-                mag = mag + abs(u[i]) * smag
-            qs.append(val)
-            qmags.append(mag)
+        X = U[:, _PAIR_A, _COL_I] * U[:, _PAIR_B, _COL_J]   # (k, 6 pairs, 6 minors)
+        Y = U[:, _PAIR_A, _COL_J] * U[:, _PAIR_B, _COL_I]
+        minor = X - Y
+        mmag = np.abs(X) + np.abs(Y)
 
-    def pair(a, b):
-        a0, a1, a2, a3 = us[a]
-        b0, b1, b2, b3 = us[b]
-        return ((a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0,
-                 a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2),
-                (abs(a0 * b1) + abs(a1 * b0), abs(a0 * b2) + abs(a2 * b0),
-                 abs(a0 * b3) + abs(a3 * b0), abs(a1 * b2) + abs(a2 * b1),
-                 abs(a1 * b3) + abs(a3 * b1), abs(a2 * b3) + abs(a3 * b2)))
+        T = minor[:, _DET_TOP] * minor[:, _DET_BOT, _COL_REV]   # (k, 5 dets, 6 terms)
+        dets = (T[..., 0] - T[..., 1] + T[..., 2] + T[..., 3] - T[..., 4] + T[..., 5])
+        T = mmag[:, _DET_TOP] * mmag[:, _DET_BOT, _COL_REV]
+        dmags = (T[..., 0] + T[..., 1] + T[..., 2] + T[..., 3] + T[..., 4] + T[..., 5])
 
-    pm = {}
-    for key in ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)):
-        pm[key] = pair(*key)
-
-    def det(top, bottom):
-        (p01, p02, p03, p12, p13, p23), (m01, m02, m03, m12, m13, m23) = pm[top]
-        (q01, q02, q03, q12, q13, q23), (n01, n02, n03, n12, n13, n23) = pm[bottom]
-        d = (p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01)
-        m = (m01 * n23 + m02 * n13 + m03 * n12 + m12 * n03 + m13 * n02 + m23 * n01)
-        return d, m
-
-    dets = (det((1, 2), (3, 4)), det((0, 2), (3, 4)), det((0, 1), (3, 4)),
-            det((0, 1), (2, 4)), det((0, 1), (2, 3)))
-    total = (qs[0] * dets[0][0] - qs[1] * dets[1][0] + qs[2] * dets[2][0]
-             - qs[3] * dets[3][0] + qs[4] * dets[4][0])
-    mag = (qmags[0] * dets[0][1] + qmags[1] * dets[1][1] + qmags[2] * dets[2][1]
-           + qmags[3] * dets[3][1] + qmags[4] * dets[4][1])
+        T = qs * dets
+        total = T[:, 0] - T[:, 1] + T[:, 2] - T[:, 3] + T[:, 4]
+        T = qmags * dmags
+        mag = T[:, 0] + T[:, 1] + T[:, 2] + T[:, 3] + T[:, 4]
     return total, mag
 
 
@@ -449,17 +463,12 @@ def inhypersphere_m_d(M, pts, mode: str = "auto") -> PredicateResult:
     if d == 4:
         # two-tier path: the integer-exact stage is cheaper than an 80-bit
         # retry here, so uncertified floats escalate straight to exact
-        value = None
-        if mode != "exact":
-            total, mag = _insphere4_core(pts, mrows, mdiag)
-            value = pref * total
-            if mode == "float" or abs(total) > _INSPHERE_SAFETY * _EPS * mag:
-                sign = 0 if total == 0.0 else (1 if total > 0.0 else -1)
-                return PredicateResult(sign, value, "float")
-        sign = _insphere4_exact_sign(pts, mrows)
-        if value is None:
-            value = pref * _insphere4_core(pts, mrows, mdiag)[0]
-        return PredicateResult(sign, value, "exact")
+        total, mag = _insphere4_core(np.array([pts[:5]]), pts[5], mrows, mdiag)
+        total, mag = float(total[0]), float(mag[0])
+        if mode != "exact" and (mode == "float" or abs(total) > _INSPHERE_SAFETY * _EPS * mag):
+            sign = 0 if total == 0.0 else (1 if total > 0.0 else -1)
+            return PredicateResult(sign, pref * total, "float")
+        return PredicateResult(_insphere4_exact_sign(pts, mrows, mdiag), pref * total, "exact")
 
     if mode != "exact":
         us, qs = _insphere_terms(pts, mrows)

@@ -89,6 +89,16 @@ class TestHypervolumeExactOracle:
         assert hypervolume_exact(*pts) == hypervolume_fraction(*pts)
 
     @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([(np.int64, 2 ** 62), (np.int32, 2 ** 31 - 1)]).flatmap(
+        lambda dt: st.lists(st.tuples(*[st.integers(-dt[1], dt[1])] * 4),
+                            min_size=5, max_size=5).map(
+            lambda pts: [tuple(dt[0](c) for c in p) for p in pts])))
+    def test_numpy_integer_coordinates(self, pts):
+        # differences of np.int64 values near 2**62 overflow in numpy arithmetic
+        as_ints = [tuple(int(c) for c in p) for p in pts]
+        assert hypervolume_exact(*pts) == hypervolume_fraction(*as_ints)
+
+    @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(WIDE_FLOATS, WIDE_FLOATS, WIDE_FLOATS, WIDE_FLOATS),
                     min_size=8, max_size=8))
     def test_mesh_total_is_sum_of_elements(self, pts):

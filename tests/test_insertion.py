@@ -1,9 +1,11 @@
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
+from pentamesh import insertion
 from pentamesh.bounding import build_bounding_mesh
 from pentamesh.geometry import MetricField, Metric4, hypervolume
 from pentamesh.insertion import (
@@ -17,11 +19,14 @@ from pentamesh.insertion import (
     triangulate,
 )
 from pentamesh.mesh import (
+    CavityError,
     DuplicateVertexError,
     GhostPointError,
     Mesh4,
 )
-from conftest import circumsphere, insphere_sign_fraction
+from pentamesh.pointsets import generate_hypercylinder_points
+from pentamesh.predicates import inhypersphere_m_d
+from conftest import circumsphere, insphere_sign_fraction, spd_metric
 
 
 def brute_force_containing(mesh, p):
@@ -167,6 +172,66 @@ class TestBuildCavity:
         assert len(cav.boundary) == n_facets - internal
 
 
+def reference_cavity(mesh, base, p, metric, tiers):
+    """Per-element BFS with one in-sphere predicate call per element.
+
+    The scalar form of cavity growth; ``tiers`` counts the tier that
+    certified each call.
+    """
+    elements = {base}
+    front = deque(nb[0] for nb in (mesh.neighbor(base, li) for li in range(5))
+                  if nb is not None)
+    seen = {base, *front}
+    while front:
+        eid = front.popleft()
+        res = inhypersphere_m_d(metric, list(mesh.element_points(eid)) + [p])
+        tiers[res.exactness] += 1
+        if res.sign <= 0:
+            continue
+        elements.add(eid)
+        for li in range(5):
+            nb = mesh.neighbor(eid, li)
+            if nb is not None and nb[0] not in seen:
+                seen.add(nb[0])
+                front.append(nb[0])
+    return elements, cavity_boundary(mesh, elements)
+
+
+class TestCavityMatchesReference:
+    """Before every insertion, the layered cavity equals the per-element one."""
+
+    @staticmethod
+    def _triangulate_checked(monkeypatch, pts, field, **kwargs):
+        tiers = {"float": 0, "exact": 0}
+        layered = insertion.build_cavity
+
+        def checked(mesh, base, p, metric):
+            cav = layered(mesh, base, p, metric)
+            elements, boundary = reference_cavity(mesh, base, p, metric, tiers)
+            assert cav.elements == elements
+            assert cav.boundary == boundary
+            return cav
+
+        monkeypatch.setattr(insertion, "build_cavity", checked)
+        mesh = triangulate(pts, field, **kwargs)
+        return mesh, tiers
+
+    def test_hypercylinder_speed_field(self, monkeypatch):
+        # cospherical boundary samples: the exact tier decides many rows
+        pts = generate_hypercylinder_points(1.0, 4.0, 1.0 / 1.5, 1.0 / 1.5, seed=3)
+        field = MetricField.speed(c0=1.0, beta=0.1, center=2.0)
+        _, tiers = self._triangulate_checked(monkeypatch, pts, field, shuffle=True,
+                                             seed=3, skip_duplicates=True)
+        assert tiers["exact"] > 0.1 * tiers["float"]
+
+    def test_constant_full_metric(self, monkeypatch, rng):
+        metric = Metric4(spd_metric(rng))
+        assert metric.diag is None  # the full-rows bracket
+        mesh, tiers = self._triangulate_checked(
+            monkeypatch, rng.random((40, 4)), MetricField.constant(metric))
+        assert tiers["float"] > 0 and mesh.validate() == []
+
+
 class TestEnforceVisibility:
     def test_all_visible_unchanged(self, rng):
         pts = rng.random((30, 4))
@@ -228,6 +293,23 @@ class TestInsertPoint:
         mesh = triangulate(pts, strip_super=False)
         with pytest.raises(DuplicateVertexError):
             insert_point(mesh, tuple(pts[3]))
+
+    def test_reconnection_error_carries_context(self, rng, monkeypatch):
+        # an injected degenerate reconnection reports the exact point, the
+        # base element with its vertices and the cavity size
+        mesh = triangulate(rng.random((20, 4)), strip_super=False)
+        p = tuple(float(c) for c in rng.random(4))
+        base, _ = find_base_element(mesh, p)
+        base_verts = mesh.elements[base]
+        cav = build_cavity(mesh, base, p, None)
+        enforce_visibility(mesh, cav, p, None, base=base)
+        monkeypatch.setattr(insertion, "_positive_tuple", lambda *args: None)
+        with pytest.raises(CavityError) as err:
+            insert_point(mesh, p)
+        msg = str(err.value)
+        assert repr(p) in msg
+        assert f"base element {base} {base_verts}" in msg
+        assert f"cavity of {len(cav.elements)} elements" in msg
 
     def test_exact_hypervolume_conserved(self, rng):
         pts = rng.random((20, 4))

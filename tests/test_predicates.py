@@ -1,10 +1,15 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pentamesh.geometry import Metric4
 from pentamesh.predicates import (
+    _insphere4_core,
+    _metric_info,
     decompose_metric,
     exact_rational_cholesky,
     inhypersphere4,
@@ -15,7 +20,13 @@ from pentamesh.predicates import (
     orientation_m_d,
     scale_points_standard,
 )
-from conftest import circumsphere, insphere_sign_fraction, random_pentatope, spd_metric
+from conftest import (
+    circumsphere,
+    hypervolume_fraction,
+    insphere_sign_fraction,
+    random_pentatope,
+    spd_metric,
+)
 
 E = np.eye(4)
 O4 = np.zeros(4)
@@ -232,3 +243,185 @@ class TestStandardRoute:
     def test_exact_cholesky_rejects_irrational(self):
         with pytest.raises(ValueError):
             exact_rational_cholesky([[2, 0], [0, 3]])
+
+
+# ---------------------------------------------------------------------------
+# property tests against the Fraction oracles
+# ---------------------------------------------------------------------------
+
+# wide exponents: a shared shift of up to 2**+-100 times per-coordinate
+# factors of up to 2**+-40 keeps the degree-6 bracket inside double range
+MANTISSA = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def wide_points(draw, n):
+    shift = draw(st.integers(-100, 100))
+    return [tuple(math.ldexp(draw(MANTISSA), shift + draw(st.integers(-40, 40)))
+                  for _ in range(4)) for _ in range(n)]
+
+
+@st.composite
+def clustered_points(draw, n):
+    """n points of similar magnitude, offset from the origin, scaled by 2**shift.
+
+    Every term of a sum counts here, so a reordered sum shows in the bits.
+    """
+    shift = draw(st.integers(-60, 60))
+    offset = [draw(st.sampled_from([0, 1, -3, 1000, -10 ** 4])) for _ in range(4)]
+    return [tuple(math.ldexp(draw(MANTISSA) + o, shift) for o in offset) for _ in range(n)]
+
+
+@st.composite
+def metrics(draw):
+    """None (identity), a diagonal Metric4, or a full SPD Metric4."""
+    kind = draw(st.sampled_from(["identity", "diagonal", "full"]))
+    if kind == "identity":
+        return None
+    entry = st.floats(0.01, 100.0)
+    if kind == "diagonal":
+        return Metric4(np.diag([draw(entry) for _ in range(4)]))
+    S = np.array([[draw(st.floats(-2.0, 2.0)) for _ in range(4)] for _ in range(4)])
+    return Metric4(S.T @ S + draw(entry) * np.eye(4))
+
+
+def _oracle_metric(metric):
+    return None if metric is None else metric.rows
+
+
+# every point with |x|^2 = 9 among the sign flips and permutations of
+# (1, 2, 2, 0) and (3, 0, 0, 0): exactly cospherical about the origin
+SPHERE_9 = sorted({tuple(s * c for s, c in zip(signs, perm))
+                   for base in ((1, 2, 2, 0), (3, 0, 0, 0))
+                   for perm in itertools.permutations(base)
+                   for signs in itertools.product((1, -1), repeat=4)})
+
+
+@st.composite
+def cospherical(draw, n):
+    """n distinct points on one metric sphere, as exact floats, and the metric.
+
+    Coordinates are scaled by a power of two and offset by integers.  With
+    the diagonal metric diag(4**a_j), coordinate j is also scaled by
+    2**-a_j, which keeps the points on the metric sphere.
+    """
+    pts = draw(st.lists(st.sampled_from(SPHERE_9), min_size=n, max_size=n, unique=True))
+    k = draw(st.integers(-30, 30))
+    exps = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+    offset = draw(st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=4, max_size=4))
+    pts = [tuple(math.ldexp(c, k - a) + o for c, a, o in zip(p, exps, offset)) for p in pts]
+    metric = Metric4(np.diag([4.0 ** a for a in exps])) if any(exps) else None
+    return pts, metric
+
+
+@st.composite
+def one_ulp_off(draw, pts):
+    """pts with one coordinate of one point moved by one ulp."""
+    i, j = draw(st.integers(0, len(pts) - 1)), draw(st.integers(0, 3))
+    toward = draw(st.sampled_from([math.inf, -math.inf]))
+    moved = list(pts[i])
+    moved[j] = math.nextafter(moved[j], toward)
+    return pts[:i] + [tuple(moved)] + pts[i + 1:]
+
+
+def _insphere4_core_scalar(pts, mrows, mdiag):
+    """The one-simplex bracket as scalar Python floats (reference for the kernel)."""
+    f = pts[5]
+    us = [(p[0] - f[0], p[1] - f[1], p[2] - f[2], p[3] - f[3]) for p in pts[:5]]
+    if mrows is None:
+        qs = [(u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + u[3] * u[3]) for u in us]
+        qmags = qs
+    elif mdiag is not None:
+        d0, d1, d2, d3 = mdiag
+        qs = [d0 * u[0] * u[0] + d1 * u[1] * u[1]
+              + d2 * u[2] * u[2] + d3 * u[3] * u[3] for u in us]
+        qmags = qs
+    else:
+        qs, qmags = [], []
+        for u in us:
+            val = mag = 0.0
+            for i in range(4):
+                row = mrows[i]
+                s = row[0] * u[0] + row[1] * u[1] + row[2] * u[2] + row[3] * u[3]
+                smag = (abs(row[0] * u[0]) + abs(row[1] * u[1])
+                        + abs(row[2] * u[2]) + abs(row[3] * u[3]))
+                val = val + u[i] * s
+                mag = mag + abs(u[i]) * smag
+            qs.append(val)
+            qmags.append(mag)
+
+    def pair(a, b):
+        a0, a1, a2, a3 = us[a]
+        b0, b1, b2, b3 = us[b]
+        return ((a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0,
+                 a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2),
+                (abs(a0 * b1) + abs(a1 * b0), abs(a0 * b2) + abs(a2 * b0),
+                 abs(a0 * b3) + abs(a3 * b0), abs(a1 * b2) + abs(a2 * b1),
+                 abs(a1 * b3) + abs(a3 * b1), abs(a2 * b3) + abs(a3 * b2)))
+
+    def det(top, bottom):
+        (p01, p02, p03, p12, p13, p23), (m01, m02, m03, m12, m13, m23) = pair(*top)
+        (q01, q02, q03, q12, q13, q23), (n01, n02, n03, n12, n13, n23) = pair(*bottom)
+        return (p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01,
+                m01 * n23 + m02 * n13 + m03 * n12 + m12 * n03 + m13 * n02 + m23 * n01)
+
+    dets = (det((1, 2), (3, 4)), det((0, 2), (3, 4)), det((0, 1), (3, 4)),
+            det((0, 1), (2, 4)), det((0, 1), (2, 3)))
+    total = (qs[0] * dets[0][0] - qs[1] * dets[1][0] + qs[2] * dets[2][0]
+             - qs[3] * dets[3][0] + qs[4] * dets[4][0])
+    mag = (qmags[0] * dets[0][1] + qmags[1] * dets[1][1] + qmags[2] * dets[2][1]
+           + qmags[3] * dets[3][1] + qmags[4] * dets[4][1])
+    return total, mag
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestPredicateProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(wide_points(6), metrics())
+    def test_insphere_matches_fraction_oracle(self, pts, metric):
+        res = inhypersphere_m_d(metric, pts)
+        assert res.sign == insphere_sign_fraction(pts, _oracle_metric(metric))
+
+    @settings(max_examples=150, deadline=None)
+    @given(cospherical(6))
+    def test_cospherical_is_exact_zero(self, case):
+        pts, metric = case
+        res = inhypersphere_m_d(metric, pts)
+        assert (res.sign, res.exactness) == (0, "exact")
+
+    @settings(max_examples=150, deadline=None)
+    @given(cospherical(6).flatmap(
+        lambda case: st.tuples(one_ulp_off(case[0]), st.just(case[1]))))
+    def test_one_ulp_off_sphere_matches_oracle(self, case):
+        pts, metric = case
+        res = inhypersphere_m_d(metric, pts)
+        assert res.sign == insphere_sign_fraction(pts, _oracle_metric(metric))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(wide_points(5), cospherical(5).map(lambda case: case[0]),
+                     cospherical(5).flatmap(lambda case: one_ulp_off(case[0]))))
+    def test_orientation_matches_fraction_volume(self, pts):
+        vol = hypervolume_fraction(*pts)
+        assert orientation4(*pts).sign == (vol > 0) - (vol < 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda k: st.one_of(wide_points(5 * k + 1),
+                                                         clustered_points(5 * k + 1))),
+           metrics())
+    def test_kernel_rows_are_bit_identical(self, flat, metric):
+        # each row of a k-row call equals the one-row call and the scalar
+        # expansion bit for bit, on all three metric paths
+        k = (len(flat) - 1) // 5
+        P = np.array(flat[:-1]).reshape(k, 5, 4)
+        f = flat[-1]
+        mrows, mdiag, _ = _metric_info(metric, 4)
+        total, mag = _insphere4_core(P, f, mrows, mdiag)
+        for r in range(k):
+            one_total, one_mag = _insphere4_core(P[r:r + 1], f, mrows, mdiag)
+            ref_total, ref_mag = _insphere4_core_scalar(
+                [tuple(float(c) for c in p) for p in P[r]] + [f], mrows, mdiag)
+            assert _bits(total[r]) == _bits(one_total[0]) == _bits(ref_total)
+            assert _bits(mag[r]) == _bits(one_mag[0]) == _bits(ref_mag)
