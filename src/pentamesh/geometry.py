@@ -168,9 +168,9 @@ def hypervolume_exact(p1, p2, p3, p4, p5) -> Fraction:
 
     Coordinates are floats, ints or ``Fraction``s, numpy's included.  Float
     coordinates convert to rationals without rounding, so this is the exact
-    measure of the simplex stored in the mesh.  The coordinates are scaled to integers
-    over one denominator ``den``; the integer determinant then equals
-    ``24 * den**4`` times the hypervolume.
+    measure of the simplex stored in the mesh.  The coordinates are scaled
+    to integers over one denominator ``den``; the integer determinant then
+    equals ``24 * den**4`` times the hypervolume.
     """
     ints, den = _scale_to_ints([c for p in (p1, p2, p3, p4, p5) for c in p])
     pts = [ints[4 * k:4 * k + 4] for k in range(5)]
