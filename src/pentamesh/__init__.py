@@ -60,7 +60,6 @@ from .mesh import (
 from .meshio import (
     MeshFormatError,
     export_mesh,
-    import_mesh,
     load_p4m,
     project_to_3d,
     save_p4m,

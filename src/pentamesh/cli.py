@@ -96,21 +96,11 @@ def cmd_improve(args) -> int:
         return 1
     rep = improve_quality(mesh, heuristic=args.heuristic, field=args.metric,
                           include_point_inserting=not args.no_point_flips)
-    rows = [{
-        "heuristic": rep.heuristic,
-        "n_flips": sum(rep.flips_by_kind.values()),
-        "pentatopes_initial": rep.n_elements_before,
-        "pentatopes_final": rep.n_elements_after,
-        **{f"amq{int(f * 100)}_initial": rep.amq_before[f] for f in sorted(rep.amq_before)},
-        **{f"amq{int(f * 100)}_final": rep.amq_after[f] for f in sorted(rep.amq_after)},
-        "hv_initial": rep.hypervolume_before,
-        "hv_final": rep.hypervolume_after,
-        "hv_conserved_exactly": rep.hv_conserved_exactly,
-    }]
+    row = {"heuristic": rep.heuristic, **rep.as_row()}
     for kind in sorted(rep.flips_by_kind):
-        rows[0][f"flips_{kind}"] = rep.flips_by_kind[kind]
+        row[f"flips_{kind}"] = rep.flips_by_kind[kind]
     out = _open_out(args.output)
-    write_csv(rows, out)
+    write_csv([row], out)
     if out is not sys.stdout:
         out.close()
     if args.mesh_out:

@@ -160,10 +160,6 @@ class FlipTable:
     inserts_point: bool
     removes_point: bool
 
-    @property
-    def new_label(self) -> int | None:
-        return self.vertex_count + 1 if self.inserts_point else None
-
 
 def _build_tables() -> dict[str, FlipTable]:
     tables = {}
@@ -655,6 +651,23 @@ class ImprovementReport:
     hv_conserved_exactly: bool
     starters: int = 0
     flips: list = dc_field(default_factory=list)
+
+    def as_row(self) -> dict:
+        """Summary columns shared by the CLI's and the quality study's CSV rows.
+
+        Flip count, element counts, each AMQ fraction's initial and final
+        value side by side, then the hypervolumes and the conservation flag.
+        """
+        row = {"n_flips": sum(self.flips_by_kind.values()),
+               "pentatopes_initial": self.n_elements_before,
+               "pentatopes_final": self.n_elements_after}
+        for f in AMQ_FRACTIONS:
+            row[f"amq{int(f * 100)}_initial"] = self.amq_before[f]
+            row[f"amq{int(f * 100)}_final"] = self.amq_after[f]
+        row["hv_initial"] = self.hypervolume_before
+        row["hv_final"] = self.hypervolume_after
+        row["hv_conserved_exactly"] = self.hv_conserved_exactly
+        return row
 
 
 AMQ_FRACTIONS = (0.01, 0.05, 0.10, 0.20)

@@ -13,7 +13,11 @@ Conventions
   holds the unit vectors, expanded with cofactor signs ``(+, -, +, -)``.
   With this sign choice the normal of a canonical facet of a positively
   oriented pentatope points *away* from the opposite vertex (outward);
-  callers that need inward normals negate it.
+  callers that need inward normals negate it.  The expansion itself is
+  ``_facet_cofactors``, written once for float and ``np.longdouble``
+  inputs; insertion's visibility test uses it in both precisions.
+* ``_det4`` is the one scalar 4x4 determinant (a Laplace expansion over
+  the pair minors of rows 1-2 and 3-4); on Python ints it is exact.
 """
 
 from __future__ import annotations
@@ -83,25 +87,24 @@ def facet_key(facet: Sequence[int]) -> tuple[int, ...]:
 # determinants / volumes
 # ---------------------------------------------------------------------------
 
-def _det4(r1, r2, r3, r4) -> float:
-    """4x4 determinant of four row 4-vectors (plain-float fast path)."""
-    a0, a1, a2, a3 = r1
-    b0, b1, b2, b3 = r2
-    c0, c1, c2, c3 = r3
-    d0, d1, d2, d3 = r4
-    ab01 = a0 * b1 - a1 * b0
-    ab02 = a0 * b2 - a2 * b0
-    ab03 = a0 * b3 - a3 * b0
-    ab12 = a1 * b2 - a2 * b1
-    ab13 = a1 * b3 - a3 * b1
-    ab23 = a2 * b3 - a3 * b2
-    cd01 = c0 * d1 - c1 * d0
-    cd02 = c0 * d2 - c2 * d0
-    cd03 = c0 * d3 - c3 * d0
-    cd12 = c1 * d2 - c2 * d1
-    cd13 = c1 * d3 - c3 * d1
-    cd23 = c2 * d3 - c3 * d2
-    return ab01 * cd23 - ab02 * cd13 + ab03 * cd12 + ab12 * cd03 - ab13 * cd02 + ab23 * cd01
+def _pair_minors(a, b):
+    """The six 2x2 minors of rows a, b in column-pair order 01 02 03 12 13 23."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0,
+            a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2)
+
+
+def _laplace4(p, q):
+    """4x4 determinant from the pair minors of its top and bottom row pairs."""
+    p01, p02, p03, p12, p13, p23 = p
+    q01, q02, q03, q12, q13, q23 = q
+    return p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01
+
+
+def _det4(r1, r2, r3, r4):
+    """4x4 determinant of four row 4-vectors; exact on Python ints."""
+    return _laplace4(_pair_minors(r1, r2), _pair_minors(r3, r4))
 
 
 def hypervolume(p1, p2, p3, p4, p5) -> float:
@@ -136,31 +139,11 @@ def _scale_to_ints(values):
     return [n * (den // d) for n, d in ratios], den
 
 
-def _pair_minors(a, b):
-    """The six 2x2 minors of rows a, b in column-pair order 01 02 03 12 13 23."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0,
-            a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2)
-
-
-def _laplace4(p, q):
-    """4x4 determinant from the pair minors of its top and bottom row pairs."""
-    p01, p02, p03, p12, p13, p23 = p
-    q01, q02, q03, q12, q13, q23 = q
-    return p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01
-
-
-def _det4_int(r1, r2, r3, r4) -> int:
-    """4x4 determinant of four integer row 4-vectors, exactly."""
-    return _laplace4(_pair_minors(r1, r2), _pair_minors(r3, r4))
-
-
 def _hypervolume_int(p1, p2, p3, p4, p5) -> int:
     """24 times the signed hypervolume of five integer points."""
     x1, y1, z1, t1 = p1
-    return _det4_int(*[(p[0] - x1, p[1] - y1, p[2] - z1, p[3] - t1)
-                       for p in (p2, p3, p4, p5)])
+    return _det4(*[(p[0] - x1, p[1] - y1, p[2] - z1, p[3] - t1)
+                   for p in (p2, p3, p4, p5)])
 
 
 def hypervolume_exact(p1, p2, p3, p4, p5) -> Fraction:
@@ -177,12 +160,11 @@ def hypervolume_exact(p1, p2, p3, p4, p5) -> Fraction:
     return Fraction(_hypervolume_int(*pts), 24 * den ** 4)
 
 
-def facet_normal(a, b, c, d) -> np.ndarray:
-    """Generalized cross product of u=b-a, v=c-a, w=d-a.
+def _facet_cofactors(a, b, c, d):
+    """Outward cofactor normal of facet (a, b, c, d) as a 4-tuple.
 
-    The normal is orthogonal to u, v and w under the identity inner
-    product.  Degenerate facets yield the zero vector; the caller decides
-    how to handle that.
+    Generic over the scalar type: float and ``np.longdouble`` inputs give
+    their own precision, with the same operations in the same order.
     """
     u = (b[0] - a[0], b[1] - a[1], b[2] - a[2], b[3] - a[3])
     v = (c[0] - a[0], c[1] - a[1], c[2] - a[2], c[3] - a[3])
@@ -194,12 +176,17 @@ def facet_normal(a, b, c, d) -> np.ndarray:
                 + u[k] * (v[i] * w[j] - v[j] * w[i]))
 
     # cofactor signs (+,-,+,-) along the trailing unit-vector row
-    return np.array([
-        minor(1, 2, 3),
-        -minor(0, 2, 3),
-        minor(0, 1, 3),
-        -minor(0, 1, 2),
-    ])
+    return (minor(1, 2, 3), -minor(0, 2, 3), minor(0, 1, 3), -minor(0, 1, 2))
+
+
+def facet_normal(a, b, c, d) -> np.ndarray:
+    """Generalized cross product of u=b-a, v=c-a, w=d-a.
+
+    The normal is orthogonal to u, v and w under the identity inner
+    product.  Degenerate facets yield the zero vector; the caller decides
+    how to handle that.
+    """
+    return np.array(_facet_cofactors(a, b, c, d))
 
 
 def pentatope_centroid(pts) -> tuple[float, float, float, float]:
@@ -281,11 +268,6 @@ class Metric4:
                 + u1 * (r[1][0] * u0 + r[1][1] * u1 + r[1][2] * u2 + r[1][3] * u3)
                 + u2 * (r[2][0] * u0 + r[2][1] * u1 + r[2][2] * u2 + r[2][3] * u3)
                 + u3 * (r[3][0] * u0 + r[3][1] * u1 + r[3][2] * u2 + r[3][3] * u3))
-
-    def inner(self, u, v) -> float:
-        """Bilinear form u^T M v."""
-        r = self._rows
-        return sum(u[i] * sum(r[i][j] * v[j] for j in range(4)) for i in range(4))
 
     def __repr__(self) -> str:
         return f"Metric4({self.m.tolist()})"

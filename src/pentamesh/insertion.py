@@ -18,6 +18,8 @@ import numpy as np
 
 from .geometry import (
     CANONICAL_FACETS,
+    _det4,
+    _facet_cofactors,
     as_point4,
     resolve_field,
 )
@@ -29,15 +31,13 @@ from .mesh import (
 )
 from .bounding import build_bounding_mesh
 from .predicates import (
-    _EPS,
-    _INSPHERE_SAFETY,
+    _insphere4_certified,
     _insphere4_core,
     _insphere4_exact_sign,
     _metric_info,
     inhypersphere_m_d,
     orientation4,
 )
-from .geometry import _det4
 
 __all__ = [
     "AuditReport",
@@ -190,14 +190,14 @@ def cavity_boundary(mesh: Mesh4, elements: set[int]):
 def _in_sphere_rows(mesh: Mesh4, eids: list[int], p, mrows, mdiag) -> list[bool]:
     """Strict in-sphere membership of p for each listed element, in one bracket.
 
-    Rows whose float bracket clears the error bound are decided by its
+    Rows whose float bracket the filter certifies are decided by its
     sign; the others go straight to the integer-exact sign.
     """
     elems, verts = mesh.elements, mesh.vertices
     corners = [verts[v] for eid in eids for v in elems[eid]]
     P = np.fromiter(chain.from_iterable(corners), float, 20 * len(eids)).reshape(-1, 5, 4)
     total, mag = _insphere4_core(P, p, mrows, mdiag)
-    certified = np.abs(total) > _INSPHERE_SAFETY * _EPS * mag
+    certified = _insphere4_certified(P, p, total, mag, mrows, mdiag)
     inside = (total > 0.0).tolist()
     for k in np.flatnonzero(~certified).tolist():
         inside[k] = _insphere4_exact_sign(corners[5 * k:5 * k + 5] + [p], mrows, mdiag) > 0
@@ -242,22 +242,6 @@ def build_cavity(mesh: Mesh4, base: int, p, metric) -> Cavity:
     return cav
 
 
-def _inward_normal(pts):
-    """Inward Euclidean normal of an owner's canonical facet (plain tuples)."""
-    a, b, c, d = pts
-    u = (b[0] - a[0], b[1] - a[1], b[2] - a[2], b[3] - a[3])
-    v = (c[0] - a[0], c[1] - a[1], c[2] - a[2], c[3] - a[3])
-    w = (d[0] - a[0], d[1] - a[1], d[2] - a[2], d[3] - a[3])
-
-    def minor(i, j, k):
-        return (u[i] * (v[j] * w[k] - v[k] * w[j])
-                - u[j] * (v[i] * w[k] - v[k] * w[i])
-                + u[k] * (v[i] * w[j] - v[j] * w[i]))
-
-    # negated (+,-,+,-) cofactors: canonical facet normals face outward
-    return (-minor(1, 2, 3), minor(0, 2, 3), -minor(0, 1, 3), minor(0, 1, 2))
-
-
 def _visibility_product(mesh: Mesh4, facet, owner_eid: int, p, metric) -> float:
     """Normalized Q = N^T M CP with N the owner's inward facet normal.
 
@@ -269,10 +253,10 @@ def _visibility_product(mesh: Mesh4, facet, owner_eid: int, p, metric) -> float:
     Q = (N_e . CP) / sqrt((N_e^T M^{-1} N_e) (CP^T M CP)).
     """
     pts = [mesh.vertices[v] for v in facet]
-    ne = _inward_normal(pts)
+    ne = _facet_cofactors(*pts)  # outward; negating nc below turns it inward
     cen = tuple((pts[0][j] + pts[1][j] + pts[2][j] + pts[3][j]) / 4.0 for j in range(4))
     cp = (p[0] - cen[0], p[1] - cen[1], p[2] - cen[2], p[3] - cen[3])
-    nc = ne[0] * cp[0] + ne[1] * cp[1] + ne[2] * cp[2] + ne[3] * cp[3]
+    nc = -(ne[0] * cp[0] + ne[1] * cp[1] + ne[2] * cp[2] + ne[3] * cp[3])
     if metric is None:
         nn = ne[0] * ne[0] + ne[1] * ne[1] + ne[2] * ne[2] + ne[3] * ne[3]
         cc = cp[0] * cp[0] + cp[1] * cp[1] + cp[2] * cp[2] + cp[3] * cp[3]
@@ -286,22 +270,11 @@ def _visibility_product(mesh: Mesh4, facet, owner_eid: int, p, metric) -> float:
     q = nc / math.sqrt(nn * cc)
     if abs(q) < 1e-12:
         # near the visibility threshold: redo the pairing in extended precision
-        ld = np.longdouble
-        pts_ld = [np.array(v, dtype=ld) for v in pts]
-        p_ld = np.array(p, dtype=ld)
-        u, v_, w = pts_ld[1] - pts_ld[0], pts_ld[2] - pts_ld[0], pts_ld[3] - pts_ld[0]
-        m = np.array([u, v_, w])
-
-        def minor(i, j, k):
-            return (m[0][i] * (m[1][j] * m[2][k] - m[1][k] * m[2][j])
-                    - m[0][j] * (m[1][i] * m[2][k] - m[1][k] * m[2][i])
-                    + m[0][k] * (m[1][i] * m[2][j] - m[1][j] * m[2][i]))
-
-        ne_ld = np.array([-minor(1, 2, 3), minor(0, 2, 3),
-                          -minor(0, 1, 3), minor(0, 1, 2)], dtype=ld)
-        cp_ld = p_ld - sum(pts_ld) / ld(4)
-        nc_ld = float(ne_ld @ cp_ld)
-        q = nc_ld / math.sqrt(nn * cc)
+        pts_ld = np.array(pts, dtype=np.longdouble)
+        ne = _facet_cofactors(*pts_ld)
+        cp = np.array(p, dtype=np.longdouble) - sum(pts_ld) / np.longdouble(4)
+        nc = -(ne[0] * cp[0] + ne[1] * cp[1] + ne[2] * cp[2] + ne[3] * cp[3])
+        q = float(nc) / math.sqrt(nn * cc)
     return q
 
 
@@ -479,96 +452,80 @@ def _audit_pairs_exact(mesh, pairs, fld, tol, violations):
             violations.append((vid, eid, res.value))
 
 
+def _circumspheres(P):
+    """Circumcentres and squared radii of the simplices of a ``(m, 5, 4)`` array.
+
+    Rows whose linear system is singular come back as NaN.
+    """
+    A = 2.0 * (P[:, 1:, :] - P[:, :1, :])
+    rhs = (P[:, 1:, :] ** 2).sum(axis=2) - (P[:, :1, :] ** 2).sum(axis=2)
+    try:
+        centers = np.linalg.solve(A, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        centers = np.full((len(P), 4), np.nan)
+        for k in range(len(P)):
+            try:
+                centers[k] = np.linalg.solve(A[k], rhs[k])
+            except np.linalg.LinAlgError:
+                pass
+    return centers, ((P[:, 0, :] - centers) ** 2).sum(axis=1)
+
+
+def _suspect_pairs(centers, r2, W, vids, elems):
+    """(vertex, element) pairs that the float circumsphere test cannot clear.
+
+    ``W`` holds the scaled positions of the vertices ``vids``; a pair is
+    suspect when the vertex lies inside, within the relative band of, or at
+    a non-finite distance from the element's circumsphere.
+    """
+    d2 = ((W[None, :, :] - centers[:, None, :]) ** 2).sum(axis=2)
+    margin = r2[:, None] - d2
+    band = _AUDIT_BAND * (r2[:, None] + d2) + 1e-300
+    hit = (margin > band) | (np.abs(margin) <= band) | ~np.isfinite(margin)
+    return [(vids[j], elems[k][0]) for k, j in zip(*np.nonzero(hit))
+            if vids[j] not in elems[k][1]]
+
+
+def _metric_scaled(V, metric):
+    """Vertex rows mapped by the Cholesky factor G of the metric, G^T G = M."""
+    G = np.linalg.cholesky(metric.m).T
+    return V @ G.T
+
+
 def audit_delaunay(mesh: Mesh4, field=None, tol: float = 0.0) -> AuditReport:
     """Empty-circumhypersphere audit of a mesh under a metric field.
 
     For every alive vertex v and alive element E not containing v, the
     metric in-hypersphere test (metric evaluated at v) must not report v
     strictly inside beyond ``tol``.  Ties (exactly cospherical) pass.
-    Constant fields take a vectorized circumcenter path, with near-ties
-    escalated to exact arithmetic.
+    Circumcentres are solved in batches in metric-scaled space, once for a
+    constant field and once per vertex for a varying one; pairs the float
+    test cannot clear are decided by the exact predicate.
     """
     fld = resolve_field(field)
     elems = [(eid, mesh.elements[eid]) for eid in mesh.alive_elements()]
     verts_alive = [vid for vid in range(len(mesh.vertices)) if mesh.vertex_alive[vid]]
     violations: list[tuple[int, int, float]] = []
-    n_checked = 0
     if not elems or not verts_alive:
         return AuditReport(violations, 0)
+    V = mesh.vertex_array()
+    E = np.array([verts for _, verts in elems], dtype=np.int64)
 
     if fld.is_constant:
-        V = mesh.vertex_array()
         if fld.kind != "identity":
-            G = np.linalg.cholesky(fld.constant_metric.m).T
-            V = V @ G.T
-        E = np.array([verts for _, verts in elems], dtype=np.int64)
-        P = V[E]                       # (m, 5, 4) scaled element corners
-        A = 2.0 * (P[:, 1:, :] - P[:, :1, :])
-        rhs = (P[:, 1:, :] ** 2).sum(axis=2) - (P[:, :1, :] ** 2).sum(axis=2)
-        centers = np.empty((len(elems), 4))
-        bad = []
-        try:
-            centers = np.linalg.solve(A, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            for k in range(len(elems)):
-                try:
-                    centers[k] = np.linalg.solve(A[k], rhs[k])
-                except np.linalg.LinAlgError:
-                    centers[k] = np.nan
-                    bad.append(k)
-        r2 = ((P[:, 0, :] - centers) ** 2).sum(axis=1)
+            V = _metric_scaled(V, fld.constant_metric)
+        centers, r2 = _circumspheres(V[E])
         Vv = V[np.array(verts_alive)]
         pending: list[tuple[int, int]] = []
         chunk = 2048
         for k0 in range(0, len(elems), chunk):
-            k1 = min(k0 + chunk, len(elems))
-            d2 = ((Vv[None, :, :] - centers[k0:k1, None, :]) ** 2).sum(axis=2)
-            margin = r2[k0:k1, None] - d2
-            band = _AUDIT_BAND * (r2[k0:k1, None] + d2) + 1e-300
-            inside = margin > band
-            near = np.abs(margin) <= band
-            for krel, jrel in zip(*np.nonzero(inside | near)):
-                k = k0 + int(krel)
-                vid = verts_alive[int(jrel)]
-                if vid in elems[k][1]:
-                    continue
-                pending.append((vid, elems[k][0]))
-            n_checked += (k1 - k0) * len(verts_alive)
-        for k in bad:
-            for vid in verts_alive:
-                if vid not in elems[k][1]:
-                    pending.append((vid, elems[k][0]))
+            k1 = k0 + chunk
+            pending += _suspect_pairs(centers[k0:k1], r2[k0:k1], Vv, verts_alive, elems[k0:k1])
         _audit_pairs_exact(mesh, pending, fld, tol, violations)
-        return AuditReport(violations, n_checked)
-
-    # varying field: per-vertex metric, batched circumcenters in scaled space
-    V = mesh.vertex_array()
-    E = np.array([verts for _, verts in elems], dtype=np.int64)
-    for vid in verts_alive:
-        metric = fld(mesh.vertices[vid])
-        G = np.linalg.cholesky(metric.m).T
-        W = V @ G.T
-        P = W[E]
-        A = 2.0 * (P[:, 1:, :] - P[:, :1, :])
-        rhs = (P[:, 1:, :] ** 2).sum(axis=2) - (P[:, :1, :] ** 2).sum(axis=2)
-        try:
-            centers = np.linalg.solve(A, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            centers = np.full((len(elems), 4), np.nan)
-            for k in range(len(elems)):
-                try:
-                    centers[k] = np.linalg.solve(A[k], rhs[k])
-                except np.linalg.LinAlgError:
-                    pass
-        r2 = ((P[:, 0, :] - centers) ** 2).sum(axis=1)
-        d2 = ((W[vid][None, :] - centers) ** 2).sum(axis=1)
-        margin = r2 - d2
-        band = _AUDIT_BAND * (r2 + d2) + 1e-300
-        pending = []
-        for k in np.nonzero((margin > band) | (np.abs(margin) <= band) | ~np.isfinite(margin))[0]:
-            if vid in elems[int(k)][1]:
-                continue
-            pending.append((vid, elems[int(k)][0]))
-        n_checked += len(elems)
-        _audit_pairs_exact(mesh, pending, fld, tol, violations)
-    return AuditReport(violations, n_checked)
+    else:
+        for vid in verts_alive:
+            W = _metric_scaled(V, fld(mesh.vertices[vid]))
+            centers, r2 = _circumspheres(W[E])
+            pending = _suspect_pairs(centers, r2, W[vid][None, :], [vid], elems)
+            _audit_pairs_exact(mesh, pending, fld, tol, violations)
+    return AuditReport(violations, len(elems) * len(verts_alive))

@@ -19,7 +19,6 @@ from .geometry import (
     _hypervolume_int,
     _scale_to_ints,
     as_point4,
-    canonical_facets,
     facet_key,
     hypervolume,
     hypervolume_exact,
@@ -136,9 +135,6 @@ class Mesh4:
     def n_vertices(self) -> int:
         return sum(self.vertex_alive)
 
-    def element_facets(self, eid: int) -> list[tuple[int, ...]]:
-        return canonical_facets(self.elements[eid])
-
     def element_points(self, eid: int):
         return tuple(self.vertices[v] for v in self.elements[eid])
 
@@ -183,10 +179,6 @@ class Mesh4:
 
     def vertex_array(self) -> np.ndarray:
         return np.array(self.vertices, dtype=float)
-
-    def element_array(self) -> np.ndarray:
-        return np.array([verts for verts in self.elements if verts is not None],
-                        dtype=np.int64)
 
     # -- maintenance --------------------------------------------------------
 

@@ -27,7 +27,6 @@ __all__ = [
     "dumps_p4m",
     "dumps_tet3",
     "export_mesh",
-    "import_mesh",
     "load_p4m",
     "load_points",
     "loads_p4m",
@@ -122,8 +121,16 @@ def loads_p4m(text: str) -> Mesh4:
     return mesh
 
 
-def save_p4m(mesh: Mesh4, path_or_file) -> None:
-    text = dumps_p4m(mesh)
+def _read_text(path_or_file) -> str:
+    """Text of an open file (anything with ``read``) or of a path, closed after."""
+    if hasattr(path_or_file, "read"):
+        return path_or_file.read()
+    with open(path_or_file, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _write_text(path_or_file, text: str) -> None:
+    """Write text to an open file (anything with ``write``) or to a path."""
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:
@@ -131,11 +138,12 @@ def save_p4m(mesh: Mesh4, path_or_file) -> None:
             fh.write(text)
 
 
+def save_p4m(mesh: Mesh4, path_or_file) -> None:
+    _write_text(path_or_file, dumps_p4m(mesh))
+
+
 def load_p4m(path_or_file) -> Mesh4:
-    if hasattr(path_or_file, "read"):
-        return loads_p4m(path_or_file.read())
-    with open(path_or_file, "r", encoding="utf-8") as fh:
-        return loads_p4m(fh.read())
+    return loads_p4m(_read_text(path_or_file))
 
 
 def dumps_tet3(mesh: Mesh4) -> str:
@@ -161,24 +169,14 @@ def export_mesh(mesh: Mesh4, path_or_file, fmt: str = "p4m") -> None:
     if fmt == "p4m":
         save_p4m(mesh, path_or_file)
     elif fmt == "tet3":
-        text = dumps_tet3(mesh)
-        if hasattr(path_or_file, "write"):
-            path_or_file.write(text)
-        else:
-            with open(path_or_file, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        _write_text(path_or_file, dumps_tet3(mesh))
     else:
         raise ValueError(f"unknown export format {fmt!r}")
 
 
-def import_mesh(path_or_file) -> Mesh4:
-    """Read a p4m mesh file."""
-    return load_p4m(path_or_file)
-
-
 def load_points(path):
     """Point cloud from a p4m file (its vertices) or a 4-column csv/text file."""
-    text = open(path, "r", encoding="utf-8").read() if isinstance(path, str) else path.read()
+    text = _read_text(path)
     if text.startswith("p4m"):
         return [tuple(p) for p in loads_p4m(text).vertices]
     pts = []

@@ -8,12 +8,24 @@ Two formulations are provided for metric-weighted tests:
   quadratic forms ``(x-f)^T M (x-f)`` and a ``sqrt(det M)`` prefactor and
   never decomposes the metric.
 
-Signs are exact on demand: a forward-error filter certifies the double
-precision result when possible, escalates to 80-bit extended floats, and
-finally to arbitrary-precision rational arithmetic (float inputs convert
-to rationals exactly).  The 4D in-hypersphere test has two tiers: its
-float filter (Shewchuk-style, a bound of 64 eps times the magnitude of
-the expansion) escalates straight to a scaled-integer expansion.
+Signs are exact on demand, in two tiers (Shewchuk's filter pattern): a
+forward-error filter certifies the double precision result when it can
+(a bound of 16 eps for orientation, 64 eps for in-hypersphere, times the
+magnitude of the expansion), and otherwise the sign is evaluated exactly.
+In 4D the exact tier scales the float inputs, which are dyadic rationals,
+to integers and reuses the float expansions (``_det4``, the pair minors);
+other dimensions use one rational bracket, :func:`_insphere_exact`, and
+fraction-free elimination.  There is no 80-bit middle tier: on
+near-degenerate 4D input an extended-precision retry costs more than the
+integer-exact sign and still has to fall through to it when it fails.
+
+The filter bounds hold only while no product rounds in the subnormal
+range, where the relative error of a double is unbounded.  An input that
+is an integer multiple of ``2**-g`` makes every degree-n product a
+multiple of ``2**-(n g)``, and such a product is exact whenever it is
+subnormal if ``n g <= 1074``.  Inputs too fine for that (nonzero
+coordinates below about ``1e-38`` for the 4D in-hypersphere test) skip
+the filter and go to the exact tier.
 
 The 4D float bracket ``_insphere4_core`` is array-shaped: it evaluates k
 simplices against one query point in one call, which is how cavity growth
@@ -34,13 +46,15 @@ with the orientation of the first d+1 arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
-from .geometry import Metric4, _det4_int, _laplace4, _pair_minors, _scale_to_ints
+from .geometry import Metric4, _det4, _laplace4, _pair_minors, _scale_to_ints
 
 __all__ = [
     "MetricDecomposition",
@@ -57,17 +71,17 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps) / 2.0          # 1.11e-16
-_LD_EPS = float(np.finfo(np.longdouble).eps) / 2.0
 _ORIENT_SAFETY = 16.0
 _INSPHERE_SAFETY = 64.0
+_SUBNORMAL_GRAIN = 1074                                # 2**-1074 is the least double
 
 
 @dataclass(frozen=True)
 class PredicateResult:
     """Sign of a geometric predicate plus an informational float value.
 
-    ``exactness`` records the arithmetic stage that certified the sign:
-    ``"float"``, ``"extended"``, or ``"exact"``.
+    ``exactness`` records the tier that certified the sign: ``"float"``
+    when the double precision filter did, ``"exact"`` otherwise.
     """
 
     sign: int
@@ -114,62 +128,54 @@ def _metric_info(M, d):
     return rows, None, math.sqrt(float(np.linalg.det(m)))
 
 
-def _quad(rows, u):
-    """u^T M u together with a magnitude bound on the computed value."""
-    if rows is None:
-        val = sum(x * x for x in u)
-        return val, val
-    val = 0.0
-    mag = 0.0
-    n = len(u)
-    for i in range(n):
-        row = rows[i]
-        s = 0.0
-        smag = 0.0
-        for j in range(n):
-            s += row[j] * u[j]
-            smag += abs(row[j] * u[j])
-        val += u[i] * s
-        mag += abs(u[i]) * smag
-    return val, mag
+@functools.lru_cache(maxsize=64)
+def _least_input(degree: int, metric=None) -> float:
+    """Least nonzero input magnitude at which a filter's error bound holds.
+
+    A double of frexp exponent e is an integer multiple of 2**(e - 53).  If
+    every nonzero input has exponent at least e, a product of ``degree``
+    inputs and one entry of ``metric`` (diagonal or nested rows, None for
+    the identity) is a multiple of 2**-(degree (53 - e) + g_m), with g_m the
+    grain of the finest metric entry, and it is exact when subnormal as long
+    as that exponent is at most 1074.
+    """
+    g_m = 0
+    if metric is not None:
+        entries = np.abs(np.ravel(metric))
+        g_m = 53 - math.frexp(float(entries[entries > 0].min()))[1]
+    e = math.ceil(53 - (_SUBNORMAL_GRAIN - g_m) / degree)
+    return math.ldexp(1.0, e - 1)
+
+
+def _coarse(values, least: float) -> bool:
+    """Whether every nonzero value is at least ``least`` in magnitude."""
+    for c in values:
+        if c and -least < c < least:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # determinants with error magnitudes
 # ---------------------------------------------------------------------------
 
+def _pair_mags(a, b):
+    """Magnitudes |a_i b_j| + |a_j b_i| of the terms of :func:`_pair_minors`."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (abs(a0 * b1) + abs(a1 * b0), abs(a0 * b2) + abs(a2 * b0),
+            abs(a0 * b3) + abs(a3 * b0), abs(a1 * b2) + abs(a2 * b1),
+            abs(a1 * b3) + abs(a3 * b1), abs(a2 * b3) + abs(a3 * b2))
+
+
 def _det4_mag(rows):
-    """4x4 determinant and a magnitude bound (two-row Laplace expansion)."""
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
-    ab01 = a0 * b1 - a1 * b0
-    m01 = abs(a0 * b1) + abs(a1 * b0)
-    ab02 = a0 * b2 - a2 * b0
-    m02 = abs(a0 * b2) + abs(a2 * b0)
-    ab03 = a0 * b3 - a3 * b0
-    m03 = abs(a0 * b3) + abs(a3 * b0)
-    ab12 = a1 * b2 - a2 * b1
-    m12 = abs(a1 * b2) + abs(a2 * b1)
-    ab13 = a1 * b3 - a3 * b1
-    m13 = abs(a1 * b3) + abs(a3 * b1)
-    ab23 = a2 * b3 - a3 * b2
-    m23 = abs(a2 * b3) + abs(a3 * b2)
-    cd01 = c0 * d1 - c1 * d0
-    n01 = abs(c0 * d1) + abs(c1 * d0)
-    cd02 = c0 * d2 - c2 * d0
-    n02 = abs(c0 * d2) + abs(c2 * d0)
-    cd03 = c0 * d3 - c3 * d0
-    n03 = abs(c0 * d3) + abs(c3 * d0)
-    cd12 = c1 * d2 - c2 * d1
-    n12 = abs(c1 * d2) + abs(c2 * d1)
-    cd13 = c1 * d3 - c3 * d1
-    n13 = abs(c1 * d3) + abs(c3 * d1)
-    cd23 = c2 * d3 - c3 * d2
-    n23 = abs(c2 * d3) + abs(c3 * d2)
-    det = (ab01 * cd23 - ab02 * cd13 + ab03 * cd12
-           + ab12 * cd03 - ab13 * cd02 + ab23 * cd01)
+    """4x4 determinant and the magnitude of its Laplace expansion's terms."""
+    a, b, c, d = rows
+    m01, m02, m03, m12, m13, m23 = _pair_mags(a, b)
+    n01, n02, n03, n12, n13, n23 = _pair_mags(c, d)
     mag = (m01 * n23 + m02 * n13 + m03 * n12
            + m12 * n03 + m13 * n02 + m23 * n01)
-    return det, mag
+    return _det4(a, b, c, d), mag
 
 
 def _det_general_mag(rows):
@@ -208,7 +214,7 @@ def _orient4_exact_sign(pts) -> int:
     ints, _ = _scale_to_ints(flat)
     e = ints[16:20]
     rows = [[ints[4 * k + j] - e[j] for j in range(4)] for k in range(4)]
-    det = _det4_int(*rows)
+    det = _det4(*rows)
     return 0 if det == 0 else (1 if det > 0 else -1)
 
 
@@ -311,6 +317,14 @@ def _insphere4_core(P, f, mrows, mdiag):
     return total, mag
 
 
+def _insphere4_certified(P, f, total, mag, mrows, mdiag):
+    """Rows of a :func:`_insphere4_core` result whose float sign is certified."""
+    least = _least_input(6, mdiag if mdiag is not None else mrows)
+    A = np.abs(P)
+    coarse = ((A >= least) | (A == 0.0)).all(axis=(1, 2)) & _coarse(f, least)
+    return (np.abs(total) > _INSPHERE_SAFETY * _EPS * mag) & coarse
+
+
 def _det_exact(rows):
     """Exact determinant by fraction-free elimination over rationals."""
     a = [list(r) for r in rows]
@@ -362,26 +376,13 @@ def orientation_m_d(M, pts, mode: str = "auto") -> PredicateResult:
         raise ValueError(f"orientation in {d}D needs {d + 1} points, got {len(pts)}")
     _rows, _diag, pref = _metric_info(M, d)
 
-    value = None
-    if mode != "exact":
-        det, mag = _det_mag(_orientation_rows(pts))
-        value = pref * det
-        bound = _ORIENT_SAFETY * _EPS * mag
-        if mode == "float" or abs(det) > bound:
-            sign = 0 if det == 0.0 else (1 if det > 0.0 else -1)
-            return PredicateResult(sign, value, "float")
-        if d == 4:
-            ld_rows = _orientation_rows(pts, cast=np.longdouble)
-            det_ld, mag_ld = _det4_mag(ld_rows)
-            if abs(det_ld) > _ORIENT_SAFETY * _LD_EPS * mag_ld:
-                sign = 1 if det_ld > 0 else -1
-                return PredicateResult(sign, pref * float(det_ld), "extended")
-
+    det, mag = _det_mag(_orientation_rows(pts))
+    if mode == "float" or (mode != "exact" and abs(det) > _ORIENT_SAFETY * _EPS * mag
+                           and _coarse(chain.from_iterable(pts), _least_input(d))):
+        sign = 0 if det == 0.0 else (1 if det > 0.0 else -1)
+        return PredicateResult(sign, pref * det, "float")
     if d == 4:
-        sign = _orient4_exact_sign(pts)
-        if value is None:
-            value = pref * _det_mag(_orientation_rows(pts))[0]
-        return PredicateResult(sign, value, "exact")
+        return PredicateResult(_orient4_exact_sign(pts), pref * det, "exact")
     det = _det_exact(_orientation_rows(pts, cast=Fraction))
     sign = 0 if det == 0 else (1 if det > 0 else -1)
     return PredicateResult(sign, pref * float(det), "exact")
@@ -403,24 +404,22 @@ def orientation_m(M, a, b, c, d, e, mode: str = "auto") -> PredicateResult:
 # in-hypersphere
 # ---------------------------------------------------------------------------
 
-def _insphere_terms(pts, mrows, cast=float):
-    """Quadratic forms Q_i and difference rows u_i = p_i - f."""
+def _insphere_terms(pts, mrows):
+    """Quadratic forms Q_i and difference rows u_i = p_i - f, in floats."""
     f = pts[-1]
     d = len(f)
-    us = [tuple(cast(p[j]) - cast(f[j]) for j in range(d)) for p in pts[:-1]]
-    if mrows is not None and cast is not float:
-        mrows = tuple(tuple(cast(x) for x in row) for row in mrows)
+    us = [tuple(p[j] - f[j] for j in range(d)) for p in pts[:-1]]
     qs = []
     for u in us:
         if mrows is None:
             q = sum(x * x for x in u)
             qs.append((q, q))
         else:
-            val = cast(0)
-            mag = cast(0)
+            val = 0.0
+            mag = 0.0
             for i in range(d):
-                s = cast(0)
-                smag = cast(0)
+                s = 0.0
+                smag = 0.0
                 for j in range(d):
                     s += mrows[i][j] * u[j]
                     smag += abs(mrows[i][j] * u[j])
@@ -430,7 +429,7 @@ def _insphere_terms(pts, mrows, cast=float):
     return us, qs
 
 
-def _insphere_bracket_float(us, qs, d, det_fn):
+def _insphere_bracket_float(us, qs, d):
     """(-1)^d sum_i (-1)^i Q_i det(rows without i), with magnitude bound."""
     total = 0.0
     mag = 0.0
@@ -438,12 +437,36 @@ def _insphere_bracket_float(us, qs, d, det_fn):
     sign = parity
     for i in range(d + 1):
         rows = us[:i] + us[i + 1:]
-        det, dmag = det_fn(rows)
+        det, dmag = _det_mag(rows)
         q, qmag = qs[i]
         total += sign * q * det
         mag += qmag * dmag
         sign = -sign
     return total, mag
+
+
+def _insphere_exact(pts, mrows) -> Fraction:
+    """(-1)^d sum_i (-1)^i Q_i det(rows without i) of d+2 points, exactly.
+
+    Points and metric rows may hold floats, ints or ``Fraction``s; all are
+    converted to ``Fraction`` without rounding.  ``mrows`` None means the
+    identity metric.  No ``sqrt(det M)`` prefactor is applied.
+    """
+    f = [Fraction(x) for x in pts[-1]]
+    d = len(f)
+    us = [tuple(Fraction(p[j]) - f[j] for j in range(d)) for p in pts[:-1]]
+    if mrows is not None:
+        mrows = [[Fraction(x) for x in row] for row in mrows]
+    total = Fraction(0)
+    sign = 1 if d % 2 == 0 else -1
+    for i, u in enumerate(us):
+        if mrows is None:
+            q = sum(x * x for x in u)
+        else:
+            q = sum(u[a] * sum(mrows[a][b] * u[b] for b in range(d)) for a in range(d))
+        total += sign * q * _det_exact(us[:i] + us[i + 1:])
+        sign = -sign
+    return total
 
 
 def inhypersphere_m_d(M, pts, mode: str = "auto") -> PredicateResult:
@@ -461,31 +484,25 @@ def inhypersphere_m_d(M, pts, mode: str = "auto") -> PredicateResult:
     mrows, mdiag, pref = _metric_info(M, d)
 
     if d == 4:
-        # two-tier path: the integer-exact stage is cheaper than an 80-bit
-        # retry here, so uncertified floats escalate straight to exact
-        total, mag = _insphere4_core(np.array([pts[:5]]), pts[5], mrows, mdiag)
-        total, mag = float(total[0]), float(mag[0])
-        if mode != "exact" and (mode == "float" or abs(total) > _INSPHERE_SAFETY * _EPS * mag):
+        P = np.array([pts[:5]])
+        totals, mags = _insphere4_core(P, pts[5], mrows, mdiag)
+        total = float(totals[0])
+        if mode == "float" or (mode != "exact" and _insphere4_certified(
+                P, pts[5], totals, mags, mrows, mdiag)[0]):
             sign = 0 if total == 0.0 else (1 if total > 0.0 else -1)
             return PredicateResult(sign, pref * total, "float")
         return PredicateResult(_insphere4_exact_sign(pts, mrows, mdiag), pref * total, "exact")
 
     if mode != "exact":
         us, qs = _insphere_terms(pts, mrows)
-        total, mag = _insphere_bracket_float(us, qs, d, _det_mag)
-        bound = _INSPHERE_SAFETY * _EPS * mag
-        if mode == "float" or abs(total) > bound:
+        total, mag = _insphere_bracket_float(us, qs, d)
+        if mode == "float" or (abs(total) > _INSPHERE_SAFETY * _EPS * mag
+                               and _coarse(chain.from_iterable(pts),
+                                           _least_input(d + 2, mrows))):
             sign = 0 if total == 0.0 else (1 if total > 0.0 else -1)
             return PredicateResult(sign, pref * total, "float")
 
-    us, qs = _insphere_terms(pts, mrows, cast=Fraction)
-    parity = 1 if d % 2 == 0 else -1
-    total = Fraction(0)
-    sign_i = parity
-    for i in range(d + 1):
-        rows = us[:i] + us[i + 1:]
-        total += sign_i * qs[i][0] * _det_exact(rows)
-        sign_i = -sign_i
+    total = _insphere_exact(pts, mrows)
     sign = 0 if total == 0 else (1 if total > 0 else -1)
     return PredicateResult(sign, pref * float(total), "exact")
 

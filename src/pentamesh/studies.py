@@ -20,6 +20,8 @@ from .geometry import MetricField, resolve_field
 from .insertion import triangulate
 from .pointsets import generate_hypercylinder_points
 from .predicates import (
+    _det_exact,
+    _insphere_exact,
     decompose_metric,
     inhypersphere_m_d,
     scale_points_standard,
@@ -119,29 +121,6 @@ def _plain_insphere_value_float(pts) -> float:
     return inhypersphere_m_d(None, pts, mode="float").value
 
 
-def _insphere_exact_with_factor(M, pts, pref: Fraction) -> Fraction:
-    """Exact bracket sum of the decomposition-free test times a rational factor."""
-    d = len(pts[0])
-    f = pts[-1]
-    us = [tuple(Fraction(p[j]) - Fraction(f[j]) for j in range(d)) for p in pts[:-1]]
-    mrows = [[Fraction(M[i][j]) for j in range(d)] for i in range(d)] if M is not None else None
-
-    def quad(u):
-        if mrows is None:
-            return sum(x * x for x in u)
-        return sum(u[i] * sum(mrows[i][j] * u[j] for j in range(d)) for i in range(d))
-
-    from .predicates import _det_exact
-    parity = 1 if d % 2 == 0 else -1
-    total = Fraction(0)
-    sign = parity
-    for i in range(d + 1):
-        rows = us[:i] + us[i + 1:]
-        total += sign * quad(us[i]) * _det_exact(rows)
-        sign = -sign
-    return pref * total
-
-
 def predicate_comparison_study(dims=(2, 3, 4, 5, 10), trials: int = 100,
                                seed: int = 0, exact: bool = False) -> list:
     """Standard (decompose-and-scale) vs decomposition-free in-hypersphere.
@@ -179,10 +158,8 @@ def predicate_comparison_study(dims=(2, 3, 4, 5, 10), trials: int = 100,
                     scaled.append(tuple(
                         sum(Gf[i][j] * Fraction(p[j]) for j in range(d))
                         for i in range(d)))
-                std = _insphere_exact_with_factor(None, scaled, Fraction(1))
-                from .predicates import _det_exact
-                det_g = _det_exact(Gf)
-                alt = _insphere_exact_with_factor(M_exact, pts, det_g)
+                std = _insphere_exact(scaled, None)
+                alt = _det_exact(Gf) * _insphere_exact(pts, M_exact)
                 if std != alt:
                     exact_nonzero += 1
                 continue
@@ -231,19 +208,7 @@ def quality_study(sizes=(50, 100, 150, 200, 250, 300), heuristic: int = 1,
         mesh = triangulate(pts)
         rep = improve_quality(mesh, heuristic=heuristic,
                               include_point_inserting=include_point_inserting)
-        row = {
-            "n_points": n,
-            "n_flips": sum(rep.flips_by_kind.values()),
-            "pentatopes_initial": rep.n_elements_before,
-            "pentatopes_final": rep.n_elements_after,
-        }
-        for frac in (0.01, 0.05, 0.10, 0.20):
-            row[f"amq{int(frac * 100)}_initial"] = rep.amq_before[frac]
-            row[f"amq{int(frac * 100)}_final"] = rep.amq_after[frac]
-        row["hv_initial"] = rep.hypervolume_before
-        row["hv_final"] = rep.hypervolume_after
-        row["hv_conserved_exactly"] = rep.hv_conserved_exactly
-        summary.append(row)
+        summary.append({"n_points": n, **rep.as_row()})
         for kind, count in sorted(rep.flips_by_kind.items()):
             histogram.append({"n_points": n, "flip": kind, "executions": count})
     return summary, histogram

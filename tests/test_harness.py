@@ -1,11 +1,17 @@
+import csv
 import io
 import math
+import os
+import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import pentamesh
+from pentamesh.flips import improve_quality
 from pentamesh.insertion import triangulate
 from pentamesh.meshio import (
     MeshFormatError,
@@ -107,6 +113,25 @@ class TestLoadPoints:
         path.write_text("1 2 3\n")
         with pytest.raises(MeshFormatError):
             load_points(str(path))
+
+    def test_pathlib_path(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("0 0 0 0\n1 2 3 4\n")
+        assert load_points(path) == [(0, 0, 0, 0), (1, 2, 3, 4)]
+
+    def test_closes_the_file(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("0 0 0 0\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            load_points(str(path))
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_open_file(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("0 0 0 0\n")
+        with open(path, encoding="utf-8") as fh:
+            assert load_points(fh) == [(0, 0, 0, 0)]
 
 
 class TestHypercylinderPoints:
@@ -226,11 +251,37 @@ class TestCli:
         text = open(out).read()
         assert "mean_normalized_difference" in text
 
+    def test_improve_and_study_share_summary_columns(self, tmp_path, rng):
+        # both rows are the report's as_row() plus their own keys
+        pts = self._points_file(tmp_path, rng, n=20)
+        mesh_path = str(tmp_path / "m.p4m")
+        assert cli_main(["mesh", pts, "-o", mesh_path]) == 0
+        icsv = tmp_path / "i.csv"
+        assert cli_main(["improve", mesh_path, "-o", str(icsv)]) == 0
+        with icsv.open(encoding="utf-8") as fh:
+            cli_cols = next(csv.reader(fh))
+        summary, _ = quality_study(sizes=(20,), seed=1)
+        shared = list(improve_quality(triangulate(rng.random((20, 4)))).as_row())
+        assert shared[0] == "n_flips" and "amq1_initial" in shared
+        assert cli_cols[0] == "heuristic" and cli_cols[1:1 + len(shared)] == shared
+        assert all(c.startswith("flips_") for c in cli_cols[1 + len(shared):])
+        assert list(summary[0]) == ["n_points"] + shared
+
     def test_entry_point_runs(self):
         proc = subprocess.run([sys.executable, "-m", "pentamesh.cli", "--help"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "pentamesh" in proc.stdout
+
+    def test_demo_meshing_basics_runs(self):
+        demo = pathlib.Path(__file__).resolve().parents[1] / "demos" / "demo_meshing_basics.py"
+        src = str(pathlib.Path(pentamesh.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                              text=True, env=env, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert "audit: 0 strict violations" in proc.stdout
 
     def test_metric_parsing(self):
         from pentamesh.cli import parse_metric

@@ -232,6 +232,78 @@ class TestCavityMatchesReference:
         assert tiers["float"] > 0 and mesh.validate() == []
 
 
+def reference_visibility_product(mesh, facet, owner_eid, p, metric):
+    """Visibility product with its own inward normal and long-double pass.
+
+    The normal is written out here as the negated (+,-,+,-) cofactors, and
+    the near-threshold pass builds its normal and its dot product with
+    numpy long-double arrays; the kernel's version must agree bit for bit.
+    Returns the product and whether the long-double pass ran.
+    """
+    pts = [mesh.vertices[v] for v in facet]
+    a, b, c, d = pts
+    u = (b[0] - a[0], b[1] - a[1], b[2] - a[2], b[3] - a[3])
+    v = (c[0] - a[0], c[1] - a[1], c[2] - a[2], c[3] - a[3])
+    w = (d[0] - a[0], d[1] - a[1], d[2] - a[2], d[3] - a[3])
+
+    def minor(i, j, k):
+        return (u[i] * (v[j] * w[k] - v[k] * w[j])
+                - u[j] * (v[i] * w[k] - v[k] * w[i])
+                + u[k] * (v[i] * w[j] - v[j] * w[i]))
+
+    ne = (-minor(1, 2, 3), minor(0, 2, 3), -minor(0, 1, 3), minor(0, 1, 2))
+    cen = tuple((pts[0][j] + pts[1][j] + pts[2][j] + pts[3][j]) / 4.0 for j in range(4))
+    cp = (p[0] - cen[0], p[1] - cen[1], p[2] - cen[2], p[3] - cen[3])
+    nc = ne[0] * cp[0] + ne[1] * cp[1] + ne[2] * cp[2] + ne[3] * cp[3]
+    if metric is None:
+        nn = ne[0] * ne[0] + ne[1] * ne[1] + ne[2] * ne[2] + ne[3] * ne[3]
+        cc = cp[0] * cp[0] + cp[1] * cp[1] + cp[2] * cp[2] + cp[3] * cp[3]
+    else:
+        inv = metric.inv_rows
+        nn = sum(ne[i] * (inv[i][0] * ne[0] + inv[i][1] * ne[1]
+                          + inv[i][2] * ne[2] + inv[i][3] * ne[3]) for i in range(4))
+        cc = metric.quad(cp)
+    if nn <= 0.0 or cc <= 0.0:
+        return -1.0, False
+    q = nc / math.sqrt(nn * cc)
+    if abs(q) >= 1e-12:
+        return q, False
+    ld = np.longdouble
+    pts_ld = [np.array(x, dtype=ld) for x in pts]
+    m = np.array([pts_ld[1] - pts_ld[0], pts_ld[2] - pts_ld[0], pts_ld[3] - pts_ld[0]])
+
+    def minor_ld(i, j, k):
+        return (m[0][i] * (m[1][j] * m[2][k] - m[1][k] * m[2][j])
+                - m[0][j] * (m[1][i] * m[2][k] - m[1][k] * m[2][i])
+                + m[0][k] * (m[1][i] * m[2][j] - m[1][j] * m[2][i]))
+
+    ne_ld = np.array([-minor_ld(1, 2, 3), minor_ld(0, 2, 3),
+                      -minor_ld(0, 1, 3), minor_ld(0, 1, 2)], dtype=ld)
+    cp_ld = np.array(p, dtype=ld) - sum(pts_ld) / ld(4)
+    return float(ne_ld @ cp_ld) / math.sqrt(nn * cc), True
+
+
+class TestVisibilityProductMatchesReference:
+    def test_hypercylinder_speed_field(self, monkeypatch):
+        # cospherical boundary samples put many facets near the threshold
+        kernel = insertion._visibility_product
+        calls = {"all": 0, "extended": 0}
+
+        def checked(mesh, facet, owner_eid, p, metric):
+            q = kernel(mesh, facet, owner_eid, p, metric)
+            ref, extended = reference_visibility_product(mesh, facet, owner_eid, p, metric)
+            assert q == ref
+            calls["all"] += 1
+            calls["extended"] += extended
+            return q
+
+        monkeypatch.setattr(insertion, "_visibility_product", checked)
+        pts = generate_hypercylinder_points(1.0, 4.0, 1.0 / 1.5, 1.0 / 1.5, seed=0)
+        field = MetricField.speed(c0=1.0, beta=0.1, center=2.0)
+        triangulate(pts, field, shuffle=True, seed=0, skip_duplicates=True)
+        assert calls["all"] > 10000 and calls["extended"] > 0
+
+
 class TestEnforceVisibility:
     def test_all_visible_unchanged(self, rng):
         pts = rng.random((30, 4))
@@ -451,6 +523,27 @@ class TestAudit:
             mesh.add_element(vids)
         report = audit_delaunay(mesh)
         assert {(v, e) for v, e, _ in report.violations} == {(4, 1), (5, 0)}
+
+    def test_constant_anisotropic_matches_brute_force(self, rng):
+        # a Delaunay mesh of the identity metric is not Delaunay under a
+        # stretched constant metric; the batched audit must report exactly
+        # the pairs a scan of every pair with the exact predicate reports
+        metric = Metric4(np.array([[9.0, 2.0, 0.0, 1.0], [2.0, 1.0, 0.0, 0.0],
+                                   [0.0, 0.0, 0.25, 0.0], [1.0, 0.0, 0.0, 4.0]]))
+        mesh = triangulate(rng.random((25, 4)))
+        report = audit_delaunay(mesh, MetricField.constant(metric))
+        expected = []
+        vids = [v for v in range(len(mesh.vertices)) if mesh.vertex_alive[v]]
+        for eid in mesh.alive_elements():
+            for vid in vids:
+                if vid in mesh.elements[eid]:
+                    continue
+                res = inhypersphere_m_d(metric, list(mesh.element_points(eid))
+                                        + [mesh.vertices[vid]])
+                if res.sign > 0 and abs(res.value) > 0.0:  # the audit's tol=0
+                    expected.append((vid, eid, res.value))
+        assert expected and report.violations == expected
+        assert report.n_checked == mesh.n_alive * len(vids)
 
     def test_anisotropic_audit_runs(self, rng):
         pts = rng.random((25, 4))

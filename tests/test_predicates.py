@@ -4,12 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pentamesh.geometry import Metric4
 from pentamesh.predicates import (
+    _EPS,
+    _ORIENT_SAFETY,
+    _det_mag,
+    _insphere4_certified,
     _insphere4_core,
     _metric_info,
+    _orientation_rows,
     decompose_metric,
     exact_rational_cholesky,
     inhypersphere4,
@@ -181,6 +186,44 @@ class TestGeneralDimension:
             inhypersphere_m_d(np.eye(2), [(0, 0)] * 3)
 
 
+# one ulp off the diag(1, 1, 1, 4) unit sphere through a subnormal coordinate:
+# the exact bracket is 0, the float bracket underflows to 64 * 2**-1074
+SUBNORMAL_CASE = ([(5e-324, -2.0, -2.0, -0.5), (0.0, -2.0, -2.0, 0.5),
+                   (0.0, -2.0, -1.0, -1.0), (-3.0, 0.0, 0.0, 0.0),
+                   (0.0, -2.0, -1.0, 1.0), (0.0, -2.0, 1.0, -1.0)],
+                  Metric4(np.diag([1.0, 1.0, 1.0, 4.0])))
+
+
+class TestSubnormalInputs:
+    def test_insphere_underflow_is_not_certified(self):
+        pts, metric = SUBNORMAL_CASE
+        assert inhypersphere_m_d(metric, pts, mode="float").sign == 1
+        res = inhypersphere_m_d(metric, pts)
+        assert (res.sign, res.exactness) == (0, "exact")
+
+    def test_cavity_rows_escalate_like_scalar(self):
+        pts, metric = SUBNORMAL_CASE
+        mrows, mdiag, _ = _metric_info(metric, 4)
+        P = np.array([pts[:5], np.vstack([np.eye(4), np.zeros(4)])])
+        total, mag = _insphere4_core(P, pts[5], mrows, mdiag)
+        certified = _insphere4_certified(P, pts[5], total, mag, mrows, mdiag)
+        assert certified.tolist() == [False, True]
+
+    def test_orientation_fine_grain_is_exact(self):
+        pts = [(1.0, 0, 0, 0), (0, 1.0, 0, 0), (0, 0, 1.0, 0), (0, 0, 0, 1.0), (5e-324, 0, 0, 0)]
+        res = orientation4(*pts)
+        assert (res.sign, res.exactness) == (1, "exact")
+        pts[4] = (2.0 ** -250, 0, 0, 0)
+        assert orientation4(*pts).exactness == "exact"
+        pts[4] = (2.0 ** -100, 0, 0, 0)
+        assert orientation4(*pts).exactness == "float"
+
+    def test_general_dimension_fine_grain_is_exact(self):
+        tri = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+        res = inhypersphere_m_d(np.eye(2), tri + [(5e-324, 5e-324)])
+        assert (res.sign, res.exactness) == (1, "exact")
+
+
 class TestStandardRoute:
     def test_scale_identity(self, rng):
         pts = [tuple(p) for p in rng.normal(size=(3, 4))]
@@ -324,6 +367,29 @@ def one_ulp_off(draw, pts):
     return pts[:i] + [tuple(moved)] + pts[i + 1:]
 
 
+@st.composite
+def near_coplanar(draw):
+    """Five 4D points on or next to one hyperplane.
+
+    Four integer points and an integer affine combination of them, scaled
+    by a power of two and offset by integers (which may round), and
+    sometimes with one coordinate moved by one ulp.
+    """
+    coord = st.integers(-50, 50)
+    base = [tuple(draw(coord) for _ in range(4)) for _ in range(4)]
+    w = [draw(st.integers(-3, 3)) for _ in range(3)]
+    fifth = tuple(base[0][j] + sum(w[i] * (base[i + 1][j] - base[0][j]) for i in range(3))
+                  for j in range(4))
+    order = draw(st.permutations(range(5)))
+    k = draw(st.integers(-40, 40))
+    offset = draw(st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=4, max_size=4))
+    pts = [tuple(math.ldexp(c, k) + o for c, o in zip((base + [fifth])[i], offset))
+           for i in order]
+    if draw(st.booleans()):
+        pts = draw(one_ulp_off(pts))
+    return pts
+
+
 def _insphere4_core_scalar(pts, mrows, mdiag):
     """The one-simplex bracket as scalar Python floats (reference for the kernel)."""
     f = pts[5]
@@ -395,6 +461,7 @@ class TestPredicateProperties:
     @settings(max_examples=150, deadline=None)
     @given(cospherical(6).flatmap(
         lambda case: st.tuples(one_ulp_off(case[0]), st.just(case[1]))))
+    @example(case=SUBNORMAL_CASE)
     def test_one_ulp_off_sphere_matches_oracle(self, case):
         pts, metric = case
         res = inhypersphere_m_d(metric, pts)
@@ -406,6 +473,16 @@ class TestPredicateProperties:
     def test_orientation_matches_fraction_volume(self, pts):
         vol = hypervolume_fraction(*pts)
         assert orientation4(*pts).sign == (vol > 0) - (vol < 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_coplanar())
+    def test_uncertified_orientation_is_exact(self, pts):
+        # inputs the float filter cannot certify go straight to the exact tier
+        det, mag = _det_mag(_orientation_rows(pts))
+        assume(abs(det) <= _ORIENT_SAFETY * _EPS * mag)
+        res = orientation_m_d(None, pts)
+        vol = hypervolume_fraction(*pts)
+        assert (res.sign, res.exactness) == ((vol > 0) - (vol < 0), "exact")
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 8).flatmap(lambda k: st.one_of(wide_points(5 * k + 1),
