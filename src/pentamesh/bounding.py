@@ -145,6 +145,7 @@ def build_bounding_mesh(points, n_b: int = 24, margin: float = 1.0) -> Mesh4:
     for corner in table.corners:
         p = tuple(lo[j] + corner[j] * (hi[j] - lo[j]) for j in range(4))
         mesh.add_vertex(p, is_super=True)
+    cells = []
     for tup in table.tuples:
         verts = tuple(i - 1 for i in tup)
         pts5 = tuple(mesh.vertices[v] for v in verts)
@@ -153,7 +154,8 @@ def build_bounding_mesh(points, n_b: int = 24, margin: float = 1.0) -> Mesh4:
             raise MeshError(f"degenerate subdivision cell {tup}")
         if vol < 0.0:
             verts = (verts[1], verts[0]) + verts[2:]
-        mesh.add_element(verts)
+        cells.append(verts)
+    mesh.replace((), cells)
     mesh.bounding_lo = lo
     mesh.bounding_hi = hi
     return mesh

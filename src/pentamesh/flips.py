@@ -624,9 +624,7 @@ def apply_flip(mesh: Mesh4, cand: FlipCandidate) -> FlipReport:
         if hypervolume(*pts) < 0.0:
             verts = (verts[1], verts[0]) + verts[2:]
         tuples.append(verts)
-    for eid in cand.stage1:
-        mesh.remove_element(eid)
-    created = tuple(mesh.add_element(t) for t in tuples)
+    created = tuple(mesh.replace(cand.stage1, tuples))
     if cand.removed_vertex is not None:
         mesh.kill_vertex(cand.removed_vertex)
     return FlipReport(cand.kind, cand.stage1, created, new_vid, cand.removed_vertex)

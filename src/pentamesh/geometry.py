@@ -37,7 +37,6 @@ __all__ = [
     "Metric4",
     "MetricField",
     "canonical_facets",
-    "facet_key",
     "facet_normal",
     "hypervolume",
     "hypervolume_exact",
@@ -76,11 +75,6 @@ def canonical_facets(pent: Sequence) -> list[tuple]:
     if len(p) != 5:
         raise ValueError("pentatope must have exactly 5 vertices")
     return [tuple(p[i] for i in pat) for pat in CANONICAL_FACETS]
-
-
-def facet_key(facet: Sequence[int]) -> tuple[int, ...]:
-    """Order-independent key identifying an unordered tetrahedral facet."""
-    return tuple(sorted(facet))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .mesh import (
 )
 from .bounding import build_bounding_mesh
 from .predicates import (
+    _exact_metric,
     _insphere4_certified,
     _insphere4_core,
     _insphere4_exact_sign,
@@ -178,20 +179,22 @@ def find_base_element(mesh: Mesh4, p, start: int | None = None,
 def cavity_boundary(mesh: Mesh4, elements: set[int]):
     """Boundary facets of an element set, each carried once by its owner."""
     boundary = []
+    elems, nbr = mesh.elements, mesh.nbr
     for eid in elements:
-        verts = mesh.elements[eid]
-        for li, pat in enumerate(CANONICAL_FACETS):
-            nb = mesh.neighbor(eid, li)
+        verts = elems[eid]
+        for li, nb in enumerate(nbr[eid]):
             if nb is None or nb[0] not in elements:
-                boundary.append((tuple(verts[i] for i in pat), eid, li))
+                i0, i1, i2, i3 = CANONICAL_FACETS[li]
+                boundary.append(((verts[i0], verts[i1], verts[i2], verts[i3]), eid, li))
     return boundary
 
 
-def _in_sphere_rows(mesh: Mesh4, eids: list[int], p, mrows, mdiag) -> list[bool]:
+def _in_sphere_rows(mesh: Mesh4, eids: list[int], p, mrows, mdiag, exact) -> list[bool]:
     """Strict in-sphere membership of p for each listed element, in one bracket.
 
     Rows whose float bracket the filter certifies are decided by its
-    sign; the others go straight to the integer-exact sign.
+    sign; the others go straight to the integer-exact sign, which takes
+    the integer metric ``exact`` of :func:`~pentamesh.predicates._exact_metric`.
     """
     elems, verts = mesh.elements, mesh.vertices
     corners = [verts[v] for eid in eids for v in elems[eid]]
@@ -200,7 +203,7 @@ def _in_sphere_rows(mesh: Mesh4, eids: list[int], p, mrows, mdiag) -> list[bool]
     certified = _insphere4_certified(P, p, total, mag, mrows, mdiag)
     inside = (total > 0.0).tolist()
     for k in np.flatnonzero(~certified).tolist():
-        inside[k] = _insphere4_exact_sign(corners[5 * k:5 * k + 5] + [p], mrows, mdiag) > 0
+        inside[k] = _insphere4_exact_sign(corners[5 * k:5 * k + 5] + [p], *exact) > 0
     return inside
 
 
@@ -219,6 +222,8 @@ def build_cavity(mesh: Mesh4, base: int, p, metric) -> Cavity:
     """
     p = as_point4(p)
     mrows, mdiag, _ = _metric_info(metric, 4)
+    exact = _exact_metric(mrows, mdiag)
+    nbr = mesh.nbr
     elements = {base}
     seen = {base}
     layer = [base]
@@ -229,14 +234,13 @@ def build_cavity(mesh: Mesh4, base: int, p, metric) -> Cavity:
             if not ok:
                 continue
             elements.add(eid)
-            for li in range(5):
-                nb = mesh.neighbor(eid, li)
+            for nb in nbr[eid]:
                 if nb is not None and nb[0] not in seen:
                     seen.add(nb[0])
                     front.append(nb[0])
         layer = front
         if layer:
-            inside = _in_sphere_rows(mesh, layer, p, mrows, mdiag)
+            inside = _in_sphere_rows(mesh, layer, p, mrows, mdiag, exact)
     cav = Cavity(elements)
     cav.boundary = cavity_boundary(mesh, elements)
     return cav
@@ -309,8 +313,7 @@ def enforce_visibility(mesh: Mesh4, cavity: Cavity, p, metric,
                 f"{_failure_context(p, base, base_verts, size)}; check element orientations")
         elements.discard(owner)
         changed = True
-        for li2 in range(5):
-            nb = mesh.neighbor(owner, li2)
+        for nb in mesh.nbr[owner]:
             if nb is not None and nb[0] in elements:
                 nverts = mesh.elements[nb[0]]
                 npat = CANONICAL_FACETS[nb[1]]
@@ -330,10 +333,9 @@ def _failure_context(p, base, base_verts, cavity_size: int) -> str:
             f"with a cavity of {cavity_size} elements")
 
 
-def _positive_tuple(mesh: Mesh4, facet, new_vid: int):
-    """Order (facet + new vertex) positively; None if exactly degenerate."""
+def _positive_tuple(mesh: Mesh4, facet, p, new_vid: int):
+    """Order (facet + new vertex ``new_vid`` at p) positively; None if exactly degenerate."""
     pts = [mesh.vertices[v] for v in facet]
-    p = mesh.vertices[new_vid]
     diffs = [(q[0] - p[0], q[1] - p[1], q[2] - p[2], q[3] - p[3]) for q in pts]
     theta = _det4(*diffs)
     scale = max(1.0, *(abs(c) for q in pts for c in q), *(abs(c) for c in p))
@@ -375,29 +377,29 @@ def insert_point(mesh: Mesh4, p, field=None, *,
     else:
         diag = 1.0
     snap2 = (snap_rtol * diag) ** 2
-    for eid in cavity.elements:
-        for v in mesh.elements[eid]:
-            q = mesh.vertices[v]
-            d2 = sum((p[j] - q[j]) ** 2 for j in range(4))
-            if d2 <= snap2:
-                raise DuplicateVertexError(
-                    f"point duplicates vertex {v} {q!r}; "
-                    + _failure_context(p, base, base_verts, len(cavity.elements)))
+    corners = chain.from_iterable(mesh.elements[eid] for eid in cavity.elements)
+    for v in dict.fromkeys(corners):  # each vertex once, in first-seen order
+        q = mesh.vertices[v]
+        d2 = sum((p[j] - q[j]) ** 2 for j in range(4))
+        if d2 <= snap2:
+            raise DuplicateVertexError(
+                f"point duplicates vertex {v} {q!r}; "
+                + _failure_context(p, base, base_verts, len(cavity.elements)))
 
     enforce_visibility(mesh, cavity, p, metric, q_tol=q_tol, base=base)
 
-    new_vid = mesh.add_vertex(p)
-    boundary = cavity.boundary
-    for eid in cavity.elements:
-        mesh.remove_element(eid)
-    created = []
-    for facet, _owner, _li in boundary:
-        tup = _positive_tuple(mesh, facet, new_vid)
+    # every new tuple is built and checked before the mesh changes
+    new_vid = len(mesh.vertices)
+    tuples = []
+    for facet, _owner, _li in cavity.boundary:
+        tup = _positive_tuple(mesh, facet, p, new_vid)
         if tup is None:
             raise CavityError(
                 f"degenerate reconnection of facet {facet} to vertex {new_vid} while "
                 + _failure_context(p, base, base_verts, len(cavity.elements)))
-        created.append(mesh.add_element(tup))
+        tuples.append(tup)
+    mesh.add_vertex(p)
+    created = mesh.replace(cavity.elements, tuples)
     return InsertionReport(new_vid, tuple(created), len(cavity.elements), walk)
 
 

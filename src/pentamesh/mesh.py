@@ -1,25 +1,38 @@
-"""Mutable pentatope mesh with facet-keyed adjacency.
+"""Mutable pentatope mesh with a neighbour table.
 
 ``Mesh4`` stores a vertex array (with super-vertex flags), an element
-array of 5-tuples of vertex ids (dead elements become ``None``), an
-adjacency map from unordered facet keys to the (element, local facet)
-pairs that own them, and per-vertex element stars.  Every alive element
-is kept positively oriented; each facet has at most two owners.
+array of 5-tuples of vertex ids (dead elements become ``None``), a
+neighbour table ``nbr`` and per-vertex element stars.  Row ``nbr[e]`` has
+one slot per canonical facet of element ``e``
+(:data:`~pentamesh.geometry.CANONICAL_FACETS`): the ``(element, local
+facet)`` across that facet, or ``None`` on the mesh boundary; a dead
+element's row is ``None``.  Every alive element is kept positively
+oriented; each facet has at most two owners.
+
+Elements change through one primitive, :meth:`Mesh4.replace`, which swaps
+a set of elements for new ones.  It reads the outside neighbours of the
+removed set's boundary facets from the table into a map that covers only
+those facets, glues each new facet to that map, else to another new
+element, and only as a fallback to an existing owner found through the
+vertex stars.  No facet map of the whole mesh is kept.  The stars stay
+because the flip search asks for the elements around a vertex, edge or
+triangle (:meth:`Mesh4.elements_with_vertices`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .geometry import (
-    CANONICAL_FACETS,
+    FACET_OPPOSITE,
     _hypervolume_int,
     _scale_to_ints,
     as_point4,
-    facet_key,
     hypervolume,
     hypervolume_exact,
 )
@@ -49,6 +62,17 @@ class CavityError(MeshError):
     """Cavity repair violated an internal invariant."""
 
 
+_OPEN = object()  # a facet no owner waits on, in Mesh4.replace
+
+
+def _facet_keys(verts) -> list[tuple[int, int, int, int]]:
+    """Sorted vertex tuples of the five canonical facets of an element."""
+    s0, s1, s2, s3, s4 = sorted(verts)
+    drop = {s0: (s1, s2, s3, s4), s1: (s0, s2, s3, s4), s2: (s0, s1, s3, s4),
+            s3: (s0, s1, s2, s4), s4: (s0, s1, s2, s3)}
+    return [drop[verts[k]] for k in FACET_OPPOSITE]
+
+
 class Mesh4:
     """Vertex + pentatope storage, the mutable object of insertion and flips."""
 
@@ -57,7 +81,7 @@ class Mesh4:
         self.is_super: list[bool] = []
         self.vertex_alive: list[bool] = []
         self.elements: list[tuple[int, int, int, int, int] | None] = []
-        self.adjacency: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        self.nbr: list[list[tuple[int, int] | None] | None] = []
         self.star: list[set[int]] = []
         self.n_alive = 0
         self.last_created: int | None = None
@@ -73,8 +97,7 @@ class Mesh4:
         for i, p in enumerate(vertices):
             flag = bool(super_flags[i]) if super_flags is not None else False
             mesh.add_vertex(p, is_super=flag)
-        for elem in elements:
-            mesh.add_element(tuple(int(v) for v in elem))
+        mesh.replace((), elements)
         return mesh
 
     def add_vertex(self, p, is_super: bool = False) -> int:
@@ -86,37 +109,117 @@ class Mesh4:
 
     def add_element(self, verts: Sequence[int]) -> int:
         """Register a pentatope; the caller supplies a positively oriented tuple."""
-        verts = tuple(int(v) for v in verts)
-        if len(set(verts)) != 5:
-            raise MeshError(f"element needs 5 distinct vertices, got {verts}")
-        eid = len(self.elements)
-        self.elements.append(verts)
-        for li, pat in enumerate(CANONICAL_FACETS):
-            key = facet_key(tuple(verts[i] for i in pat))
-            owners = self.adjacency.setdefault(key, [])
-            if len(owners) >= 2:
-                raise MeshError(f"facet {key} would gain a third owner")
-            owners.append((eid, li))
-        for v in verts:
-            self.star[v].add(eid)
-        self.n_alive += 1
-        self.last_created = eid
-        return eid
+        return self.replace((), (verts,))[0]
 
     def remove_element(self, eid: int) -> None:
+        """Kill one element; its neighbours' slots across its facets become ``None``."""
         verts = self.elements[eid]
         if verts is None:
             raise MeshError(f"element {eid} already removed")
-        for li, pat in enumerate(CANONICAL_FACETS):
-            key = facet_key(tuple(verts[i] for i in pat))
-            owners = self.adjacency.get(key, [])
-            owners[:] = [o for o in owners if o[0] != eid]
-            if not owners:
-                self.adjacency.pop(key, None)
+        nbr = self.nbr
+        for nb in nbr[eid]:
+            if nb is not None:
+                nbr[nb[0]][nb[1]] = None
         for v in verts:
             self.star[v].discard(eid)
         self.elements[eid] = None
+        nbr[eid] = None
         self.n_alive -= 1
+
+    def replace(self, old, tuples) -> list[int]:
+        """Kill the elements ``old`` and append ``tuples``; returns the new ids.
+
+        Each new tuple must be positively oriented.  Each new facet is glued
+        to the outside neighbour across the same boundary facet of ``old``,
+        else to another new element, else to an existing element owning it
+        (found through the vertex stars), else left open.  Raises
+        :class:`MeshError`, with the mesh unchanged, when a tuple lacks five
+        distinct vertices, a facet would gain a third owner, or a boundary
+        facet of ``old`` is left uncovered.  Stars are updated in the order
+        of ``old`` and then of ``tuples``.
+        """
+        elements, nbr, star = self.elements, self.nbr, self.star
+        old = list(old)
+        gone = set(old)
+        if len(gone) != len(old):
+            raise MeshError(f"elements {old} to replace repeat")
+        # facet key -> its one owner waiting for a partner: first the outside
+        # neighbours across old's boundary (None for a facet on the mesh
+        # boundary), then new elements
+        half: dict[tuple[int, ...], tuple[int, int] | None] = {}
+        for eid in old:
+            verts = elements[eid]
+            if verts is None:
+                raise MeshError(f"element {eid} already removed")
+            keys = None
+            for li, nb in enumerate(nbr[eid]):
+                if nb is None or nb[0] not in gone:
+                    keys = keys or _facet_keys(verts)
+                    half[keys[li]] = nb
+        uncovered = len(half)
+
+        base = len(elements)
+        new = []
+        rows = []  # neighbour rows of the new elements
+        outside = []  # (element outside the new ones, its local facet, new partner)
+        closed = set()  # facets that have two owners
+        for eid, verts in enumerate(tuples, base):
+            verts = tuple(map(int, verts))
+            if len(set(verts)) != 5:
+                raise MeshError(f"element needs 5 distinct vertices, got {verts}")
+            new.append(verts)
+            row = [None] * 5
+            rows.append(row)
+            for li, key in enumerate(_facet_keys(verts)):
+                nb = half.pop(key, _OPEN)
+                if nb is _OPEN:
+                    if key in closed:
+                        raise MeshError(f"facet {key} would gain a third owner")
+                    half[key] = (eid, li)
+                elif nb is None:
+                    uncovered -= 1
+                    half[key] = (eid, li)
+                else:
+                    row[li] = nb
+                    closed.add(key)
+                    if nb[0] >= base:
+                        rows[nb[0] - base][nb[1]] = (eid, li)
+                    else:
+                        uncovered -= 1
+                        outside.append((*nb, (eid, li)))
+        if uncovered:
+            key = next(k for k, nb in half.items() if nb is None or nb[0] < base)
+            raise MeshError(f"boundary facet {key} of the replaced elements "
+                            f"is not covered by a new element")
+        if self.n_alive > len(old):
+            # a facet of new elements only may still have an owner outside old
+            for key, (eid, li) in half.items():
+                owners = self.elements_with_vertices(key) - gone
+                if not owners:
+                    continue
+                other = owners.pop()
+                lo = _facet_keys(elements[other]).index(key)
+                if owners or nbr[other][lo] is not None:
+                    raise MeshError(f"facet {key} would gain a third owner")
+                rows[eid - base][li] = (other, lo)
+                outside.append((other, lo, (eid, li)))
+
+        for eid in old:
+            for v in elements[eid]:
+                star[v].discard(eid)
+            elements[eid] = None
+            nbr[eid] = None
+        for eid, verts in enumerate(new, base):
+            for v in verts:
+                star[v].add(eid)
+        elements += new
+        nbr += rows
+        for other, lo, slot in outside:
+            nbr[other][lo] = slot
+        self.n_alive += len(new) - len(old)
+        if new:
+            self.last_created = len(elements) - 1
+        return list(range(base, len(elements)))
 
     def kill_vertex(self, vid: int) -> None:
         if self.star[vid]:
@@ -140,12 +243,20 @@ class Mesh4:
 
     def neighbor(self, eid: int, li: int) -> tuple[int, int] | None:
         """The (element, local facet) sharing facet ``li`` of ``eid``, if any."""
-        verts = self.elements[eid]
-        key = facet_key(tuple(verts[i] for i in CANONICAL_FACETS[li]))
-        for owner in self.adjacency.get(key, ()):
-            if owner[0] != eid:
-                return owner
-        return None
+        return self.nbr[eid][li]
+
+    @property
+    def adjacency(self) -> Mapping[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """Read-only view of the table: sorted facet key -> its (element, local facet) owners."""
+        out = {}
+        for eid in self.alive_elements():
+            keys = _facet_keys(self.elements[eid])
+            for li, nb in enumerate(self.nbr[eid]):
+                if nb is None:
+                    out[keys[li]] = ((eid, li),)
+                elif (eid, li) < nb:
+                    out[keys[li]] = ((eid, li), nb)
+        return MappingProxyType(out)
 
     def elements_with_vertices(self, vids: Sequence[int]) -> set[int]:
         """Alive elements containing every vertex in ``vids``."""
@@ -201,31 +312,42 @@ class Mesh4:
         out = Mesh4()
         for old in keep:
             out.add_vertex(self.vertices[old], is_super=self.is_super[old])
-        for eid in self.alive_elements():
-            out.add_element(tuple(remap[v] for v in self.elements[eid]))
+        out.replace((), [tuple(remap[v] for v in self.elements[eid])
+                         for eid in self.alive_elements()])
         return out
 
     def validate(self, check_orientation: bool = True) -> list[str]:
-        """Invariant audit; returns a list of violation descriptions."""
+        """Invariant audit; returns a list of violation descriptions.
+
+        Facet owners are counted once, from the element tuples, and every
+        slot of the neighbour table is checked against them and against
+        the slot it points to.
+        """
         problems = []
-        for key, owners in self.adjacency.items():
-            if not 1 <= len(owners) <= 2:
-                problems.append(f"facet {key} has {len(owners)} owners")
-            for eid, li in owners:
-                verts = self.elements[eid]
-                if verts is None:
-                    problems.append(f"facet {key} owned by dead element {eid}")
-                    continue
-                if facet_key(tuple(verts[i] for i in CANONICAL_FACETS[li])) != key:
-                    problems.append(f"facet {key} inconsistent with element {eid}.{li}")
-        for eid in self.alive_elements():
-            verts = self.elements[eid]
-            if any(not self.vertex_alive[v] for v in verts):
+        elements, nbr = self.elements, self.nbr
+        keys_of = {eid: _facet_keys(elements[eid]) for eid in self.alive_elements()}
+        owners = Counter(key for keys in keys_of.values() for key in keys)
+        problems += [f"facet {key} has {n} owners" for key, n in owners.items() if n > 2]
+        for eid, keys in keys_of.items():
+            if any(not self.vertex_alive[v] for v in elements[eid]):
                 problems.append(f"element {eid} references a dead vertex")
-            for li, pat in enumerate(CANONICAL_FACETS):
-                key = facet_key(tuple(verts[i] for i in pat))
-                if (eid, li) not in self.adjacency.get(key, ()):
-                    problems.append(f"element {eid} missing from facet {key}")
+            for li, nb in enumerate(nbr[eid]):
+                if nb is None:
+                    if owners[keys[li]] > 1:
+                        problems.append(f"element {eid} facet {li} {keys[li]} has no "
+                                        f"neighbour but another element owns it")
+                    continue
+                other, lo = nb
+                if other == eid or other not in keys_of:
+                    problem = "is a dead element or itself"
+                elif keys_of[other][lo] != keys[li]:
+                    problem = f"has other vertices {keys_of[other][lo]}"
+                elif nbr[other][lo] != (eid, li):
+                    problem = "does not point back"
+                else:
+                    continue
+                problems.append(f"element {eid} facet {li} {keys[li]} has neighbour "
+                                f"{other} facet {lo}, which {problem}")
             if check_orientation and hypervolume(*self.element_points(eid)) <= 0.0:
                 problems.append(f"element {eid} is not positively oriented")
         return problems

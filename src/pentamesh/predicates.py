@@ -218,14 +218,31 @@ def _orient4_exact_sign(pts) -> int:
     return 0 if det == 0 else (1 if det > 0 else -1)
 
 
+def _exact_metric(mrows, mdiag):
+    """A metric's rows and diagonal as integers, one positive factor times both.
+
+    The exact in-sphere sign is invariant under that factor.  Identity stays
+    ``(None, None)``; a diagonal metric scales only its four diagonal
+    entries, and the exact sign reads only those.
+    """
+    if mrows is None:
+        return None, None
+    if mdiag is not None:
+        d, _ = _scale_to_ints(mdiag)
+        rows = tuple(tuple(d[i] if i == j else 0 for j in range(4)) for i in range(4))
+        return rows, tuple(d)
+    ments, _ = _scale_to_ints([x for row in mrows for x in row])
+    return tuple(tuple(ments[4 * i:4 * i + 4]) for i in range(4)), None
+
+
 def _insphere4_exact_sign(pts, mrows, mdiag) -> int:
     """Exact metric in-hypersphere sign of six 4D float points.
 
-    All inputs are dyadic rationals, so scaling coordinates (and metric
-    entries) to integers preserves signs exactly: every term of the
-    cofactor expansion carries the same power of the two scale factors.
-    A diagonal metric scales only its four diagonal entries.  The five
-    determinants share six pair minors, as in :func:`_insphere4_core`.
+    ``mrows`` and ``mdiag`` are the integer metric of :func:`_exact_metric`.
+    All inputs are dyadic rationals, so scaling coordinates to integers
+    preserves signs exactly: every term of the cofactor expansion carries
+    the same power of the scale factor.  The five determinants share six
+    pair minors, as in :func:`_insphere4_core`.
     """
     ints, _ = _scale_to_ints([c for p in pts for c in p])
     f0, f1, f2, f3 = ints[20:24]
@@ -234,13 +251,11 @@ def _insphere4_exact_sign(pts, mrows, mdiag) -> int:
     if mrows is None:
         qs = [u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3 for u0, u1, u2, u3 in us]
     elif mdiag is not None:
-        (d0, d1, d2, d3), _ = _scale_to_ints(mdiag)
+        d0, d1, d2, d3 = mdiag
         qs = [d0 * u0 * u0 + d1 * u1 * u1 + d2 * u2 * u2 + d3 * u3 * u3
               for u0, u1, u2, u3 in us]
     else:
-        ments, _ = _scale_to_ints([x for row in mrows for x in row])
-        m = [ments[0:4], ments[4:8], ments[8:12], ments[12:16]]
-        qs = [sum(u[i] * sum(m[i][j] * u[j] for j in range(4)) for i in range(4))
+        qs = [sum(u[i] * sum(mrows[i][j] * u[j] for j in range(4)) for i in range(4))
               for u in us]
     m01, m02, m12 = (_pair_minors(us[0], us[1]), _pair_minors(us[0], us[2]),
                      _pair_minors(us[1], us[2]))
@@ -491,7 +506,8 @@ def inhypersphere_m_d(M, pts, mode: str = "auto") -> PredicateResult:
                 P, pts[5], totals, mags, mrows, mdiag)[0]):
             sign = 0 if total == 0.0 else (1 if total > 0.0 else -1)
             return PredicateResult(sign, pref * total, "float")
-        return PredicateResult(_insphere4_exact_sign(pts, mrows, mdiag), pref * total, "exact")
+        sign = _insphere4_exact_sign(pts, *_exact_metric(mrows, mdiag))
+        return PredicateResult(sign, pref * total, "exact")
 
     if mode != "exact":
         us, qs = _insphere_terms(pts, mrows)

@@ -219,7 +219,7 @@ class TestCli:
         out = str(tmp_path / "mesh.p4m")
         code = cli_main(["mesh", pts, "--audit", "-o", out])
         assert code == 0
-        text = open(out).read()
+        text = pathlib.Path(out).read_text()
         assert text.startswith("p4m 1")
 
     def test_quality_and_improve(self, tmp_path, rng):
@@ -228,13 +228,13 @@ class TestCli:
         assert cli_main(["mesh", pts, "-o", mesh_path]) == 0
         qcsv = str(tmp_path / "q.csv")
         assert cli_main(["quality", mesh_path, "--heuristic", "2", "-o", qcsv]) == 0
-        assert open(qcsv).readline().strip() == "element,eta2"
+        assert pathlib.Path(qcsv).read_text().splitlines()[0].strip() == "element,eta2"
         icsv = str(tmp_path / "i.csv")
         improved = str(tmp_path / "improved.p4m")
         assert cli_main(["improve", mesh_path, "-o", icsv,
                          "--mesh-out", improved]) == 0
-        assert "hv_conserved_exactly" in open(icsv).readline()
-        assert open(improved).read().startswith("p4m 1")
+        assert "hv_conserved_exactly" in pathlib.Path(icsv).read_text().splitlines()[0]
+        assert pathlib.Path(improved).read_text().startswith("p4m 1")
 
     def test_export_tet3(self, tmp_path, rng):
         pts = self._points_file(tmp_path, rng, n=8)
@@ -242,13 +242,13 @@ class TestCli:
         cli_main(["mesh", pts, "-o", mesh_path])
         out = str(tmp_path / "m.tet3")
         assert cli_main(["export", mesh_path, "--format", "tet3", "-o", out]) == 0
-        assert open(out).read().startswith("tet3 1")
+        assert pathlib.Path(out).read_text().startswith("tet3 1")
 
     def test_study_predicates(self, tmp_path):
         out = str(tmp_path / "pred.csv")
         assert cli_main(["study", "predicates", "--dims", "2,3",
                          "--trials", "5", "-o", out]) == 0
-        text = open(out).read()
+        text = pathlib.Path(out).read_text()
         assert "mean_normalized_difference" in text
 
     def test_improve_and_study_share_summary_columns(self, tmp_path, rng):

@@ -383,6 +383,24 @@ class TestInsertPoint:
         assert f"base element {base} {base_verts}" in msg
         assert f"cavity of {len(cav.elements)} elements" in msg
 
+    def test_degenerate_reconnection_leaves_mesh_unchanged(self, rng, monkeypatch):
+        mesh = triangulate(rng.random((20, 4)), strip_super=False)
+        vertices, elements = list(mesh.vertices), list(mesh.elements)
+        monkeypatch.setattr(insertion, "_positive_tuple", lambda *args: None)
+        with pytest.raises(CavityError):
+            insert_point(mesh, tuple(float(c) for c in rng.random(4)))
+        assert mesh.vertices == vertices
+        assert mesh.elements == elements
+        assert mesh.validate() == []
+
+    def test_duplicate_names_the_vertex(self, rng):
+        pts = rng.random((10, 4))
+        mesh = triangulate(pts, strip_super=False)
+        q = tuple(float(c) for c in pts[3])
+        vid = mesh.vertices.index(q)
+        with pytest.raises(DuplicateVertexError, match=rf"duplicates vertex {vid} "):
+            insert_point(mesh, q)
+
     def test_exact_hypervolume_conserved(self, rng):
         pts = rng.random((20, 4))
         mesh = build_bounding_mesh(pts)
