@@ -14,8 +14,8 @@ Conventions
   With this sign choice the normal of a canonical facet of a positively
   oriented pentatope points *away* from the opposite vertex (outward);
   callers that need inward normals negate it.  The expansion itself is
-  ``_facet_cofactors``, written once for float and ``np.longdouble``
-  inputs; insertion's visibility test uses it in both precisions.
+  ``_facet_cofactors``, which insertion's visibility test also evaluates
+  over arrays of facets.
 * ``_det4`` is the one scalar 4x4 determinant (a Laplace expansion over
   the pair minors of rows 1-2 and 3-4); on Python ints it is exact.
 """
@@ -157,8 +157,8 @@ def hypervolume_exact(p1, p2, p3, p4, p5) -> Fraction:
 def _facet_cofactors(a, b, c, d):
     """Outward cofactor normal of facet (a, b, c, d) as a 4-tuple.
 
-    Generic over the scalar type: float and ``np.longdouble`` inputs give
-    their own precision, with the same operations in the same order.
+    Each corner is a sequence of four coordinates, floats or numpy arrays
+    (one entry per facet, which evaluates many facets at once).
     """
     u = (b[0] - a[0], b[1] - a[1], b[2] - a[2], b[3] - a[3])
     v = (c[0] - a[0], c[1] - a[1], c[2] - a[2], c[3] - a[3])

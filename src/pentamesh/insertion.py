@@ -5,12 +5,16 @@ cavity of elements whose metric circumhyperspheres strictly contain the
 new point, repairs the cavity until every boundary facet is visible from
 the point, and retessellates the cavity boundary against the point.
 The metric is evaluated once per insertion, at the inserted point.
+
+Which side of a facet the point lies on decides the walk, the visibility
+repair and the orientation of every new element: one certified sign from
+the array bracket :func:`~pentamesh.predicates._orient4_core`, exact where
+its filter fails, so no decision depends on the scale or offset of a cloud.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from itertools import chain
 from dataclasses import dataclass, field as dc_field
 
@@ -18,7 +22,6 @@ import numpy as np
 
 from .geometry import (
     CANONICAL_FACETS,
-    _det4,
     _facet_cofactors,
     as_point4,
     resolve_field,
@@ -28,6 +31,7 @@ from .mesh import (
     DuplicateVertexError,
     GhostPointError,
     Mesh4,
+    MeshError,
 )
 from .bounding import build_bounding_mesh
 from .predicates import (
@@ -36,6 +40,8 @@ from .predicates import (
     _insphere4_core,
     _insphere4_exact_sign,
     _metric_info,
+    _orient4_certified,
+    _orient4_core,
     inhypersphere_m_d,
     orientation4,
 )
@@ -54,9 +60,9 @@ __all__ = [
     "triangulate",
 ]
 
-DEFAULT_Q_TOL = 1e-16       # visibility threshold on the normalized product
-DEFAULT_TOL_FACTOR = 1e-13  # walk tolerance, scaled by (local scale)^4
 DEFAULT_SNAP_RTOL = 1e-12   # duplicate-vertex snap, relative to the box diagonal
+_Q_MIN = 1e-16              # least normalized visibility product of a kept facet
+_FACET_CORNERS = np.array(CANONICAL_FACETS)
 
 
 @dataclass(frozen=True)
@@ -97,44 +103,51 @@ class AuditReport:
 # walking
 # ---------------------------------------------------------------------------
 
-def _facet_orientations(mesh: Mesh4, eid: int, p):
-    """Orientation of each canonical facet against p, plus the walk tolerance."""
-    verts = mesh.elements[eid]
-    pts = [mesh.vertices[v] for v in verts]
-    px, py, pz, pt = p
-    scale = max(1.0, abs(px), abs(py), abs(pz), abs(pt),
-                *(abs(c) for q in pts for c in q))
-    diffs = [(q[0] - px, q[1] - py, q[2] - pz, q[3] - pt) for q in pts]
-    thetas = [_det4(diffs[i0], diffs[i1], diffs[i2], diffs[i3])
-              for i0, i1, i2, i3 in CANONICAL_FACETS]
-    return thetas, scale ** 4
+def _element_facets(mesh: Mesh4, eids: list[int], p):
+    """Corners, float determinants and certified flags of the facets of ``eids``.
 
-
-def inside_element(mesh: Mesh4, eid: int, p, tol_factor: float = DEFAULT_TOL_FACTOR):
-    """Containment test via the five facet orientations.
-
-    Returns ``(True, None)`` when every orientation clears the tolerance
-    band (points exactly on shared facets count as inside, which avoids
-    ghost points), otherwise ``(False, exit)`` where ``exit`` is the local
-    facet whose violated orientation has the smallest magnitude - the
-    facet closest to p.
+    One orientation bracket against p; row 5 j + li is facet li of ``eids[j]``.
     """
-    thetas, s4 = _facet_orientations(mesh, eid, p)
-    tol = tol_factor * s4
-    if all(th >= -tol for th in thetas) or all(th <= tol for th in thetas):
-        return True, None
-    exit_li = min((i for i, th in enumerate(thetas) if th < -tol),
-                  key=lambda i: abs(thetas[i]))
-    return False, exit_li
+    verts, elems = mesh.vertices, mesh.elements
+    E = np.array([verts[v] for eid in eids for v in elems[eid]]).reshape(-1, 5, 4)
+    F = E[:, _FACET_CORNERS].reshape(-1, 4, 4)
+    det, mag = _orient4_core(F, p)
+    return F, det.tolist(), _orient4_certified(F, p, det, mag).tolist()
 
 
-def find_base_element(mesh: Mesh4, p, start: int | None = None,
-                      tol_factor: float = DEFAULT_TOL_FACTOR):
+def _exits(facets, j: int, p) -> list[int]:
+    """Local facets of element j of ``facets`` with p strictly outside, closest first.
+
+    An uncertified sign is decided here by the exact ``orientation4``: only
+    the elements the walk visits pay for it.
+    """
+    F, det, certified = facets
+    out = [r for r in range(5 * j, 5 * j + 5)
+           if (det[r] if certified[r] else orientation4(*F[r], p, mode="exact").sign) < 0]
+    return [r - 5 * j for r in sorted(out, key=lambda r: abs(det[r]))]
+
+
+def inside_element(mesh: Mesh4, eid: int, p):
+    """Containment test via the five certified facet orientations.
+
+    Returns ``(True, None)`` when no facet has p strictly outside (points
+    exactly on shared facets count as inside, which avoids ghost points),
+    otherwise ``(False, exit)`` where ``exit`` is the local facet with p
+    strictly outside whose determinant has the least magnitude.
+    """
+    exits = _exits(_element_facets(mesh, [eid], p), 0, p)
+    return (False, exits[0]) if exits else (True, None)
+
+
+def find_base_element(mesh: Mesh4, p, start: int | None = None):
     """Walk from ``start`` to an element containing p.
 
-    A visited set keeps the path from cycling; if the walk exceeds the
-    number of alive elements (or dead-ends), an exhaustive scan takes
-    over.  Raises :class:`GhostPointError` when no element contains p.
+    Each step leaves through a facet with p strictly outside, closest
+    first; one bracket covers the current element and the neighbours it
+    may step into, so it serves up to two steps.  A visited set keeps the
+    path from cycling; if the walk exceeds the number of alive elements (or
+    dead-ends), an exhaustive scan takes over.  Raises
+    :class:`GhostPointError` when no element contains p.
     """
     if start is None or not mesh.alive(start):
         start = mesh.last_created
@@ -142,30 +155,24 @@ def find_base_element(mesh: Mesh4, p, start: int | None = None,
             start = next(mesh.alive_elements(), None)
             if start is None:
                 raise GhostPointError("mesh has no alive elements")
-    current = start
-    visited = {current}
-    steps = 0
-    limit = mesh.n_alive
-    while True:
-        thetas, s4 = _facet_orientations(mesh, current, p)
-        tol = tol_factor * s4
-        if all(th >= -tol for th in thetas) or all(th <= tol for th in thetas):
+    nbr = mesh.nbr
+    current, visited, steps, index = start, {start}, 0, {}
+    while steps <= mesh.n_alive:
+        if current not in index:
+            ahead = [current] + [nb[0] for nb in nbr[current]
+                                 if nb is not None and nb[0] not in visited]
+            facets, index = _element_facets(mesh, ahead, p), {e: j for j, e in enumerate(ahead)}
+        exits = _exits(facets, index[current], p)
+        if not exits:
             return current, WalkStats(steps, False)
-        moved = False
-        for li in sorted((i for i, th in enumerate(thetas) if th < -tol),
-                         key=lambda i: abs(thetas[i])):
-            nb = mesh.neighbor(current, li)
-            if nb is not None and nb[0] not in visited:
-                current = nb[0]
-                visited.add(current)
-                steps += 1
-                moved = True
-                break
-        if not moved or steps > limit:
+        current = next((nb[0] for nb in (nbr[current][li] for li in exits)
+                        if nb is not None and nb[0] not in visited), None)
+        if current is None:
             break
+        visited.add(current)
+        steps += 1
     for eid in mesh.alive_elements():
-        ok, _ = inside_element(mesh, eid, p, tol_factor)
-        if ok:
+        if inside_element(mesh, eid, p)[0]:
             return eid, WalkStats(steps, True)
     raise GhostPointError(
         f"no element contains point {p!r}: walk from element {start} "
@@ -246,21 +253,26 @@ def build_cavity(mesh: Mesh4, base: int, p, metric) -> Cavity:
     return cav
 
 
-def _visibility_product(mesh: Mesh4, facet, owner_eid: int, p, metric) -> float:
-    """Normalized Q = N^T M CP with N the owner's inward facet normal.
+def _visible(mesh: Mesh4, facets, p, metric):
+    """Which facets ``(facet, owner, li)`` see p, as a boolean array.
 
-    N is the inward normal *in metric space*, M^{-1} times the Euclidean
-    normal, so that Q vanishes exactly when reconnecting the facet to p
-    would produce a zero-hypervolume element; both vectors are normalized
-    to metric-unit length, which keeps the threshold meaningful across
-    scales and metrics.  With those substitutions
-    Q = (N_e . CP) / sqrt((N_e^T M^{-1} N_e) (CP^T M CP)).
+    A facet sees p when the certified sign of det(a-p, b-p, c-p, d-p) is
+    positive, so that facet + p is positively oriented, and when the
+    normalized product Q = N^T M CP of the inward metric-space normal
+    N = M^{-1} N_e and the centroid C exceeds ``_Q_MIN``, a guard against
+    slivers.  M enters only through positive normalizers, so
+    Q = det / sqrt((N_e^T M^{-1} N_e) (CP^T M CP)).
     """
-    pts = [mesh.vertices[v] for v in facet]
-    ne = _facet_cofactors(*pts)  # outward; negating nc below turns it inward
-    cen = tuple((pts[0][j] + pts[1][j] + pts[2][j] + pts[3][j]) / 4.0 for j in range(4))
-    cp = (p[0] - cen[0], p[1] - cen[1], p[2] - cen[2], p[3] - cen[3])
-    nc = -(ne[0] * cp[0] + ne[1] * cp[1] + ne[2] * cp[2] + ne[3] * cp[3])
+    verts = mesh.vertices
+    corners = chain.from_iterable(verts[v] for facet, _, _ in facets for v in facet)
+    F = np.fromiter(corners, float, 16 * len(facets)).reshape(-1, 4, 4)
+    det, mag = _orient4_core(F, p)
+    positive = det > 0.0
+    for k in np.flatnonzero(~_orient4_certified(F, p, det, mag)).tolist():
+        positive[k] = orientation4(*F[k], p, mode="exact").sign > 0
+    C = F.transpose(1, 2, 0)  # corner, coordinate, facet
+    ne = _facet_cofactors(*C)
+    cp = np.asarray(p)[:, None] - (C[0] + C[1] + C[2] + C[3]) / 4.0
     if metric is None:
         nn = ne[0] * ne[0] + ne[1] * ne[1] + ne[2] * ne[2] + ne[3] * ne[3]
         cc = cp[0] * cp[0] + cp[1] * cp[1] + cp[2] * cp[2] + cp[3] * cp[3]
@@ -269,55 +281,38 @@ def _visibility_product(mesh: Mesh4, facet, owner_eid: int, p, metric) -> float:
         nn = sum(ne[i] * (inv[i][0] * ne[0] + inv[i][1] * ne[1]
                           + inv[i][2] * ne[2] + inv[i][3] * ne[3]) for i in range(4))
         cc = metric.quad(cp)
-    if nn <= 0.0 or cc <= 0.0:
-        return -1.0
-    q = nc / math.sqrt(nn * cc)
-    if abs(q) < 1e-12:
-        # near the visibility threshold: redo the pairing in extended precision
-        pts_ld = np.array(pts, dtype=np.longdouble)
-        ne = _facet_cofactors(*pts_ld)
-        cp = np.array(p, dtype=np.longdouble) - sum(pts_ld) / np.longdouble(4)
-        nc = -(ne[0] * cp[0] + ne[1] * cp[1] + ne[2] * cp[2] + ne[3] * cp[3])
-        q = float(nc) / math.sqrt(nn * cc)
-    return q
+    return positive & (det > _Q_MIN * np.sqrt(nn * cc))
 
 
 def enforce_visibility(mesh: Mesh4, cavity: Cavity, p, metric,
-                       q_tol: float = DEFAULT_Q_TOL, base: int | None = None) -> Cavity:
+                       base: int | None = None) -> Cavity:
     """Shrink the cavity until p is visible from every boundary facet.
 
-    Owners of invisible facets (normalized product at or below ``q_tol``)
-    leave the cavity in queue order.  Visibility is a property of the facet
-    alone, so each facet needs checking exactly once: removing an owner
-    only exposes that owner's remaining facets, which join the queue.
-    Elements are only ever removed, so this terminates; removing the base
-    (or emptying the cavity) means the kernel itself is inconsistent,
-    which raises :class:`CavityError`.
+    Owners of facets that do not see p (:func:`_visible`) leave the cavity,
+    in rounds of one bracket each: the whole boundary, then the facets each
+    round's removals exposed.  Visibility is a property of the facet alone
+    and removals only expose facets, so the set removed does not depend on
+    the order, and every facet left has been tested.  Removing the base (or
+    every element) means the kernel is inconsistent: :class:`CavityError`.
     """
-    elements = cavity.elements
+    elements, nbr = cavity.elements, mesh.nbr
     size = len(elements)
-    queue = deque(cavity.boundary)
+    front = cavity.boundary
     changed = False
-    while queue:
-        facet, owner, li = queue.popleft()
-        if owner not in elements:
-            continue  # exposed facet of an element removed meanwhile
-        q = _visibility_product(mesh, facet, owner, p, metric)
-        if q > q_tol:
-            continue
-        if owner == base or len(elements) == 1:
+    while front:
+        visible = _visible(mesh, front, p, metric).tolist()
+        doomed = {owner for (_, owner, _), ok in zip(front, visible) if not ok}
+        if not doomed:
+            break
+        if base in doomed or doomed >= elements:
             base_verts = mesh.elements[base] if base is not None else None
             raise CavityError(
-                f"visibility repair attempted to remove element {owner}, the "
-                f"{'base' if owner == base else 'last'} element, while "
-                f"{_failure_context(p, base, base_verts, size)}; check element orientations")
-        elements.discard(owner)
+                f"visibility repair would remove {'the base' if base in doomed else 'every'} "
+                f"element while {_failure_context(p, base, base_verts, size)}")
+        elements -= doomed
         changed = True
-        for nb in mesh.nbr[owner]:
-            if nb is not None and nb[0] in elements:
-                nverts = mesh.elements[nb[0]]
-                npat = CANONICAL_FACETS[nb[1]]
-                queue.append((tuple(nverts[i] for i in npat), nb[0], nb[1]))
+        front = [(tuple(mesh.elements[e][i] for i in CANONICAL_FACETS[li]), e, li)
+                 for owner in doomed for e, li in filter(None, nbr[owner]) if e in elements]
     if changed:
         cavity.boundary = cavity_boundary(mesh, elements)
     return cavity
@@ -333,32 +328,18 @@ def _failure_context(p, base, base_verts, cavity_size: int) -> str:
             f"with a cavity of {cavity_size} elements")
 
 
-def _positive_tuple(mesh: Mesh4, facet, p, new_vid: int):
-    """Order (facet + new vertex ``new_vid`` at p) positively; None if exactly degenerate."""
-    pts = [mesh.vertices[v] for v in facet]
-    diffs = [(q[0] - p[0], q[1] - p[1], q[2] - p[2], q[3] - p[3]) for q in pts]
-    theta = _det4(*diffs)
-    scale = max(1.0, *(abs(c) for q in pts for c in q), *(abs(c) for c in p))
-    if abs(theta) <= 1e-13 * scale ** 4:
-        res = orientation4(*pts, p)
-        if res.sign == 0:
-            return None
-        theta = res.sign
-    if theta > 0:
-        return (*facet, new_vid)
-    return (facet[1], facet[0], facet[2], facet[3], new_vid)
-
-
 def insert_point(mesh: Mesh4, p, field=None, *,
-                 q_tol: float = DEFAULT_Q_TOL,
-                 tol_factor: float = DEFAULT_TOL_FACTOR,
                  snap_rtol: float = DEFAULT_SNAP_RTOL,
                  start: int | None = None) -> InsertionReport:
     """Insert one point: locate, carve the cavity, repair, reconnect.
 
-    Raises :class:`GhostPointError` if p lies outside the bounding
-    tesseract (or no element contains it) and :class:`DuplicateVertexError`
-    if p coincides with an existing vertex within the snap tolerance.
+    Every facet left by the repair sees p, so each new element is the facet
+    followed by p.  Raises :class:`GhostPointError` if p lies outside the
+    bounding tesseract (or no element contains it),
+    :class:`DuplicateVertexError` if p coincides with a vertex within the
+    snap tolerance and :class:`CavityError` if repair or reconnection fails;
+    the mesh is then unchanged and the error names the exact point, the base
+    element and the cavity size.
     """
     p = as_point4(p)
     fld = resolve_field(field)
@@ -367,7 +348,7 @@ def insert_point(mesh: Mesh4, p, field=None, *,
         if not all(lo[j] < p[j] < hi[j] for j in range(4)):
             raise GhostPointError(f"point {p!r} is outside the bounding tesseract")
 
-    base, walk = find_base_element(mesh, p, start=start, tol_factor=tol_factor)
+    base, walk = find_base_element(mesh, p, start=start)
     base_verts = mesh.elements[base]
     metric = None if fld.kind == "identity" else fld(p)
     cavity = build_cavity(mesh, base, p, metric)
@@ -386,27 +367,21 @@ def insert_point(mesh: Mesh4, p, field=None, *,
                 f"point duplicates vertex {v} {q!r}; "
                 + _failure_context(p, base, base_verts, len(cavity.elements)))
 
-    enforce_visibility(mesh, cavity, p, metric, q_tol=q_tol, base=base)
+    enforce_visibility(mesh, cavity, p, metric, base=base)
 
-    # every new tuple is built and checked before the mesh changes
-    new_vid = len(mesh.vertices)
-    tuples = []
-    for facet, _owner, _li in cavity.boundary:
-        tup = _positive_tuple(mesh, facet, p, new_vid)
-        if tup is None:
-            raise CavityError(
-                f"degenerate reconnection of facet {facet} to vertex {new_vid} while "
-                + _failure_context(p, base, base_verts, len(cavity.elements)))
-        tuples.append(tup)
-    mesh.add_vertex(p)
-    created = mesh.replace(cavity.elements, tuples)
+    new_vid = mesh.add_vertex(p)
+    try:
+        created = mesh.replace(cavity.elements,
+                               [(*facet, new_vid) for facet, _, _ in cavity.boundary])
+    except MeshError as err:
+        mesh.pop_vertex()
+        raise CavityError(f"reconnection failed ({err}) while "
+                          + _failure_context(p, base, base_verts, len(cavity.elements))) from err
     return InsertionReport(new_vid, tuple(created), len(cavity.elements), walk)
 
 
 def triangulate(points, field=None, *, n_b: int = 24, margin: float = 1.0,
                 strip_super: bool = True, shuffle: bool = False, seed: int = 0,
-                q_tol: float = DEFAULT_Q_TOL,
-                tol_factor: float = DEFAULT_TOL_FACTOR,
                 snap_rtol: float = DEFAULT_SNAP_RTOL,
                 skip_duplicates: bool = False) -> Mesh4:
     """Mesh a point cloud by incremental insertion into a bounding tesseract.
@@ -427,8 +402,7 @@ def triangulate(points, field=None, *, n_b: int = 24, margin: float = 1.0,
         order = np.random.default_rng(seed).permutation(len(pts))
     for idx in order:
         try:
-            insert_point(mesh, pts[idx], fld,
-                         q_tol=q_tol, tol_factor=tol_factor, snap_rtol=snap_rtol)
+            insert_point(mesh, pts[idx], fld, snap_rtol=snap_rtol)
         except DuplicateVertexError:
             if not skip_duplicates:
                 raise

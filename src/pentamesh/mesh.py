@@ -107,6 +107,13 @@ class Mesh4:
         self.star.append(set())
         return len(self.vertices) - 1
 
+    def pop_vertex(self) -> None:
+        """Remove the last vertex added; no element may reference it."""
+        if self.star[-1]:
+            raise MeshError(f"vertex {len(self.vertices) - 1} still referenced")
+        for column in (self.vertices, self.is_super, self.vertex_alive, self.star):
+            column.pop()
+
     def add_element(self, verts: Sequence[int]) -> int:
         """Register a pentatope; the caller supplies a positively oriented tuple."""
         return self.replace((), (verts,))[0]

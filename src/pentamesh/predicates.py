@@ -27,14 +27,15 @@ subnormal if ``n g <= 1074``.  Inputs too fine for that (nonzero
 coordinates below about ``1e-38`` for the 4D in-hypersphere test) skip
 the filter and go to the exact tier.
 
-The 4D float bracket ``_insphere4_core`` is array-shaped: it evaluates k
-simplices against one query point in one call, which is how cavity growth
-tests a whole BFS layer at once.  It is written with elementwise ufuncs
-only, each sum spelled out term by term in the scalar expansion's order,
-so every row equals the one-simplex result bit for bit and a batched
-caller certifies and escalates exactly the rows a per-element caller
-would.  Reductions that reorder or fuse the additions (``sum``,
-``einsum``, ``@``, ``dot``, ``linalg``) must not be used in it.
+The 4D float brackets ``_insphere4_core`` and ``_orient4_core`` are
+array-shaped: each tests k simplices (or facets) against one query point,
+a BFS layer of a cavity or the facets of a walk step or cavity boundary.
+They use elementwise ufuncs only, each sum spelled out term by term in
+the scalar expansion's order, so every row equals the one-row result bit
+for bit and a batched caller certifies and escalates exactly the rows a
+per-element caller would.  Reductions that reorder or fuse the additions
+(``sum``, ``einsum``, ``@``, ``dot``, ``linalg``) must not be used in
+them.  :func:`orientation4` is a one-row call of ``_orient4_core``.
 
 Sign conventions
 ----------------
@@ -159,25 +160,6 @@ def _coarse(values, least: float) -> bool:
 # determinants with error magnitudes
 # ---------------------------------------------------------------------------
 
-def _pair_mags(a, b):
-    """Magnitudes |a_i b_j| + |a_j b_i| of the terms of :func:`_pair_minors`."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (abs(a0 * b1) + abs(a1 * b0), abs(a0 * b2) + abs(a2 * b0),
-            abs(a0 * b3) + abs(a3 * b0), abs(a1 * b2) + abs(a2 * b1),
-            abs(a1 * b3) + abs(a3 * b1), abs(a2 * b3) + abs(a3 * b2))
-
-
-def _det4_mag(rows):
-    """4x4 determinant and the magnitude of its Laplace expansion's terms."""
-    a, b, c, d = rows
-    m01, m02, m03, m12, m13, m23 = _pair_mags(a, b)
-    n01, n02, n03, n12, n13, n23 = _pair_mags(c, d)
-    mag = (m01 * n23 + m02 * n13 + m03 * n12
-           + m12 * n03 + m13 * n02 + m23 * n01)
-    return _det4(a, b, c, d), mag
-
-
 def _det_general_mag(rows):
     """Generic determinant with a Hadamard-style magnitude bound."""
     a = np.array(rows, dtype=float)
@@ -190,7 +172,8 @@ def _det_general_mag(rows):
 
 def _det_mag(rows):
     if len(rows) == 4:
-        return _det4_mag(rows)
+        det, mag = _orient4_core(np.array([rows], dtype=float), (0.0, 0.0, 0.0, 0.0))
+        return float(det[0]), float(mag[0])
     if len(rows) == 1:
         v = rows[0][0]
         return v, abs(v)
@@ -278,6 +261,46 @@ _COL_J = np.array([1, 2, 3, 2, 3, 3])[None, :]
 _DET_TOP = np.array([2, 1, 0, 0, 0])          # pairs 12 02 01 01 01
 _DET_BOT = np.array([5, 5, 5, 4, 3])[:, None]  # pairs 34 34 34 24 23
 _COL_REV = np.array([5, 4, 3, 2, 1, 0])[None, :]
+
+
+# Gather table of the orientation bracket: the flat indices 4 row + column
+# of the factors x1, x2, y1, y2 of its twelve pair minors x1 x2 - y1 y2,
+# first those of rows 0 1 in column order 01 02 03 12 13 23, then those of
+# rows 2 3 in the order 23 13 12 03 02 01 that meets them term by term.
+_PAIR_COLS = list(zip(_COL_I[0].tolist(), _COL_J[0].tolist()))
+_ORIENT_GATHER = np.array([(a + i, b + j, a + j, b + i) for a, b, cols in
+                           ((0, 4, _PAIR_COLS), (8, 12, _PAIR_COLS[::-1])) for i, j in cols]).T
+
+
+def _orient4_core(F, p):
+    """Determinants det(a-p, b-p, c-p, d-p) of k facets and their term magnitudes.
+
+    ``F`` holds the corners (a, b, c, d) as a ``(k, 4, 4)`` array; the result
+    is a pair of ``(k,)`` arrays.  The Laplace expansion over the pair minors
+    of rows ab and cd runs in ``_det4``'s order, so every row equals
+    ``_det4`` bit for bit.  One gather lays out the minors' factors.
+    """
+    U = (F - np.asarray(p, dtype=float)).reshape(-1, 16).T[_ORIENT_GATHER]  # (4, 12, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = U[0] * U[1]
+        Y = U[2] * U[3]
+        minor = X - Y
+        mmag = np.abs(X) + np.abs(Y)
+        T = minor[:6] * minor[6:]
+        det = T[0] - T[1] + T[2] + T[3] - T[4] + T[5]
+        T = mmag[:6] * mmag[6:]
+        mag = T[0] + T[1] + T[2] + T[3] + T[4] + T[5]
+    return det, mag
+
+
+def _orient4_certified(F, p, det, mag):
+    """Rows of an :func:`_orient4_core` result whose float sign is certified."""
+    least = _least_input(4)
+    certified = (np.abs(det) > _ORIENT_SAFETY * _EPS * mag) & _coarse(p, least)
+    fine = np.abs(F) < least
+    if fine.any():
+        certified &= ~(fine & (F != 0.0)).any(axis=(1, 2))
+    return certified
 
 
 def _insphere4_core(P, f, mrows, mdiag):

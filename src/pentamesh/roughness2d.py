@@ -249,11 +249,6 @@ def sweep_triangulation(points) -> list[tuple[int, int, int]]:
     return tris
 
 
-def _tri_area(pts, tri) -> float:
-    a, b, c = (pts[i] for i in tri)
-    return 0.5 * _cross(a, b, c)
-
-
 def total_roughness(points, values, tris, c_v: float) -> float:
     """Weighted Dirichlet roughness of the piecewise-linear interpolant.
 

@@ -7,7 +7,7 @@ import pytest
 
 from pentamesh import insertion
 from pentamesh.bounding import build_bounding_mesh
-from pentamesh.geometry import MetricField, Metric4, hypervolume
+from pentamesh.geometry import CANONICAL_FACETS, MetricField, Metric4, hypervolume
 from pentamesh.insertion import (
     audit_delaunay,
     build_cavity,
@@ -23,10 +23,11 @@ from pentamesh.mesh import (
     DuplicateVertexError,
     GhostPointError,
     Mesh4,
+    MeshError,
 )
 from pentamesh.pointsets import generate_hypercylinder_points
 from pentamesh.predicates import inhypersphere_m_d
-from conftest import circumsphere, insphere_sign_fraction, spd_metric
+from conftest import circumsphere, hypervolume_fraction, insphere_sign_fraction, spd_metric
 
 
 def brute_force_containing(mesh, p):
@@ -232,76 +233,64 @@ class TestCavityMatchesReference:
         assert tiers["float"] > 0 and mesh.validate() == []
 
 
-def reference_visibility_product(mesh, facet, owner_eid, p, metric):
-    """Visibility product with its own inward normal and long-double pass.
+def visibility_product(facet_pts, p, metric, det):
+    """Q = N^T M CP normalized, with the inward normal of the facet's corners.
 
-    The normal is written out here as the negated (+,-,+,-) cofactors, and
-    the near-threshold pass builds its normal and its dot product with
-    numpy long-double arrays; the kernel's version must agree bit for bit.
-    Returns the product and whether the long-double pass ran.
+    ``det`` is the exact determinant det(a-p, b-p, c-p, d-p), which equals
+    N_e . CP; the normalizers are written out here independently.
     """
-    pts = [mesh.vertices[v] for v in facet]
-    a, b, c, d = pts
-    u = (b[0] - a[0], b[1] - a[1], b[2] - a[2], b[3] - a[3])
-    v = (c[0] - a[0], c[1] - a[1], c[2] - a[2], c[3] - a[3])
-    w = (d[0] - a[0], d[1] - a[1], d[2] - a[2], d[3] - a[3])
-
-    def minor(i, j, k):
-        return (u[i] * (v[j] * w[k] - v[k] * w[j])
-                - u[j] * (v[i] * w[k] - v[k] * w[i])
-                + u[k] * (v[i] * w[j] - v[j] * w[i]))
-
-    ne = (-minor(1, 2, 3), minor(0, 2, 3), -minor(0, 1, 3), minor(0, 1, 2))
-    cen = tuple((pts[0][j] + pts[1][j] + pts[2][j] + pts[3][j]) / 4.0 for j in range(4))
-    cp = (p[0] - cen[0], p[1] - cen[1], p[2] - cen[2], p[3] - cen[3])
-    nc = ne[0] * cp[0] + ne[1] * cp[1] + ne[2] * cp[2] + ne[3] * cp[3]
-    if metric is None:
-        nn = ne[0] * ne[0] + ne[1] * ne[1] + ne[2] * ne[2] + ne[3] * ne[3]
-        cc = cp[0] * cp[0] + cp[1] * cp[1] + cp[2] * cp[2] + cp[3] * cp[3]
-    else:
-        inv = metric.inv_rows
-        nn = sum(ne[i] * (inv[i][0] * ne[0] + inv[i][1] * ne[1]
-                          + inv[i][2] * ne[2] + inv[i][3] * ne[3]) for i in range(4))
-        cc = metric.quad(cp)
-    if nn <= 0.0 or cc <= 0.0:
-        return -1.0, False
-    q = nc / math.sqrt(nn * cc)
-    if abs(q) >= 1e-12:
-        return q, False
-    ld = np.longdouble
-    pts_ld = [np.array(x, dtype=ld) for x in pts]
-    m = np.array([pts_ld[1] - pts_ld[0], pts_ld[2] - pts_ld[0], pts_ld[3] - pts_ld[0]])
-
-    def minor_ld(i, j, k):
-        return (m[0][i] * (m[1][j] * m[2][k] - m[1][k] * m[2][j])
-                - m[0][j] * (m[1][i] * m[2][k] - m[1][k] * m[2][i])
-                + m[0][k] * (m[1][i] * m[2][j] - m[1][j] * m[2][i]))
-
-    ne_ld = np.array([-minor_ld(1, 2, 3), minor_ld(0, 2, 3),
-                      -minor_ld(0, 1, 3), minor_ld(0, 1, 2)], dtype=ld)
-    cp_ld = np.array(p, dtype=ld) - sum(pts_ld) / ld(4)
-    return float(ne_ld @ cp_ld) / math.sqrt(nn * cc), True
+    a, b, c, d = facet_pts
+    u, v, w = ([q[j] - a[j] for j in range(4)] for q in (b, c, d))
+    ne = [(-1) ** j * np.linalg.det(np.delete(np.array([u, v, w]), j, axis=1))
+          for j in range(4)]
+    cp = np.asarray(p) - np.mean(facet_pts, axis=0)
+    m = np.eye(4) if metric is None else metric.m
+    nn = float(np.dot(ne, np.linalg.solve(m, ne)))
+    cc = float(cp @ m @ cp)
+    return float(det) / math.sqrt(nn * cc)
 
 
-class TestVisibilityProductMatchesReference:
+class TestVisibilityMatchesOracle:
     def test_hypercylinder_speed_field(self, monkeypatch):
-        # cospherical boundary samples put many facets near the threshold
-        kernel = insertion._visibility_product
-        calls = {"all": 0, "extended": 0}
+        # cospherical boundary samples put many facets near the threshold;
+        # at every insertion each kept boundary facet sees p by the exact
+        # orientation, and each removed owner had a boundary facet that
+        # does not (or whose reconnection is a sliver below the threshold)
+        repair = insertion.enforce_visibility
+        counts = {"kept": 0, "removed": 0}
 
-        def checked(mesh, facet, owner_eid, p, metric):
-            q = kernel(mesh, facet, owner_eid, p, metric)
-            ref, extended = reference_visibility_product(mesh, facet, owner_eid, p, metric)
-            assert q == ref
-            calls["all"] += 1
-            calls["extended"] += extended
-            return q
+        def oracle_sign(mesh, facet, p):
+            pts = [mesh.vertices[v] for v in facet]
+            det = 24 * hypervolume_fraction(*pts, p)
+            return (det > 0) - (det < 0), pts, det
 
-        monkeypatch.setattr(insertion, "_visibility_product", checked)
+        def checked(mesh, cavity, p, metric, **kwargs):
+            before = set(cavity.elements)
+            out = repair(mesh, cavity, p, metric, **kwargs)
+            after = out.elements
+            for facet, _owner, _li in out.boundary:
+                sign, _, _ = oracle_sign(mesh, facet, p)
+                assert sign > 0
+            counts["kept"] += len(out.boundary)
+            for owner in before - after:
+                verts = mesh.elements[owner]
+                reasons = []
+                for li, nb in enumerate(mesh.nbr[owner]):
+                    if nb is not None and nb[0] in after:
+                        continue  # an inner facet of the repaired cavity
+                    facet = tuple(verts[i] for i in CANONICAL_FACETS[li])
+                    sign, pts, det = oracle_sign(mesh, facet, p)
+                    reasons.append(sign <= 0 or visibility_product(pts, p, metric, det) <= 1e-16)
+                assert any(reasons)
+                counts["removed"] += 1
+            return out
+
+        monkeypatch.setattr(insertion, "enforce_visibility", checked)
         pts = generate_hypercylinder_points(1.0, 4.0, 1.0 / 1.5, 1.0 / 1.5, seed=0)
         field = MetricField.speed(c0=1.0, beta=0.1, center=2.0)
-        triangulate(pts, field, shuffle=True, seed=0, skip_duplicates=True)
-        assert calls["all"] > 10000 and calls["extended"] > 0
+        mesh = triangulate(pts, field, shuffle=True, seed=0, skip_duplicates=True)
+        assert mesh.validate() == []
+        assert counts["kept"] > 10000 and counts["removed"] > 0
 
 
 class TestEnforceVisibility:
@@ -366,29 +355,29 @@ class TestInsertPoint:
         with pytest.raises(DuplicateVertexError):
             insert_point(mesh, tuple(pts[3]))
 
-    def test_reconnection_error_carries_context(self, rng, monkeypatch):
-        # an injected degenerate reconnection reports the exact point, the
-        # base element with its vertices and the cavity size
+    def test_failed_reconnection_leaves_mesh_unchanged(self, rng, monkeypatch):
+        # a fault injected into Mesh4.replace leaves the vertices, the
+        # elements and the neighbour table as they were, and the error
+        # reports the exact point, the base element and the cavity size
         mesh = triangulate(rng.random((20, 4)), strip_super=False)
+        vertices, elements = list(mesh.vertices), list(mesh.elements)
         p = tuple(float(c) for c in rng.random(4))
         base, _ = find_base_element(mesh, p)
         base_verts = mesh.elements[base]
         cav = build_cavity(mesh, base, p, None)
         enforce_visibility(mesh, cav, p, None, base=base)
-        monkeypatch.setattr(insertion, "_positive_tuple", lambda *args: None)
+
+        def failing(old, tuples):
+            raise MeshError("injected fault")
+
+        monkeypatch.setattr(mesh, "replace", failing)
         with pytest.raises(CavityError) as err:
             insert_point(mesh, p)
         msg = str(err.value)
+        assert "injected fault" in msg
         assert repr(p) in msg
         assert f"base element {base} {base_verts}" in msg
         assert f"cavity of {len(cav.elements)} elements" in msg
-
-    def test_degenerate_reconnection_leaves_mesh_unchanged(self, rng, monkeypatch):
-        mesh = triangulate(rng.random((20, 4)), strip_super=False)
-        vertices, elements = list(mesh.vertices), list(mesh.elements)
-        monkeypatch.setattr(insertion, "_positive_tuple", lambda *args: None)
-        with pytest.raises(CavityError):
-            insert_point(mesh, tuple(float(c) for c in rng.random(4)))
         assert mesh.vertices == vertices
         assert mesh.elements == elements
         assert mesh.validate() == []
@@ -481,6 +470,59 @@ class TestTriangulate:
         sets_b = {frozenset(tuple(b.vertices[v]) for v in b.elements[e])
                   for e in b.alive_elements()}
         assert sets_a == sets_b
+
+
+def _simplex_set(mesh, pts):
+    """Each alive element as the set of input indices of its vertices."""
+    index = {tuple(p): i for i, p in enumerate(pts.tolist())}
+    return {frozenset(index[mesh.vertices[v]] for v in mesh.elements[e])
+            for e in mesh.alive_elements()}
+
+
+CLOUD = np.random.default_rng(0).random((120, 4))
+GRID = np.round(CLOUD * 2.0 ** 20) / 2.0 ** 20  # coordinates on the 2**-20 grid
+
+
+class TestScaleAndOffset:
+    """Exact signs make the mesh independent of coordinate scale and offset."""
+
+    @pytest.fixture(scope="class")
+    def unit(self):
+        return _simplex_set(triangulate(CLOUD), CLOUD)
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return _simplex_set(triangulate(GRID), GRID)
+
+    @pytest.mark.parametrize("factor", [2.0 ** -20, 2.0 ** 20])
+    def test_power_of_two_scaling_gives_the_unit_mesh(self, unit, factor):
+        pts = CLOUD * factor
+        mesh = triangulate(pts)
+        assert _simplex_set(mesh, pts) == unit
+        assert mesh.validate() == []
+
+    @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0, 1000.0), (2.0 ** 20,) * 4, (-3.0,) * 4])
+    def test_exact_offset_gives_the_unit_mesh(self, grid, offset):
+        pts = GRID + offset
+        assert np.array_equal(pts - offset, GRID)  # every moved point is exact
+        mesh = triangulate(pts)
+        assert _simplex_set(mesh, pts) == grid
+        assert mesh.validate() == []
+
+    @pytest.mark.parametrize("factor, offset", [
+        (1e-6, 0.0), (1e-4, 0.0), (1e4, 0.0), (1e6, 0.0),
+        (1.0, (0.0, 0.0, 0.0, 1000.0)), (1.0, (1e6,) * 4)])
+    def test_moved_cloud_is_delaunay(self, factor, offset):
+        from scipy.spatial import Delaunay
+        pts = CLOUD * factor + offset
+        mesh = triangulate(pts)
+        assert mesh.validate() == []
+        # qhull loses precision far from the origin; subtracting the offset
+        # again is exact (Sterbenz), so it sees the same Delaunay simplices
+        back = pts - offset
+        assert np.array_equal(back + offset, pts)
+        qhull = {frozenset(s) for s in Delaunay(back).simplices.tolist()}
+        assert _simplex_set(mesh, pts) <= qhull
 
 
 def _perm_parity(a, b):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pentamesh.geometry import Metric4
+from pentamesh.geometry import Metric4, _det4
 from pentamesh.predicates import (
     _EPS,
     _ORIENT_SAFETY,
@@ -14,6 +14,8 @@ from pentamesh.predicates import (
     _insphere4_certified,
     _insphere4_core,
     _metric_info,
+    _orient4_certified,
+    _orient4_core,
     _orientation_rows,
     decompose_metric,
     exact_rational_cholesky,
@@ -209,6 +211,13 @@ class TestSubnormalInputs:
         certified = _insphere4_certified(P, pts[5], total, mag, mrows, mdiag)
         assert certified.tolist() == [False, True]
 
+    def test_facet_rows_escalate_like_scalar(self):
+        F = np.array([[(5e-324, 0, 0, 0), (0, 1.0, 0, 0), (0, 0, 1.0, 0), (0, 0, 0, 1.0)],
+                      np.eye(4)])
+        det, mag = _orient4_core(F, O4)
+        assert _orient4_certified(F, O4, det, mag).tolist() == [False, True]
+        assert orientation4(*F[0], O4).exactness == "exact"
+
     def test_orientation_fine_grain_is_exact(self):
         pts = [(1.0, 0, 0, 0), (0, 1.0, 0, 0), (0, 0, 1.0, 0), (0, 0, 0, 1.0), (5e-324, 0, 0, 0)]
         res = orientation4(*pts)
@@ -368,26 +377,67 @@ def one_ulp_off(draw, pts):
 
 
 @st.composite
-def near_coplanar(draw):
-    """Five 4D points on or next to one hyperplane.
+def near_coplanar(draw, n=5):
+    """n >= 5 4D points on or next to one hyperplane.
 
-    Four integer points and an integer affine combination of them, scaled
+    Four integer points and integer affine combinations of them, scaled
     by a power of two and offset by integers (which may round), and
     sometimes with one coordinate moved by one ulp.
     """
     coord = st.integers(-50, 50)
     base = [tuple(draw(coord) for _ in range(4)) for _ in range(4)]
-    w = [draw(st.integers(-3, 3)) for _ in range(3)]
-    fifth = tuple(base[0][j] + sum(w[i] * (base[i + 1][j] - base[0][j]) for i in range(3))
-                  for j in range(4))
-    order = draw(st.permutations(range(5)))
+    for _ in range(n - 4):
+        w = [draw(st.integers(-3, 3)) for _ in range(3)]
+        base.append(tuple(base[0][j] + sum(w[i] * (base[i + 1][j] - base[0][j])
+                                           for i in range(3)) for j in range(4)))
+    order = draw(st.permutations(range(n)))
     k = draw(st.integers(-40, 40))
     offset = draw(st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=4, max_size=4))
-    pts = [tuple(math.ldexp(c, k) + o for c, o in zip((base + [fifth])[i], offset))
-           for i in order]
+    pts = [tuple(math.ldexp(c, k) + o for c, o in zip(base[i], offset)) for i in order]
     if draw(st.booleans()):
         pts = draw(one_ulp_off(pts))
     return pts
+
+
+# coordinates whose products round in the subnormal range
+FINE = st.sampled_from([0.0, 1.0, -1.0, 3.0, 5e-324, -5e-324, 2.0 ** -1070,
+                        2.0 ** -250, -(2.0 ** -216), 2.0 ** -100])
+
+
+@st.composite
+def fine_grain_points(draw, n):
+    """n points with coordinates of the subnormal grain among unit ones."""
+    return [tuple(draw(FINE) for _ in range(4)) for _ in range(n)]
+
+
+@st.composite
+def orientation_rows(draw):
+    """k facets against one query point: ``(corners, p)``, 4 k corners.
+
+    Rows through the hyperplane of p (from :func:`near_coplanar`, sometimes
+    one ulp off), wide rows, clustered rows and subnormal-grain rows are
+    mixed in one call.
+    """
+    k = draw(st.integers(1, 8))
+    coplanar = draw(near_coplanar(4 * k + 1))
+    kinds = (coplanar, draw(wide_points(4 * k)), draw(clustered_points(4 * k)),
+             draw(fine_grain_points(4 * k)))
+    rows = [draw(st.sampled_from(kinds))[4 * r:4 * r + 4] for r in range(k)]
+    return [c for row in rows for c in row], coplanar[-1]
+
+
+def _det4_mag_scalar(rows):
+    """The magnitude of ``_det4``'s terms as scalar Python floats."""
+    def pair_mags(a, b):
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        return (abs(a0 * b1) + abs(a1 * b0), abs(a0 * b2) + abs(a2 * b0),
+                abs(a0 * b3) + abs(a3 * b0), abs(a1 * b2) + abs(a2 * b1),
+                abs(a1 * b3) + abs(a3 * b1), abs(a2 * b3) + abs(a3 * b2))
+
+    m01, m02, m03, m12, m13, m23 = pair_mags(rows[0], rows[1])
+    n01, n02, n03, n12, n13, n23 = pair_mags(rows[2], rows[3])
+    return m01 * n23 + m02 * n13 + m03 * n12 + m12 * n03 + m13 * n02 + m23 * n01
 
 
 def _insphere4_core_scalar(pts, mrows, mdiag):
@@ -467,9 +517,10 @@ class TestPredicateProperties:
         res = inhypersphere_m_d(metric, pts)
         assert res.sign == insphere_sign_fraction(pts, _oracle_metric(metric))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.one_of(wide_points(5), cospherical(5).map(lambda case: case[0]),
-                     cospherical(5).flatmap(lambda case: one_ulp_off(case[0]))))
+                     cospherical(5).flatmap(lambda case: one_ulp_off(case[0])),
+                     near_coplanar(), fine_grain_points(5)))
     def test_orientation_matches_fraction_volume(self, pts):
         vol = hypervolume_fraction(*pts)
         assert orientation4(*pts).sign == (vol > 0) - (vol < 0)
@@ -502,3 +553,27 @@ class TestPredicateProperties:
                 [tuple(float(c) for c in p) for p in P[r]] + [f], mrows, mdiag)
             assert _bits(total[r]) == _bits(one_total[0]) == _bits(ref_total)
             assert _bits(mag[r]) == _bits(one_mag[0]) == _bits(ref_mag)
+
+    @settings(max_examples=300, deadline=None)
+    @given(orientation_rows())
+    def test_orientation_kernel_rows(self, case):
+        # each row of a k-row call equals the one-row call and _det4 bit for
+        # bit, and its certified (or escalated) sign is the oracle's
+        corners, p = case
+        k = len(corners) // 4
+        F = np.array(corners).reshape(k, 4, 4)
+        det, mag = _orient4_core(F, p)
+        certified = _orient4_certified(F, p, det, mag)
+        for r in range(k):
+            one_det, one_mag = _orient4_core(F[r:r + 1], p)
+            rows = [tuple(c - x for c, x in zip(q, p)) for q in corners[4 * r:4 * r + 4]]
+            assert _bits(det[r]) == _bits(one_det[0]) == _bits(_det4(*rows))
+            assert _bits(mag[r]) == _bits(one_mag[0]) == _bits(_det4_mag_scalar(rows))
+            # a certified row keeps its float sign; the others escalate to
+            # the exact orientation4, as insertion does
+            scalar = orientation4(*corners[4 * r:4 * r + 4], p)
+            assert certified[r] == (scalar.exactness == "float")
+            vol = hypervolume_fraction(*corners[4 * r:4 * r + 4], p)
+            assert scalar.sign == (vol > 0) - (vol < 0)
+            if certified[r]:
+                assert np.sign(det[r]) == scalar.sign
