@@ -23,7 +23,6 @@ from pentamesh.mesh import (
     DuplicateVertexError,
     GhostPointError,
     Mesh4,
-    MeshError,
 )
 from pentamesh.pointsets import generate_hypercylinder_points
 from pentamesh.predicates import inhypersphere_m_d
@@ -355,31 +354,48 @@ class TestInsertPoint:
         with pytest.raises(DuplicateVertexError):
             insert_point(mesh, tuple(pts[3]))
 
-    def test_failed_reconnection_leaves_mesh_unchanged(self, rng, monkeypatch):
-        # a fault injected into Mesh4.replace leaves the vertices, the
-        # elements and the neighbour table as they were, and the error
-        # reports the exact point, the base element and the cavity size
+    @staticmethod
+    def _degenerate_reconnection(mesh, monkeypatch):
+        # collapse the new vertex of the first new element onto one of its
+        # facet vertices, so Mesh4.replace receives a degenerate tuple
+        real = mesh.replace
+
+        def degenerate(old, tuples):
+            tuples = list(tuples)
+            tuples[0] = (*tuples[0][:4], tuples[0][0])
+            return real(old, tuples)
+
+        monkeypatch.setattr(mesh, "replace", degenerate)
+
+    def test_reconnection_error_carries_context(self, rng, monkeypatch):
+        # an injected degenerate reconnection reports the cause, the exact
+        # point, the base element with its vertices and the cavity size
         mesh = triangulate(rng.random((20, 4)), strip_super=False)
-        vertices, elements = list(mesh.vertices), list(mesh.elements)
         p = tuple(float(c) for c in rng.random(4))
         base, _ = find_base_element(mesh, p)
         base_verts = mesh.elements[base]
         cav = build_cavity(mesh, base, p, None)
         enforce_visibility(mesh, cav, p, None, base=base)
-
-        def failing(old, tuples):
-            raise MeshError("injected fault")
-
-        monkeypatch.setattr(mesh, "replace", failing)
+        self._degenerate_reconnection(mesh, monkeypatch)
         with pytest.raises(CavityError) as err:
             insert_point(mesh, p)
         msg = str(err.value)
-        assert "injected fault" in msg
+        assert "5 distinct vertices" in msg
         assert repr(p) in msg
         assert f"base element {base} {base_verts}" in msg
         assert f"cavity of {len(cav.elements)} elements" in msg
+
+    def test_degenerate_reconnection_leaves_mesh_unchanged(self, rng, monkeypatch):
+        # the vertices, the elements and the neighbour table stay as they were
+        mesh = triangulate(rng.random((20, 4)), strip_super=False)
+        vertices, elements = list(mesh.vertices), list(mesh.elements)
+        nbr = [row and list(row) for row in mesh.nbr]
+        self._degenerate_reconnection(mesh, monkeypatch)
+        with pytest.raises(CavityError):
+            insert_point(mesh, tuple(float(c) for c in rng.random(4)))
         assert mesh.vertices == vertices
         assert mesh.elements == elements
+        assert [row and list(row) for row in mesh.nbr] == nbr
         assert mesh.validate() == []
 
     def test_duplicate_names_the_vertex(self, rng):
