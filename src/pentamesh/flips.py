@@ -586,7 +586,15 @@ def validate_flip(mesh: Mesh4, cand: FlipCandidate, field=None, *,
     for tup in cand.stage2:
         pts = _candidate_points(mesh, cand, tup)
         v = hypervolume(*pts)
-        scale = max(1.0, *(abs(c) for q in pts for c in q))
+        # hypervolume is det(q - pts[0]) / 24 over edge vectors whose
+        # coordinates are at most ``scale``: 24 products of four such
+        # entries, so its float error stays below about 10 eps scale^4
+        # (2e-15 scale^4).  The band 24 vol_rtol scale^4 (2.4e-11 scale^4
+        # at the default vol_rtol) exceeds that, and measured on edge
+        # vectors it follows the scale and offset of the cloud.
+        x0, y0, z0, t0 = pts[0]
+        scale = max([max(abs(x - x0), abs(y - y0), abs(z - z0), abs(t - t0))
+                     for x, y, z, t in pts[1:]])
         if abs(v) <= 24.0 * vol_rtol * scale ** 4:
             if orientation4(*pts).sign == 0:
                 return False, "degenerate replacement element"
@@ -609,7 +617,9 @@ def apply_flip(mesh: Mesh4, cand: FlipCandidate) -> FlipReport:
     """Execute a validated flip; the mesh is untouched if preconditions fail.
 
     Replacement pentatopes are normalized to positive orientation; kinds
-    that remove a vertex mark it dead once its star empties.
+    that remove a vertex mark it dead once its star empties.  When
+    :meth:`~pentamesh.mesh.Mesh4.replace` raises, the vertex a
+    point-inserting kind added is removed again before the error propagates.
     """
     ok, reason = validate_flip(mesh, cand)
     if not ok:
@@ -624,7 +634,12 @@ def apply_flip(mesh: Mesh4, cand: FlipCandidate) -> FlipReport:
         if hypervolume(*pts) < 0.0:
             verts = (verts[1], verts[0]) + verts[2:]
         tuples.append(verts)
-    created = tuple(mesh.replace(cand.stage1, tuples))
+    try:
+        created = tuple(mesh.replace(cand.stage1, tuples))
+    except MeshError:
+        if new_vid is not None:
+            mesh.pop_vertex()
+        raise
     if cand.removed_vertex is not None:
         mesh.kill_vertex(cand.removed_vertex)
     return FlipReport(cand.kind, cand.stage1, created, new_vid, cand.removed_vertex)

@@ -142,15 +142,23 @@ def inside_element(mesh: Mesh4, eid: int, p):
 def find_base_element(mesh: Mesh4, p, start: int | None = None):
     """Walk from ``start`` to an element containing p.
 
-    Each step leaves through a facet with p strictly outside, closest
-    first; one bracket covers the current element and the neighbours it
-    may step into, so it serves up to two steps.  A visited set keeps the
+    Without an alive ``start`` the walk starts next to p, at the least
+    element id in the star of the alive vertex nearest p (the
+    jump-and-walk of Mücke, Saias & Zhu, SoCG 1996), so a copied mesh
+    walks the same path; when that vertex has no elements it starts from
+    the last element created, else from any alive element.  Each step leaves
+    through a facet with p strictly outside, closest first; one bracket
+    covers the current element and the neighbours it may step into, so it
+    serves up to two steps.  A visited set keeps the
     path from cycling; if the walk exceeds the number of alive elements (or
     dead-ends), an exhaustive scan takes over.  Raises
     :class:`GhostPointError` when no element contains p.
     """
     if start is None or not mesh.alive(start):
-        start = mesh.last_created
+        near = mesh.nearest_vertex(p)
+        start = min(mesh.star[near], default=None) if near is not None else None
+        if start is None:
+            start = mesh.last_created
         if start is None or not mesh.alive(start):
             start = next(mesh.alive_elements(), None)
             if start is None:
@@ -334,12 +342,12 @@ def insert_point(mesh: Mesh4, p, field=None, *,
     """Insert one point: locate, carve the cavity, repair, reconnect.
 
     Every facet left by the repair sees p, so each new element is the facet
-    followed by p.  Raises :class:`GhostPointError` if p lies outside the
-    bounding tesseract (or no element contains it),
-    :class:`DuplicateVertexError` if p coincides with a vertex within the
-    snap tolerance and :class:`CavityError` if repair or reconnection fails;
-    the mesh is then unchanged and the error names the exact point, the base
-    element and the cavity size.
+    followed by p, glued by :meth:`~pentamesh.mesh.Mesh4.cone`.  Raises
+    :class:`GhostPointError` if p lies outside the bounding tesseract (or
+    no element contains it), :class:`DuplicateVertexError` if p coincides
+    with a vertex within the snap tolerance and :class:`CavityError` if
+    repair or reconnection fails; the mesh is then unchanged and the error
+    names the exact point, the base element and the cavity size.
     """
     p = as_point4(p)
     fld = resolve_field(field)
@@ -371,8 +379,7 @@ def insert_point(mesh: Mesh4, p, field=None, *,
 
     new_vid = mesh.add_vertex(p)
     try:
-        created = mesh.replace(cavity.elements,
-                               [(*facet, new_vid) for facet, _, _ in cavity.boundary])
+        created = mesh.cone(cavity.elements, cavity.boundary, new_vid)
     except MeshError as err:
         mesh.pop_vertex()
         raise CavityError(f"reconnection failed ({err}) while "

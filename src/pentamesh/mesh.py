@@ -9,14 +9,23 @@ facet)`` across that facet, or ``None`` on the mesh boundary; a dead
 element's row is ``None``.  Every alive element is kept positively
 oriented; each facet has at most two owners.
 
-Elements change through one primitive, :meth:`Mesh4.replace`, which swaps
-a set of elements for new ones.  It reads the outside neighbours of the
-removed set's boundary facets from the table into a map that covers only
-those facets, glues each new facet to that map, else to another new
-element, and only as a fallback to an existing owner found through the
-vertex stars.  No facet map of the whole mesh is kept.  The stars stay
-because the flip search asks for the elements around a vertex, edge or
-triangle (:meth:`Mesh4.elements_with_vertices`).
+Elements change through two primitives that share one mutation step.
+:meth:`Mesh4.replace` swaps a set of elements for arbitrary new ones: it
+reads the outside neighbours of the removed set's boundary facets from the
+table into a map that covers only those facets, glues each new facet to
+that map, else to another new element, and only as a fallback to an
+existing owner found through the vertex stars.  :meth:`Mesh4.cone` is the
+retessellation of point insertion, whose new elements are the cavity's
+boundary facets joined to a fresh apex: each new element's facet opposite
+the apex takes the outside neighbour straight from the table, and its
+other four facets (apex plus a ridge of the boundary facet) pair up
+through one map keyed by ridge, as in Boissonnat, Devillers & Hornus
+(SoCG 2009).  No facet map of the whole mesh is kept, and
+:meth:`Mesh4.compact` renumbers the table instead of gluing again.  The
+stars stay because the flip search asks for the elements around a vertex,
+edge or triangle (:meth:`Mesh4.elements_with_vertices`), and the walk
+starts from the star of the vertex nearest the point
+(:meth:`Mesh4.nearest_vertex`).
 """
 
 from __future__ import annotations
@@ -63,6 +72,10 @@ class CavityError(MeshError):
 
 
 _OPEN = object()  # a facet no owner waits on, in Mesh4.replace
+_PAIRED = object()  # a ridge whose two cone facets are glued, in Mesh4.cone
+# slot of a cone element (*facet, apex) holding apex and a ridge, with the
+# facet corner that ridge leaves out (FACET_OPPOSITE of the slot)
+_CONE_SLOTS = tuple((li, FACET_OPPOSITE[li]) for li in range(1, 5))
 
 
 def _facet_keys(verts) -> list[tuple[int, int, int, int]]:
@@ -83,6 +96,7 @@ class Mesh4:
         self.elements: list[tuple[int, int, int, int, int] | None] = []
         self.nbr: list[list[tuple[int, int] | None] | None] = []
         self.star: list[set[int]] = []
+        self._coords = np.empty((16, 4))  # rows [0, len(vertices)) mirror vertices
         self.n_alive = 0
         self.last_created: int | None = None
         # set by build_bounding_mesh; None for meshes without a super box
@@ -101,11 +115,15 @@ class Mesh4:
         return mesh
 
     def add_vertex(self, p, is_super: bool = False) -> int:
+        vid = len(self.vertices)
         self.vertices.append(as_point4(p))
         self.is_super.append(is_super)
         self.vertex_alive.append(True)
         self.star.append(set())
-        return len(self.vertices) - 1
+        if vid == len(self._coords):
+            self._coords = np.concatenate([self._coords, np.empty_like(self._coords)])
+        self._coords[vid] = self.vertices[vid]
+        return vid
 
     def pop_vertex(self) -> None:
         """Remove the last vertex added; no element may reference it."""
@@ -211,11 +229,86 @@ class Mesh4:
                 rows[eid - base][li] = (other, lo)
                 outside.append((other, lo, (eid, li)))
 
+        return self._commit(old, new, rows, outside)
+
+    def cone(self, old, boundary, apex: int) -> list[int]:
+        """Kill the elements ``old`` and join their boundary to ``apex``; returns the new ids.
+
+        ``boundary`` lists each boundary facet of ``old`` as ``(facet, owner,
+        li)``, as :func:`~pentamesh.insertion.cavity_boundary` gives it, with
+        ``(*facet, apex)`` positively oriented; ``apex`` has no elements yet.
+        New element k is ``(*facet_k, apex)``.  Its slot 0 is ``facet_k``
+        and takes the outside neighbour ``nbr[owner][li]``; slots 1-4 each
+        hold apex and one ridge of ``facet_k`` and are glued to the other
+        cone facet through that ridge.  Since apex has no elements, no
+        existing element can own those facets.  Raises :class:`MeshError`,
+        with the mesh unchanged, when an element lacks five distinct
+        vertices, a listed facet is not a boundary facet of ``old``, a ridge
+        would join a third cone facet, or a ridge is left unpaired.  Stars
+        are updated as in :meth:`replace`.
+        """
+        elements, nbr = self.elements, self.nbr
+        old = list(old)
+        gone = set(old)
+        if self.star[apex]:
+            raise MeshError(f"apex {apex} already has elements")
+        for eid in old:
+            if elements[eid] is None:
+                raise MeshError(f"element {eid} already removed")
+        base = len(elements)
+        new = []
+        rows = []
+        outside = []
+        half = {}  # ridge -> the cone slot waiting for its partner, or _PAIRED
+        pairs = 0
+        for eid, (facet, owner, li) in enumerate(boundary, base):
+            verts = (*facet, apex)
+            if len(set(verts)) != 5:
+                raise MeshError(f"element needs 5 distinct vertices, got {verts}")
+            if owner not in gone:
+                raise MeshError(f"facet {facet} belongs to element {owner}, "
+                                f"which is not replaced")
+            nb = nbr[owner][li]
+            if nb is not None and nb[0] in gone:
+                raise MeshError(f"facet {facet} of element {owner} lies inside "
+                                f"the replaced elements")
+            new.append(verts)
+            row = [nb, None, None, None, None]
+            rows.append(row)
+            if nb is not None:
+                outside.append((*nb, (eid, 0)))
+            s0, s1, s2, s3 = sorted(facet)
+            drop = {s0: (s1, s2, s3), s1: (s0, s2, s3), s2: (s0, s1, s3), s3: (s0, s1, s2)}
+            for slot, corner in _CONE_SLOTS:
+                ridge = drop[facet[corner]]
+                mate = half.get(ridge)
+                if mate is None:
+                    half[ridge] = (eid, slot)
+                elif mate is _PAIRED:
+                    raise MeshError(f"ridge {ridge} would join a third cone facet")
+                else:
+                    half[ridge] = _PAIRED
+                    pairs += 1
+                    row[slot] = mate
+                    rows[mate[0] - base][mate[1]] = (eid, slot)
+        if pairs != len(half):
+            ridge = next(r for r, m in half.items() if m is not _PAIRED)
+            raise MeshError(f"ridge {ridge} of the cone is left open")
+        return self._commit(old, new, rows, outside)
+
+    def _commit(self, old, new, rows, outside) -> list[int]:
+        """Kill ``old``, append ``new`` with neighbour ``rows``, re-point ``outside`` slots.
+
+        Stars lose ``old`` first and then gain the new elements in order;
+        ``outside`` holds ``(element, local facet, new slot)`` triples.
+        """
+        elements, nbr, star = self.elements, self.nbr, self.star
         for eid in old:
             for v in elements[eid]:
                 star[v].discard(eid)
             elements[eid] = None
             nbr[eid] = None
+        base = len(elements)
         for eid, verts in enumerate(new, base):
             for v in verts:
                 star[v].add(eid)
@@ -232,6 +325,7 @@ class Mesh4:
         if self.star[vid]:
             raise MeshError(f"vertex {vid} still referenced by {sorted(self.star[vid])}")
         self.vertex_alive[vid] = False
+        self._coords[vid] = np.inf  # out of reach of nearest_vertex
 
     # -- queries ------------------------------------------------------------
 
@@ -264,6 +358,15 @@ class Mesh4:
                 elif (eid, li) < nb:
                     out[keys[li]] = ((eid, li), nb)
         return MappingProxyType(out)
+
+    def nearest_vertex(self, p) -> int | None:
+        """The alive vertex nearest p (Euclidean), or None if there is none."""
+        n = len(self.vertices)
+        if not n:
+            return None
+        d = self._coords[:n] - p
+        vid = int(np.einsum("ij,ij->i", d, d).argmin())
+        return vid if self.vertex_alive[vid] else None
 
     def elements_with_vertices(self, vids: Sequence[int]) -> set[int]:
         """Alive elements containing every vertex in ``vids``."""
@@ -308,19 +411,27 @@ class Mesh4:
             self.remove_element(eid)
         for vid, flag in enumerate(self.is_super):
             if flag and not self.star[vid]:
-                self.vertex_alive[vid] = False
+                self.kill_vertex(vid)
         return len(doomed)
 
     def compact(self) -> "Mesh4":
-        """A fresh mesh without dead vertices/elements (indices renumbered)."""
+        """A fresh mesh without dead vertices/elements (indices renumbered).
+
+        The neighbour table is renumbered, not glued again: a local facet
+        slot does not depend on vertex ids, so each alive row maps through
+        the element renumbering.
+        """
         keep = [vid for vid in range(len(self.vertices))
                 if self.vertex_alive[vid] and (self.star[vid] or not self.is_super[vid])]
         remap = {old: new for new, old in enumerate(keep)}
+        alive = list(self.alive_elements())
+        renum = {old: new for new, old in enumerate(alive)}
         out = Mesh4()
         for old in keep:
             out.add_vertex(self.vertices[old], is_super=self.is_super[old])
-        out.replace((), [tuple(remap[v] for v in self.elements[eid])
-                         for eid in self.alive_elements()])
+        out._commit((), [tuple(remap[v] for v in self.elements[eid]) for eid in alive],
+                    [[nb and (renum[nb[0]], nb[1]) for nb in self.nbr[eid]] for eid in alive],
+                    ())
         return out
 
     def validate(self, check_orientation: bool = True) -> list[str]:

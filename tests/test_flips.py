@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from pentamesh import flips
 from pentamesh.flips import (
     AMQ_FRACTIONS,
     FLIP_KINDS_FORWARD,
@@ -20,7 +21,7 @@ from pentamesh.flips import (
 )
 from pentamesh.geometry import MetricField, hypervolume, regular_pentatope, resolve_field
 from pentamesh.insertion import triangulate
-from pentamesh.mesh import Mesh4
+from pentamesh.mesh import Mesh4, MeshError
 from pentamesh.quality import pentatope_quality, quality_metric
 
 
@@ -207,6 +208,23 @@ class TestValidity:
         ok, reason = validate_flip(mesh, cand, exact=True)
         assert ok, reason
 
+    def test_degeneracy_band_follows_the_scale(self, monkeypatch):
+        # the same flips, and no exact orientation test, at every power-of-two scale
+        real = flips.orientation4
+        calls = []
+        monkeypatch.setattr(flips, "orientation4",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        pts = np.random.default_rng(7).random((50, 4))
+        runs = []
+        for scale in (1.0, 2.0 ** 14, 2.0 ** -14):
+            calls.clear()
+            report = improve_quality(triangulate(pts * scale), heuristic=1)
+            runs.append([(f.kind, f.removed_elements, f.new_elements) for f in report.flips])
+            assert len(calls) == 0, f"{len(calls)} exact orientation tests at x{scale}"
+        assert runs[0]
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
 
 KIND_BUILDERS = {
     "1_5": lambda rng: (single_element_mesh(rng), "1_5"),
@@ -280,6 +298,20 @@ class TestApplication:
         after = {frozenset(mesh.elements[e]) for e in mesh.alive_elements()}
         assert before == after
         assert not mesh.vertex_alive[rep2.removed_vertex]
+
+    def test_failed_replace_removes_the_new_vertex(self, rng, monkeypatch):
+        mesh = triangulate(rng.random((30, 4)))
+        cand = next(c for e in mesh.alive_elements() for c in find_candidates(mesh, e)
+                    if c.kind == "1_5")
+
+        def failing(old, tuples):
+            raise MeshError("injected")
+
+        monkeypatch.setattr(mesh, "replace", failing)
+        with pytest.raises(MeshError, match="injected"):
+            apply_flip(mesh, cand)
+        assert len(mesh.vertices) == 30
+        assert mesh.validate() == []
 
     def test_3_3_keeps_counts(self, rng):
         mesh = triangle_star_mesh(rng, 3)

@@ -356,16 +356,17 @@ class TestInsertPoint:
 
     @staticmethod
     def _degenerate_reconnection(mesh, monkeypatch):
-        # collapse the new vertex of the first new element onto one of its
-        # facet vertices, so Mesh4.replace receives a degenerate tuple
-        real = mesh.replace
+        # make the first boundary facet repeat a vertex, so Mesh4.cone
+        # receives a degenerate element
+        real = mesh.cone
 
-        def degenerate(old, tuples):
-            tuples = list(tuples)
-            tuples[0] = (*tuples[0][:4], tuples[0][0])
-            return real(old, tuples)
+        def degenerate(old, boundary, apex):
+            boundary = list(boundary)
+            facet, owner, li = boundary[0]
+            boundary[0] = ((*facet[:3], facet[0]), owner, li)
+            return real(old, boundary, apex)
 
-        monkeypatch.setattr(mesh, "replace", degenerate)
+        monkeypatch.setattr(mesh, "cone", degenerate)
 
     def test_reconnection_error_carries_context(self, rng, monkeypatch):
         # an injected degenerate reconnection reports the cause, the exact

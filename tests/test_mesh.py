@@ -2,14 +2,39 @@
 
 import copy
 from collections import defaultdict
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from pentamesh.flips import improve_quality
+from pentamesh import flips
+from pentamesh.flips import NEW_LABEL, _REVERSE_OF, find_candidates, improve_quality
 from pentamesh.geometry import CANONICAL_FACETS
-from pentamesh.insertion import insert_point, triangulate
+from pentamesh.insertion import (
+    build_cavity,
+    enforce_visibility,
+    find_base_element,
+    insert_point,
+    triangulate,
+)
 from pentamesh.mesh import Mesh4, MeshError
 from pentamesh.meshio import MeshFormatError, loads_p4m
+
+REVERSE_KIND = {**_REVERSE_OF, **{rev: kind for kind, rev in _REVERSE_OF.items()}}
+
+
+def searched_reverse(kind):
+    """The kinds the candidate search may give the reverse of a ``kind`` flip.
+
+    It labels a self-inverse reconnection (3_3, 6_6) with the forward kind
+    in both directions, and names the three 8_8 reconnections of an edge
+    star after its own ring order, so an 8_8 flip may come back as any one.
+    """
+    if kind.startswith("8_8"):
+        return {"8_8v1", "8_8v2", "8_8v3"}
+    rev = REVERSE_KIND[kind]
+    return {kind if rev.endswith("r") else rev}
 
 
 def facet_owners(mesh):
@@ -73,6 +98,123 @@ class TestTableOracle:
         assert all(list(k) == sorted(k) for k in adj)
         with pytest.raises(TypeError):
             adj[next(iter(adj))] = ()
+
+
+def simplex_set(mesh):
+    return {frozenset(mesh.elements[e]) for e in mesh.alive_elements()}
+
+
+def carved_cavity(rng):
+    """A 20-point mesh, a new point p and its repaired cavity."""
+    mesh = triangulate(rng.random((20, 4)), strip_super=False)
+    p = tuple(float(c) for c in rng.random(4))
+    base, _ = find_base_element(mesh, p)
+    cav = build_cavity(mesh, base, p, None)
+    enforce_visibility(mesh, cav, p, None, base=base)
+    return mesh, p, cav
+
+
+class TestCone:
+    def test_matches_replace(self, rng):
+        carved, p, cav = carved_cavity(rng)
+        # two copies, so that both stars start from the same set layout
+        mesh, glued = copy.deepcopy(carved), copy.deepcopy(carved)
+        apex = mesh.add_vertex(p)
+        assert glued.add_vertex(p) == apex
+        created = mesh.cone(cav.elements, cav.boundary, apex)
+        assert created == glued.replace(cav.elements, [(*f, apex) for f, _, _ in cav.boundary])
+        assert snapshot(mesh) == snapshot(glued)
+        assert [list(s) for s in mesh.star] == [list(s) for s in glued.star]
+        assert mesh.last_created == glued.last_created
+        assert mesh.validate() == []
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda b: b[1:], "left open"),
+        (lambda b: b + b[:1], "third cone facet"),
+        (lambda b: [((*b[0][0][:3], b[0][0][0]),) + b[0][1:]] + b[1:], "5 distinct"),
+        (lambda b: [(b[0][0], -1, 0)] + b[1:], "not replaced"),
+    ])
+    def test_rejects_and_leaves_the_mesh(self, rng, edit, message):
+        mesh, p, cav = carved_cavity(rng)
+        apex = mesh.add_vertex(p)
+        before = snapshot(mesh)
+        with pytest.raises(MeshError, match=message):
+            mesh.cone(cav.elements, edit(list(cav.boundary)), apex)
+        assert snapshot(mesh) == before
+        assert mesh.validate() == []
+
+    def test_rejects_a_facet_inside_the_replaced_elements(self, rng):
+        mesh, p, cav = carved_cavity(rng)
+        apex = mesh.add_vertex(p)
+        before = snapshot(mesh)
+        # replace one more element, an outside neighbour of the boundary
+        outside = next(mesh.nbr[owner][li] for _, owner, li in cav.boundary
+                       if mesh.nbr[owner][li] is not None)
+        with pytest.raises(MeshError, match="inside the replaced elements"):
+            mesh.cone(cav.elements | {outside[0]}, cav.boundary, apex)
+        assert snapshot(mesh) == before
+
+    def test_rejects_an_apex_with_elements(self, rng):
+        mesh, _p, cav = carved_cavity(rng)
+        before = snapshot(mesh)
+        used = cav.boundary[0][0][0]
+        with pytest.raises(MeshError, match="already has elements"):
+            mesh.cone(cav.elements, cav.boundary, used)
+        assert snapshot(mesh) == before
+
+
+class TestCompact:
+    def test_matches_a_glued_mesh(self, rng):
+        mesh = triangulate(rng.random((40, 4)), strip_super=False)
+        mesh.strip_super()
+        out = mesh.compact()
+        oracle = Mesh4.from_arrays(out.vertices, out.elements,
+                                   super_flags=out.is_super)
+        assert out.elements == oracle.elements
+        assert out.nbr == oracle.nbr
+        assert [list(s) for s in out.star] == [list(s) for s in oracle.star]
+        assert out.n_alive == oracle.n_alive == len(out.elements)
+        assert out.last_created == oracle.last_created
+        assert out.validate() == []
+        assert_table_matches_tuples(out)
+
+
+class TestFlipThenReverse:
+    @settings(max_examples=10, deadline=None)
+    @example(seed=57829, heuristic=1)  # an 8_8v1 flip whose reverse is found as 8_8v2
+    @given(seed=st.integers(0, 2**32 - 1), heuristic=st.sampled_from((1, 2)))
+    def test_reverse_restores_the_simplex_set(self, seed, heuristic):
+        # after each flip improve_quality applies, its reverse kind, applied
+        # to a copy, brings back the simplices the flip removed
+        mesh = triangulate(np.random.default_rng(seed).random((16, 4)))
+        real = flips.apply_flip
+        checked = []
+
+        def apply_and_reverse(mesh, cand):
+            before = simplex_set(mesh)
+            removed = {frozenset(mesh.elements[e]) for e in cand.stage1}
+            rep = real(mesh, cand)
+            assert_table_matches_tuples(mesh)
+            trial = copy.deepcopy(mesh)
+            rev = next(c for c in find_candidates(trial, rep.new_elements[0])
+                       if c.kind in searched_reverse(rep.kind)
+                       and set(c.stage1) == set(rep.new_elements)
+                       and {frozenset(rep.removed_vertex if v == NEW_LABEL else v
+                                      for v in t) for t in c.stage2} == removed)
+            back = real(trial, rev)
+            restored = simplex_set(trial)
+            if back.new_vertex is not None:
+                restored = {frozenset(rep.removed_vertex if v == back.new_vertex else v
+                                      for v in s) for s in restored}
+            assert restored == before
+            assert_table_matches_tuples(trial)
+            assert trial.validate() == []
+            checked.append(rep.kind)
+            return rep
+
+        with mock.patch.object(flips, "apply_flip", apply_and_reverse):
+            report = improve_quality(mesh, heuristic=heuristic)
+        assert len(checked) == len(report.flips)
 
 
 class TestChecks:
