@@ -24,7 +24,6 @@ from .flips import (
     find_candidates,
     flip_kinds,
     flip_table,
-    flip_vertex_count,
     improve_quality,
     validate_flip,
 )

@@ -10,10 +10,13 @@ total hypervolume is conserved exactly in rational arithmetic.
 
 Candidate detection is entity-driven: configurations are recognized from
 the stars of the starter element's facets, triangles, edges, and
-vertices.  The greedy driver ranks a starter's candidates by quality gain
-first and checks only the improving ones with :func:`validate_flip`, best
-first, until one passes; :func:`apply_flip` validates again before it
-changes the mesh.
+vertices.  A configuration whose stage-1 elements meet a given frozen set
+is dropped as soon as those elements are known, before its rings, links,
+replacement tuples or inserted point are built.  The greedy driver passes
+the elements earlier flips created as that set, ranks a starter's
+candidates by quality gain first and checks only the improving ones with
+:func:`validate_flip`, best first, until one passes; :func:`apply_flip`
+validates again before it changes the mesh.
 """
 
 from __future__ import annotations
@@ -25,11 +28,10 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
 
-from .geometry import CANONICAL_FACETS, hypervolume, hypervolume_exact
+from .geometry import CANONICAL_FACETS, hypervolume, hypervolume_exact, resolve_field
 from .mesh import Mesh4, MeshError
 from .predicates import orientation4
 from .quality import pentatope_quality, quality_metric
-from .geometry import resolve_field
 
 __all__ = [
     "FlipCandidate",
@@ -40,7 +42,6 @@ __all__ = [
     "find_candidates",
     "flip_kinds",
     "flip_table",
-    "flip_vertex_count",
     "improve_quality",
     "validate_flip",
 ]
@@ -198,13 +199,6 @@ def flip_table(kind: str) -> FlipTable:
         raise ValueError(f"unknown flip kind {kind!r}") from None
 
 
-def flip_vertex_count(d: int, k: int) -> int:
-    """Vertices required by the basic k -> (d+2)-k move in d dimensions."""
-    if d < 1 or k < 1:
-        raise ValueError("dimension and element count must be >= 1")
-    return d + 1 if k == 1 else d + 2
-
-
 @dataclass(frozen=True)
 class FlipCandidate:
     """A concrete flip instance: matched elements plus replacement tuples.
@@ -223,10 +217,6 @@ class FlipCandidate:
     @property
     def inserts_point(self) -> bool:
         return self.new_point is not None
-
-    def signature(self):
-        return (self.kind, frozenset(self.stage1),
-                frozenset(frozenset(t) for t in self.stage2))
 
 
 # ---------------------------------------------------------------------------
@@ -286,33 +276,33 @@ def _mk(kind, elems, stage2, new_entity_vids=None, mesh=None, removed_vertex=Non
 # candidate detection
 # ---------------------------------------------------------------------------
 
-def find_candidates(mesh: Mesh4, starter: int,
-                    include_point_inserting: bool = True) -> list[FlipCandidate]:
+def find_candidates(mesh: Mesh4, starter: int, include_point_inserting: bool = True,
+                    *, frozen: set[int] | frozenset[int] = frozenset()
+                    ) -> list[FlipCandidate]:
     """All flip configurations in the starter's vertex star that contain it.
 
     Configurations are matched against the stars of the starter's facets
     (2-4 / 2-8), triangles (3-3 / 3-9 / 4-6 / 4-12), edges (4-2 / 4-8 /
     6-6 / 6-4 / 6-12 / 8-8 / 8-16), and vertices (5-1 and the
-    point-removing reverses).  An empty list is a perfectly normal
-    outcome.  Geometric validity is *not* checked here; run
-    :func:`validate_flip` on each candidate.
+    point-removing reverses).  A configuration whose stage-1 elements
+    meet ``frozen`` is never built, so the result is the unfiltered list,
+    in the same order, less the candidates whose ``stage1`` meets
+    ``frozen``.  Distinct entities of the starter have distinct stars, so
+    no two candidates share kind, stage 1 and stage 2.  An empty list is a
+    perfectly normal outcome.  Geometric validity is *not* checked here;
+    run :func:`validate_flip` on each candidate.
     """
     if not mesh.alive(starter):
         raise MeshError(f"starter element {starter} is not alive")
+    if starter in frozen:
+        return []
     sverts = mesh.elements[starter]
     out: list[FlipCandidate] = []
-    seen = set()
-
-    def emit(cand):
-        sig = cand.signature()
-        if sig not in seen:
-            seen.add(sig)
-            out.append(cand)
-
-    _facet_family(mesh, starter, sverts, emit, include_point_inserting)
-    _triangle_family(mesh, starter, sverts, emit, include_point_inserting)
-    _edge_family(mesh, starter, sverts, emit, include_point_inserting)
-    _vertex_family(mesh, starter, sverts, emit)
+    emit = out.append
+    _facet_family(mesh, starter, sverts, emit, include_point_inserting, frozen)
+    _triangle_family(mesh, starter, sverts, emit, include_point_inserting, frozen)
+    _edge_family(mesh, starter, sverts, emit, include_point_inserting, frozen)
+    _vertex_family(mesh, starter, sverts, emit, frozen)
     if include_point_inserting:
         emit(_mk("1_5", (starter,),
                  [tuple(v for v in sverts if v != skip) + (NEW_LABEL,)
@@ -321,10 +311,10 @@ def find_candidates(mesh: Mesh4, starter: int,
     return out
 
 
-def _facet_family(mesh, starter, sverts, emit, with_points):
+def _facet_family(mesh, starter, sverts, emit, with_points, frozen):
     for li in range(5):
         nb = mesh.neighbor(starter, li)
-        if nb is None:
+        if nb is None or nb[0] in frozen:
             continue
         other = nb[0]
         shared = [sverts[i] for i in CANONICAL_FACETS[li]]
@@ -339,10 +329,10 @@ def _facet_family(mesh, starter, sverts, emit, with_points):
                      new_entity_vids=shared, mesh=mesh))
 
 
-def _triangle_family(mesh, starter, sverts, emit, with_points):
+def _triangle_family(mesh, starter, sverts, emit, with_points, frozen):
     for tri in combinations(sverts, 3):
         elems = mesh.elements_with_vertices(tri)
-        if starter not in elems or len(elems) not in (3, 4):
+        if starter not in elems or len(elems) not in (3, 4) or not frozen.isdisjoint(elems):
             continue
         pairs = []
         ok = True
@@ -376,15 +366,15 @@ def _triangle_family(mesh, starter, sverts, emit, with_points):
                 emit(_mk("4_12", elems, stage2, new_entity_vids=tri, mesh=mesh))
 
 
-def _edge_star(mesh, edge):
+def _edge_star(mesh, edge, frozen):
     """Sorted elements and ring triangles of an edge star, or ``(None, None)``.
 
     Only stars of 4, 6 or 8 elements can match an edge-family kind, so any
-    other size is rejected before the ring is built; so is a star whose
-    ring triangles do not form a closed link.
+    other size is rejected before the ring is built; so is a star that
+    meets ``frozen`` and one whose ring triangles do not form a closed link.
     """
     elems = mesh.elements_with_vertices(edge)
-    if len(elems) not in (4, 6, 8):
+    if len(elems) not in (4, 6, 8) or not frozen.isdisjoint(elems):
         return None, None
     rings = []
     for eid in elems:
@@ -397,9 +387,9 @@ def _edge_star(mesh, edge):
     return sorted(e for e, _ in rings), rings
 
 
-def _edge_family(mesh, starter, sverts, emit, with_points):
+def _edge_family(mesh, starter, sverts, emit, with_points, frozen):
     for edge in combinations(sverts, 2):
-        elems, rings = _edge_star(mesh, edge)
+        elems, rings = _edge_star(mesh, edge, frozen)
         if elems is None or starter not in elems:
             continue
         k = len(elems)
@@ -454,12 +444,13 @@ def _edge_family(mesh, starter, sverts, emit, with_points):
                 emit(_mk(f"8_8v{idx + 1}", elems, stage2))
 
 
-def _vertex_family(mesh, starter, sverts, emit):
+def _vertex_family(mesh, starter, sverts, emit, frozen):
     for v in sverts:
-        star = sorted(mesh.star[v])
+        star = mesh.star[v]
         k = len(star)
-        if k not in (5, 8, 9, 12, 16):
+        if k not in (5, 8, 9, 12, 16) or not frozen.isdisjoint(star):
             continue
+        star = sorted(star)
         outer_sets = [frozenset(mesh.elements[e]) - {v} for e in star]
         outer = sorted(set().union(*outer_sets))
         if k == 5 and len(outer) == 5:
@@ -704,10 +695,12 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
     """Greedy quality improvement by bistellar flips.
 
     Repeatedly takes the worst alive element that is neither frozen nor a
-    previous starter, enumerates flips in its star, and executes the
-    geometrically valid one with the largest gain in the minimum quality
-    over the affected group; only strict gains count.  Ties go to the
-    smaller ``(kind, stage1)``, then to the candidate enumerated first.
+    previous starter, enumerates the flips in its star that touch no
+    frozen element (:func:`find_candidates` never builds the others), and
+    executes the geometrically valid one with the largest gain in the
+    minimum quality over the affected group; only strict gains count.
+    Ties go to the smaller ``(kind, stage1)``, then to the candidate
+    enumerated first.
 
     The gain comes first: a candidate is dropped as soon as one of its
     replacement elements is no better than the group's current minimum,
@@ -761,9 +754,8 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
         report.starters += 1
 
         ranked = []
-        for cand in find_candidates(mesh, starter, include_point_inserting):
-            if any(e in frozen for e in cand.stage1):
-                continue
+        for cand in find_candidates(mesh, starter, include_point_inserting,
+                                    frozen=frozen):
             before = min(quality_of[e] for e in cand.stage1)
             after = math.inf
             for tup in cand.stage2:

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pentamesh import flips
 from pentamesh.flips import (
@@ -15,7 +16,6 @@ from pentamesh.flips import (
     find_candidates,
     flip_kinds,
     flip_table,
-    flip_vertex_count,
     improve_quality,
     validate_flip,
 )
@@ -150,13 +150,6 @@ class TestStaticTables:
         t = flip_table("8_16")
         assert len(t.stage1) == 8 and len(t.stage2) == 16
 
-    def test_vertex_count_rule(self):
-        assert flip_vertex_count(4, 1) == 5
-        assert flip_vertex_count(4, 2) == 6
-        assert flip_vertex_count(3, 4) == 5
-        with pytest.raises(ValueError):
-            flip_vertex_count(0, 1)
-
 
 class TestCandidates:
     def test_isolated_element_only_1_5(self, rng):
@@ -180,6 +173,34 @@ class TestCandidates:
         mesh = facet_pair_mesh(rng)
         kinds = {c.kind for c in find_candidates(mesh, 0, include_point_inserting=False)}
         assert "2_8" not in kinds and "1_5" not in kinds
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(8, 16),
+           with_points=st.booleans(), data=st.data())
+    def test_frozen_filter_and_no_duplicates(self, seed, n_points, with_points, data):
+        # the frozen-aware enumeration equals the unfiltered one filtered on
+        # stage 1, in order, and no call returns the same flip twice
+        mesh = triangulate(np.random.default_rng(seed).random((n_points, 4)))
+        # a few point-inserting flips give vertex stars the removing kinds match
+        for _ in range(data.draw(st.integers(0, 3), label="inserting flips")):
+            eid = data.draw(st.sampled_from(sorted(mesh.alive_elements())))
+            valid = [c for c in find_candidates(mesh, eid)
+                     if c.inserts_point and validate_flip(mesh, c)[0]]
+            if valid:
+                apply_flip(mesh, data.draw(st.sampled_from(valid)))
+        starter = data.draw(st.sampled_from(sorted(mesh.alive_elements())), label="starter")
+        near = sorted(set().union(*(mesh.star[v] for v in mesh.elements[starter])))
+        frozen = set(data.draw(st.lists(st.sampled_from(near), max_size=8), label="frozen"))
+        if data.draw(st.booleans(), label="freeze starter"):
+            frozen.add(starter)
+        frozen = frozenset(frozen)
+
+        full = find_candidates(mesh, starter, with_points)
+        got = find_candidates(mesh, starter, with_points, frozen=frozen)
+        assert got == [c for c in full if frozen.isdisjoint(c.stage1)]
+        keys = [(c.kind, frozenset(c.stage1), frozenset(map(frozenset, c.stage2)))
+                for c in full]
+        assert len(set(keys)) == len(keys)
 
 
 class TestValidity:
