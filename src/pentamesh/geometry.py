@@ -133,6 +133,11 @@ def _scale_to_ints(values):
     return [n * (den // d) for n, d in ratios], den
 
 
+def _grain(values) -> int:
+    """Least E >= 0 with every value (floats or ints) an integer multiple of 2**-E."""
+    return max(v.as_integer_ratio()[1] for v in values).bit_length() - 1
+
+
 def _hypervolume_int(p1, p2, p3, p4, p5) -> int:
     """24 times the signed hypervolume of five integer points."""
     x1, y1, z1, t1 = p1

@@ -35,10 +35,9 @@ from .mesh import (
 )
 from .bounding import build_bounding_mesh
 from .predicates import (
-    _exact_metric,
+    _Lift,
     _insphere4_certified,
     _insphere4_core,
-    _insphere4_exact_sign,
     _metric_info,
     _orient4_certified,
     _orient4_core,
@@ -204,22 +203,25 @@ def cavity_boundary(mesh: Mesh4, elements: set[int]):
     return boundary
 
 
-def _in_sphere_rows(mesh: Mesh4, eids: list[int], p, mrows, mdiag, exact) -> list[bool]:
+def _in_sphere_rows(mesh: Mesh4, eids: list[int], p, mrows, mdiag, lift):
     """Strict in-sphere membership of p for each listed element, in one bracket.
 
     Rows whose float bracket the filter certifies are decided by its
-    sign; the others go straight to the integer-exact sign, which takes
-    the integer metric ``exact`` of :func:`~pentamesh.predicates._exact_metric`.
+    sign; the others by ``lift``, the integer lift of p at the mesh's grain
+    (:class:`~pentamesh.predicates._Lift`), made at the first such row.
+    Returns the membership list and the lift.
     """
     elems, verts = mesh.elements, mesh.vertices
-    corners = [verts[v] for eid in eids for v in elems[eid]]
-    P = np.fromiter(chain.from_iterable(corners), float, 20 * len(eids)).reshape(-1, 5, 4)
+    corners = chain.from_iterable(verts[v] for eid in eids for v in elems[eid])
+    P = np.fromiter(corners, float, 20 * len(eids)).reshape(-1, 5, 4)
     total, mag = _insphere4_core(P, p, mrows, mdiag)
     certified = _insphere4_certified(P, p, total, mag, mrows, mdiag)
     inside = (total > 0.0).tolist()
     for k in np.flatnonzero(~certified).tolist():
-        inside[k] = _insphere4_exact_sign(corners[5 * k:5 * k + 5] + [p], *exact) > 0
-    return inside
+        if lift is None:
+            lift = _Lift(verts, p, mesh.grain, mrows, mdiag)
+        inside[k] = lift.insphere(elems[eids[k]]) > 0
+    return inside, lift
 
 
 def build_cavity(mesh: Mesh4, base: int, p, metric) -> Cavity:
@@ -233,11 +235,12 @@ def build_cavity(mesh: Mesh4, base: int, p, metric) -> Cavity:
     order: each BFS layer is tested with one array-shaped bracket.  That
     bracket performs the scalar expansion's IEEE operations in the same
     order, so its certified signs and its escalations to the exact tier
-    are those of :func:`~pentamesh.predicates.inhypersphere_m_d`.
+    are those of :func:`~pentamesh.predicates.inhypersphere_m_d`; the
+    escalated rows of all layers share one integer lift of p.
     """
     p = as_point4(p)
     mrows, mdiag, _ = _metric_info(metric, 4)
-    exact = _exact_metric(mrows, mdiag)
+    lift = None
     nbr = mesh.nbr
     elements = {base}
     seen = {base}
@@ -255,7 +258,7 @@ def build_cavity(mesh: Mesh4, base: int, p, metric) -> Cavity:
                     front.append(nb[0])
         layer = front
         if layer:
-            inside = _in_sphere_rows(mesh, layer, p, mrows, mdiag, exact)
+            inside, lift = _in_sphere_rows(mesh, layer, p, mrows, mdiag, lift)
     cav = Cavity(elements)
     cav.boundary = cavity_boundary(mesh, elements)
     return cav
@@ -426,9 +429,8 @@ def triangulate(points, field=None, *, n_b: int = 24, margin: float = 1.0,
 _AUDIT_BAND = 1e-7  # relative width of the float band escalated to exact
 
 
-def _audit_pairs_exact(mesh, pairs, fld, tol, violations):
+def _audit_pairs_exact(mesh, pairs, metric, tol, violations):
     for vid, eid in pairs:
-        metric = None if fld.kind == "identity" else fld(mesh.vertices[vid])
         pts = list(mesh.element_points(eid)) + [mesh.vertices[vid]]
         res = inhypersphere_m_d(metric, pts)
         if res.sign > 0 and abs(res.value) > tol:
@@ -483,7 +485,8 @@ def audit_delaunay(mesh: Mesh4, field=None, tol: float = 0.0) -> AuditReport:
     strictly inside beyond ``tol``.  Ties (exactly cospherical) pass.
     Circumcentres are solved in batches in metric-scaled space, once for a
     constant field and once per vertex for a varying one; pairs the float
-    test cannot clear are decided by the exact predicate.
+    test cannot clear are decided by the exact predicate under the same
+    metric.
     """
     fld = resolve_field(field)
     elems = [(eid, mesh.elements[eid]) for eid in mesh.alive_elements()]
@@ -495,8 +498,8 @@ def audit_delaunay(mesh: Mesh4, field=None, tol: float = 0.0) -> AuditReport:
     E = np.array([verts for _, verts in elems], dtype=np.int64)
 
     if fld.is_constant:
-        if fld.kind != "identity":
-            V = _metric_scaled(V, fld.constant_metric)
+        metric = None if fld.kind == "identity" else fld.constant_metric
+        V = V if metric is None else _metric_scaled(V, metric)
         centers, r2 = _circumspheres(V[E])
         Vv = V[np.array(verts_alive)]
         pending: list[tuple[int, int]] = []
@@ -504,11 +507,12 @@ def audit_delaunay(mesh: Mesh4, field=None, tol: float = 0.0) -> AuditReport:
         for k0 in range(0, len(elems), chunk):
             k1 = k0 + chunk
             pending += _suspect_pairs(centers[k0:k1], r2[k0:k1], Vv, verts_alive, elems[k0:k1])
-        _audit_pairs_exact(mesh, pending, fld, tol, violations)
+        _audit_pairs_exact(mesh, pending, metric, tol, violations)
     else:
         for vid in verts_alive:
-            W = _metric_scaled(V, fld(mesh.vertices[vid]))
+            metric = fld(mesh.vertices[vid])
+            W = _metric_scaled(V, metric)
             centers, r2 = _circumspheres(W[E])
             pending = _suspect_pairs(centers, r2, W[vid][None, :], [vid], elems)
-            _audit_pairs_exact(mesh, pending, fld, tol, violations)
+            _audit_pairs_exact(mesh, pending, metric, tol, violations)
     return AuditReport(violations, len(elems) * len(verts_alive))

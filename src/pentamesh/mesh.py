@@ -39,6 +39,7 @@ import numpy as np
 
 from .geometry import (
     FACET_OPPOSITE,
+    _grain,
     _hypervolume_int,
     _scale_to_ints,
     as_point4,
@@ -97,6 +98,7 @@ class Mesh4:
         self.nbr: list[list[tuple[int, int] | None] | None] = []
         self.star: list[set[int]] = []
         self._coords = np.empty((16, 4))  # rows [0, len(vertices)) mirror vertices
+        self.grain = 0  # every coordinate ever added is a multiple of 2**-grain
         self.n_alive = 0
         self.last_created: int | None = None
         # set by build_bounding_mesh; None for meshes without a super box
@@ -123,6 +125,7 @@ class Mesh4:
         if vid == len(self._coords):
             self._coords = np.concatenate([self._coords, np.empty_like(self._coords)])
         self._coords[vid] = self.vertices[vid]
+        self.grain = max(self.grain, _grain(self.vertices[vid]))
         return vid
 
     def pop_vertex(self) -> None:

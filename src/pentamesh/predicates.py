@@ -12,10 +12,12 @@ Signs are exact on demand, in two tiers (Shewchuk's filter pattern): a
 forward-error filter certifies the double precision result when it can
 (a bound of 16 eps for orientation, 64 eps for in-hypersphere, times the
 magnitude of the expansion), and otherwise the sign is evaluated exactly.
-In 4D the exact tier scales the float inputs, which are dyadic rationals,
-to integers and reuses the float expansions (``_det4``, the pair minors);
-other dimensions use one rational bracket, :func:`_insphere_exact`, and
-fraction-free elimination.  There is no 80-bit middle tier: on
+In 4D the exact tier is an integer lift of the query point (:class:`_Lift`):
+the float inputs, dyadic rationals, become integers at one binary scale and
+the float expansions (pair minors, ``_laplace4``) run on them; cavity growth
+shares one lift among an insertion's uncertified rows.  Other dimensions
+use one rational bracket, :func:`_insphere_exact`, and fraction-free
+elimination.  There is no 80-bit middle tier: on
 near-degenerate 4D input an extended-precision retry costs more than the
 integer-exact sign and still has to fall through to it when it fails.
 
@@ -55,7 +57,7 @@ from itertools import chain
 
 import numpy as np
 
-from .geometry import Metric4, _det4, _laplace4, _pair_minors, _scale_to_ints
+from .geometry import Metric4, _grain, _laplace4, _pair_minors, _scale_to_ints
 
 __all__ = [
     "MetricDecomposition",
@@ -191,63 +193,63 @@ def _det_mag(rows):
     return _det_general_mag(rows)
 
 
-def _orient4_exact_sign(pts) -> int:
-    """Exact orientation sign of five 4D float points via integer arithmetic."""
-    flat = [c for p in pts for c in p]
-    ints, _ = _scale_to_ints(flat)
-    e = ints[16:20]
-    rows = [[ints[4 * k + j] - e[j] for j in range(4)] for k in range(4)]
-    det = _det4(*rows)
-    return 0 if det == 0 else (1 if det > 0 else -1)
+class _Lift:
+    """Exact signs against one query point p from integer rows u = x - p.
 
-
-def _exact_metric(mrows, mdiag):
-    """A metric's rows and diagonal as integers, one positive factor times both.
-
-    The exact in-sphere sign is invariant under that factor.  Identity stays
-    ``(None, None)``; a diagonal metric scales only its four diagonal
-    entries, and the exact sign reads only those.
+    ``points`` maps keys to points whose coordinates, like p's, are
+    multiples of ``2**-grain``, so ``2**grain`` times each is an integer and
+    every determinant keeps its sign; so does the in-sphere sign under a
+    positive multiple of the metric, which is scaled to integers too.  A
+    key's row and quadratic form and an ordered key pair's six minors are
+    built once, when a sign first needs them.
     """
-    if mrows is None:
-        return None, None
-    if mdiag is not None:
-        d, _ = _scale_to_ints(mdiag)
-        rows = tuple(tuple(d[i] if i == j else 0 for j in range(4)) for i in range(4))
-        return rows, tuple(d)
-    ments, _ = _scale_to_ints([x for row in mrows for x in row])
-    return tuple(tuple(ments[4 * i:4 * i + 4]) for i in range(4)), None
 
+    def __init__(self, points, p, grain: int, mrows=None, mdiag=None):
+        self.points, self.grain = points, max(grain, _grain(p))
+        self.p = [self._int(c) for c in p]
+        self.rows, self.minors = {}, {}
+        if mdiag is not None or mrows is None:
+            self.mrows, self.mdiag = None, _scale_to_ints(mdiag or (1, 1, 1, 1))[0]
+        else:
+            m = _scale_to_ints([x for row in mrows for x in row])[0]
+            self.mrows = [m[4 * i:4 * i + 4] for i in range(4)]
 
-def _insphere4_exact_sign(pts, mrows, mdiag) -> int:
-    """Exact metric in-hypersphere sign of six 4D float points.
+    def _int(self, x) -> int:
+        n, d = x.as_integer_ratio()
+        return n << (self.grain + 1 - d.bit_length())  # raises if x is finer
 
-    ``mrows`` and ``mdiag`` are the integer metric of :func:`_exact_metric`.
-    All inputs are dyadic rationals, so scaling coordinates to integers
-    preserves signs exactly: every term of the cofactor expansion carries
-    the same power of the scale factor.  The five determinants share six
-    pair minors, as in :func:`_insphere4_core`.
-    """
-    ints, _ = _scale_to_ints([c for p in pts for c in p])
-    f0, f1, f2, f3 = ints[20:24]
-    us = [(ints[k] - f0, ints[k + 1] - f1, ints[k + 2] - f2, ints[k + 3] - f3)
-          for k in range(0, 20, 4)]
-    if mrows is None:
-        qs = [u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3 for u0, u1, u2, u3 in us]
-    elif mdiag is not None:
-        d0, d1, d2, d3 = mdiag
-        qs = [d0 * u0 * u0 + d1 * u1 * u1 + d2 * u2 * u2 + d3 * u3 * u3
-              for u0, u1, u2, u3 in us]
-    else:
-        qs = [sum(u[i] * sum(mrows[i][j] * u[j] for j in range(4)) for i in range(4))
-              for u in us]
-    m01, m02, m12 = (_pair_minors(us[0], us[1]), _pair_minors(us[0], us[2]),
-                     _pair_minors(us[1], us[2]))
-    m23, m24, m34 = (_pair_minors(us[2], us[3]), _pair_minors(us[2], us[4]),
-                     _pair_minors(us[3], us[4]))
-    total = (qs[0] * _laplace4(m12, m34) - qs[1] * _laplace4(m02, m34)
-             + qs[2] * _laplace4(m01, m34) - qs[3] * _laplace4(m01, m24)
-             + qs[4] * _laplace4(m01, m23))
-    return 0 if total == 0 else (1 if total > 0 else -1)
+    def _row(self, v):
+        row = self.rows.get(v)
+        if row is None:
+            u = u0, u1, u2, u3 = [self._int(x) - c for x, c in zip(self.points[v], self.p)]
+            if self.mrows is None:
+                d0, d1, d2, d3 = self.mdiag
+                q = d0 * u0 * u0 + d1 * u1 * u1 + d2 * u2 * u2 + d3 * u3 * u3
+            else:
+                q = sum(u[i] * sum(m * x for m, x in zip(self.mrows[i], u)) for i in range(4))
+            row = self.rows[v] = (u, q)
+        return row
+
+    def _pm(self, a, b):
+        m = self.minors.get((a, b))
+        if m is None:
+            m = self.minors[a, b] = _pair_minors(self._row(a)[0], self._row(b)[0])
+        return m
+
+    def orient(self, a, b, c, d) -> int:
+        """Sign of det(a - p, b - p, c - p, d - p) of four keys."""
+        det = _laplace4(self._pm(a, b), self._pm(c, d))
+        return (det > 0) - (det < 0)
+
+    def insphere(self, keys) -> int:
+        """Exact metric in-hypersphere sign of the simplex of five keys against p."""
+        a, b, c, d, e = keys
+        pm, rows = self._pm, self.rows  # the minors build the five rows
+        m01, m02, m12, m23, m24, m34 = pm(a, b), pm(a, c), pm(b, c), pm(c, d), pm(c, e), pm(d, e)
+        total = (rows[a][1] * _laplace4(m12, m34) - rows[b][1] * _laplace4(m02, m34)
+                 + rows[c][1] * _laplace4(m01, m34) - rows[d][1] * _laplace4(m01, m24)
+                 + rows[e][1] * _laplace4(m01, m23))
+        return (total > 0) - (total < 0)
 
 
 # Index tables of the array bracket.  Row pairs (a, b) of the six shared
@@ -420,7 +422,8 @@ def orientation_m_d(M, pts, mode: str = "auto") -> PredicateResult:
         sign = 0 if det == 0.0 else (1 if det > 0.0 else -1)
         return PredicateResult(sign, pref * det, "float")
     if d == 4:
-        return PredicateResult(_orient4_exact_sign(pts), pref * det, "exact")
+        sign = _Lift(pts, pts[4], _grain(chain.from_iterable(pts))).orient(0, 1, 2, 3)
+        return PredicateResult(sign, pref * det, "exact")
     det = _det_exact(_orientation_rows(pts, cast=Fraction))
     sign = 0 if det == 0 else (1 if det > 0 else -1)
     return PredicateResult(sign, pref * float(det), "exact")
@@ -529,8 +532,8 @@ def inhypersphere_m_d(M, pts, mode: str = "auto") -> PredicateResult:
                 P, pts[5], totals, mags, mrows, mdiag)[0]):
             sign = 0 if total == 0.0 else (1 if total > 0.0 else -1)
             return PredicateResult(sign, pref * total, "float")
-        sign = _insphere4_exact_sign(pts, *_exact_metric(mrows, mdiag))
-        return PredicateResult(sign, pref * total, "exact")
+        lift = _Lift(pts, pts[5], _grain(chain.from_iterable(pts)), mrows, mdiag)
+        return PredicateResult(lift.insphere(range(5)), pref * total, "exact")
 
     if mode != "exact":
         us, qs = _insphere_terms(pts, mrows)

@@ -224,6 +224,15 @@ class TestCavityMatchesReference:
                                              seed=3, skip_duplicates=True)
         assert tiers["exact"] > 0.1 * tiers["float"]
 
+    def test_fine_grain_coordinates(self, monkeypatch, rng):
+        # a 2**-70 and a subnormal coordinate raise the mesh's grain to 1074,
+        # so every later insertion lifts its escalated rows at that scale
+        pts = rng.random((30, 4))
+        pts[4, 1] = 2.0 ** -70
+        pts[9, 2] = 5e-324
+        mesh, tiers = self._triangulate_checked(monkeypatch, pts, None)
+        assert mesh.grain >= 1074 and tiers["exact"] > 0 and mesh.validate() == []
+
     def test_constant_full_metric(self, monkeypatch, rng):
         metric = Metric4(spd_metric(rng))
         assert metric.diag is None  # the full-rows bracket
@@ -621,6 +630,32 @@ class TestAudit:
                     expected.append((vid, eid, res.value))
         assert expected and report.violations == expected
         assert report.n_checked == mesh.n_alive * len(vids)
+
+    def test_varying_field_is_evaluated_once_per_vertex(self, rng):
+        # the exact tier reuses the metric the circumsphere pass evaluated;
+        # the violations are those of a scan of every pair, vertex by vertex,
+        # under the metric evaluated at the vertex
+        def stretch(p):
+            calls.append(p)
+            return np.diag([1.0, 1.0 + 8.0 * p[0] ** 2, 1.0, 9.0])
+
+        calls = []
+        field = MetricField.from_function(stretch)
+        mesh = triangulate(rng.random((20, 4)))
+        report = audit_delaunay(mesh, field)
+        vids = [v for v in range(len(mesh.vertices)) if mesh.vertex_alive[v]]
+        assert len(calls) == len(vids)
+        expected = []
+        for vid in vids:
+            metric = field(mesh.vertices[vid])
+            for eid in mesh.alive_elements():
+                if vid in mesh.elements[eid]:
+                    continue
+                res = inhypersphere_m_d(metric, list(mesh.element_points(eid))
+                                        + [mesh.vertices[vid]])
+                if res.sign > 0 and abs(res.value) > 0.0:  # the audit's tol=0
+                    expected.append((vid, eid, res.value))
+        assert expected and report.violations == expected
 
     def test_anisotropic_audit_runs(self, rng):
         pts = rng.random((25, 4))

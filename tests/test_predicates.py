@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pentamesh.geometry import Metric4, _det4
+from pentamesh.geometry import Metric4, _det4, _grain, hypervolume_exact
 from pentamesh.predicates import (
     _EPS,
     _ORIENT_SAFETY,
+    _Lift,
     _det_mag,
     _insphere4_certified,
     _insphere4_core,
+    _insphere_exact,
     _metric_info,
     _orient4_certified,
     _orient4_core,
@@ -426,6 +428,28 @@ def orientation_rows(draw):
     return [c for row in rows for c in row], coplanar[-1]
 
 
+@st.composite
+def lift_layers(draw):
+    """Points, a query point, a metric and simplices over the points.
+
+    The simplices share vertices, as the rows of a cavity do, and list
+    their keys in any order, so one lift reuses its rows and pair minors
+    across simplices.  The points are cospherical with the query point
+    (sometimes one ulp off), wide, clustered or of the subnormal grain.
+    """
+    n = draw(st.integers(6, 9))
+    kind = draw(st.sampled_from(["cospherical", "one_ulp_off", "wide", "clustered", "fine"]))
+    if kind in ("cospherical", "one_ulp_off"):
+        pts, metric = draw(cospherical(n + 1))
+        if kind == "one_ulp_off":
+            pts = draw(one_ulp_off(pts))
+    else:
+        make = {"wide": wide_points, "clustered": clustered_points, "fine": fine_grain_points}
+        pts, metric = draw(make[kind](n + 1)), draw(metrics())
+    simplex = st.permutations(range(n)).map(lambda keys: tuple(keys[:5]))
+    return pts[:n], pts[n], metric, draw(st.lists(simplex, min_size=1, max_size=6))
+
+
 def _det4_mag_scalar(rows):
     """The magnitude of ``_det4``'s terms as scalar Python floats."""
     def pair_mags(a, b):
@@ -534,6 +558,22 @@ class TestPredicateProperties:
         res = orientation_m_d(None, pts)
         vol = hypervolume_fraction(*pts)
         assert (res.sign, res.exactness) == ((vol > 0) - (vol < 0), "exact")
+
+    @settings(max_examples=200, deadline=None)
+    @given(lift_layers(), st.integers(0, 3))
+    def test_lift_signs_match_fraction_oracles(self, case, slack):
+        # one lift serves every simplex of a layer, at the points' grain or
+        # any finer scale: each in-sphere sign is the rational bracket's,
+        # each orientation the sign of the rational hypervolume
+        pts, p, metric, simplices = case
+        mrows, mdiag, _ = _metric_info(metric, 4)
+        lift = _Lift(pts, p, _grain(itertools.chain(*pts)) + slack, mrows, mdiag)
+        for keys in simplices:
+            corners = [pts[k] for k in keys]
+            total = _insphere_exact(corners + [p], mrows)
+            assert lift.insphere(keys) == (total > 0) - (total < 0)
+            vol = hypervolume_exact(*corners[:4], p)
+            assert lift.orient(*keys[:4]) == (vol > 0) - (vol < 0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 8).flatmap(lambda k: st.one_of(wide_points(5 * k + 1),
