@@ -60,19 +60,15 @@ from .meshio import (
     MeshFormatError,
     export_mesh,
     load_p4m,
-    project_to_3d,
     save_p4m,
 )
-from .pointsets import generate_hypercylinder_points, sphere_spiral_points
+from .pointsets import generate_hypercylinder_points
 from .predicates import (
-    MetricDecomposition,
     PredicateResult,
     decompose_metric,
     inhypersphere4,
-    inhypersphere_m,
     inhypersphere_m_d,
     orientation4,
-    orientation_m,
     orientation_m_d,
     scale_points_standard,
 )

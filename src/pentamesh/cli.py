@@ -110,7 +110,6 @@ def cmd_improve(args) -> int:
 
 def cmd_study(args) -> int:
     out = _open_out(args.output)
-    code = 0
     if args.which == "convergence":
         rows = []
         metrics = (["identity", "speed"] if args.metric_mode == "both"
@@ -136,7 +135,7 @@ def cmd_study(args) -> int:
         write_csv(histogram, out)
     if out is not sys.stdout:
         out.close()
-    return code
+    return 0
 
 
 def cmd_export(args) -> int:

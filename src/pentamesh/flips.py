@@ -534,18 +534,22 @@ def _boundary_multiset(tuples):
     return Counter({f: 1 for f, c in cnt.items() if c == 1}), max(cnt.values(), default=0)
 
 
+_VOL_RTOL = 1e-12  # relative hypervolume tolerance of float validation
+
+
 def _candidate_points(mesh, cand, tup):
     return [cand.new_point if v == NEW_LABEL else mesh.vertices[v] for v in tup]
 
 
-def validate_flip(mesh: Mesh4, cand: FlipCandidate, field=None, *,
-                  exact: bool = False, vol_rtol: float = 1e-12):
+def validate_flip(mesh: Mesh4, cand: FlipCandidate, *, exact: bool = False):
     """Geometric validity of a candidate: (ok, reject_reason).
 
     Checks that all matched elements are alive, every replacement
     pentatope is non-degenerate, the total unsigned hypervolume is
-    conserved (exactly, in rational mode), the boundary facet multiset is
-    preserved, and no replacement duplicates an element outside the group.
+    conserved (exactly, in rational mode, else to the relative
+    ``_VOL_RTOL``), the boundary facet multiset is preserved, and no
+    replacement duplicates an element outside the group.  Validity is
+    metric-free.
     """
     if any(not mesh.alive(e) for e in cand.stage1):
         return False, "dead element in stage 1"
@@ -580,17 +584,17 @@ def validate_flip(mesh: Mesh4, cand: FlipCandidate, field=None, *,
         # hypervolume is det(q - pts[0]) / 24 over edge vectors whose
         # coordinates are at most ``scale``: 24 products of four such
         # entries, so its float error stays below about 10 eps scale^4
-        # (2e-15 scale^4).  The band 24 vol_rtol scale^4 (2.4e-11 scale^4
-        # at the default vol_rtol) exceeds that, and measured on edge
-        # vectors it follows the scale and offset of the cloud.
+        # (2e-15 scale^4).  The band 24 _VOL_RTOL scale^4 (2.4e-11 scale^4)
+        # exceeds that, and measured on edge vectors it follows the scale
+        # and offset of the cloud.
         x0, y0, z0, t0 = pts[0]
         scale = max([max(abs(x - x0), abs(y - y0), abs(z - z0), abs(t - t0))
                      for x, y, z, t in pts[1:]])
-        if abs(v) <= 24.0 * vol_rtol * scale ** 4:
+        if abs(v) <= 24.0 * _VOL_RTOL * scale ** 4:
             if orientation4(*pts).sign == 0:
                 return False, "degenerate replacement element"
         vol2 += abs(v)
-    if abs(vol1 - vol2) > vol_rtol * max(vol1, vol2):
+    if abs(vol1 - vol2) > _VOL_RTOL * max(vol1, vol2):
         return False, "hypervolume not conserved"
     return True, ""
 
@@ -690,8 +694,7 @@ def _amq_table(qualities) -> dict:
 
 
 def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
-                    include_point_inserting: bool = True,
-                    max_flips: int | None = None) -> ImprovementReport:
+                    include_point_inserting: bool = True) -> ImprovementReport:
     """Greedy quality improvement by bistellar flips.
 
     Repeatedly takes the worst alive element that is neither frozen nor a
@@ -712,14 +715,7 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
     fld = resolve_field(field)
     use_metric = fld.kind != "identity"
 
-    def qual(eid):
-        pts = mesh.element_points(eid)
-        if use_metric:
-            return quality_metric(pts, fld, which=heuristic)
-        return pentatope_quality(pts, which=heuristic)
-
-    def cand_quality(cand, tup):
-        pts = _candidate_points(mesh, cand, tup)
+    def quality(pts):
         if use_metric:
             return quality_metric(pts, fld, which=heuristic)
         return pentatope_quality(pts, which=heuristic)
@@ -727,7 +723,7 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
     quality_of: dict[int, float] = {}
     heap: list[tuple[float, int]] = []
     for eid in mesh.alive_elements():
-        q = qual(eid)
+        q = quality(mesh.element_points(eid))
         quality_of[eid] = q
         heapq.heappush(heap, (q, eid))
 
@@ -759,7 +755,7 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
             before = min(quality_of[e] for e in cand.stage1)
             after = math.inf
             for tup in cand.stage2:
-                after = min(after, cand_quality(cand, tup))
+                after = min(after, quality(_candidate_points(mesh, cand, tup)))
                 if after <= before:
                     break
             else:
@@ -776,10 +772,8 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
         for e in fr.removed_elements:
             quality_of.pop(e, None)
         for e in fr.new_elements:
-            quality_of[e] = qual(e)
+            quality_of[e] = quality(mesh.element_points(e))
             frozen.add(e)
-        if max_flips is not None and len(report.flips) >= max_flips:
-            break
 
     qualities_after = [quality_of[e] for e in mesh.alive_elements()]
     hv_after_exact = mesh.total_hypervolume(exact=True)

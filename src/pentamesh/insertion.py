@@ -339,18 +339,17 @@ def _failure_context(p, base, base_verts, cavity_size: int) -> str:
             f"with a cavity of {cavity_size} elements")
 
 
-def insert_point(mesh: Mesh4, p, field=None, *,
-                 snap_rtol: float = DEFAULT_SNAP_RTOL,
-                 start: int | None = None) -> InsertionReport:
+def insert_point(mesh: Mesh4, p, field=None) -> InsertionReport:
     """Insert one point: locate, carve the cavity, repair, reconnect.
 
     Every facet left by the repair sees p, so each new element is the facet
     followed by p, glued by :meth:`~pentamesh.mesh.Mesh4.cone`.  Raises
     :class:`GhostPointError` if p lies outside the bounding tesseract (or
-    no element contains it), :class:`DuplicateVertexError` if p coincides
-    with a vertex within the snap tolerance and :class:`CavityError` if
-    repair or reconnection fails; the mesh is then unchanged and the error
-    names the exact point, the base element and the cavity size.
+    no element contains it), :class:`DuplicateVertexError` if p is within
+    ``DEFAULT_SNAP_RTOL`` of the box diagonal of a vertex and
+    :class:`CavityError` if repair or reconnection fails; the mesh, its
+    ``grain`` included, is then unchanged and the error names the exact
+    point, the base element and the cavity size.
     """
     p = as_point4(p)
     fld = resolve_field(field)
@@ -359,7 +358,7 @@ def insert_point(mesh: Mesh4, p, field=None, *,
         if not all(lo[j] < p[j] < hi[j] for j in range(4)):
             raise GhostPointError(f"point {p!r} is outside the bounding tesseract")
 
-    base, walk = find_base_element(mesh, p, start=start)
+    base, walk = find_base_element(mesh, p)
     base_verts = mesh.elements[base]
     metric = None if fld.kind == "identity" else fld(p)
     cavity = build_cavity(mesh, base, p, metric)
@@ -368,7 +367,7 @@ def insert_point(mesh: Mesh4, p, field=None, *,
         diag = math.sqrt(sum((hi[j] - lo[j]) ** 2 for j in range(4)))
     else:
         diag = 1.0
-    snap2 = (snap_rtol * diag) ** 2
+    snap2 = (DEFAULT_SNAP_RTOL * diag) ** 2
     corners = chain.from_iterable(mesh.elements[eid] for eid in cavity.elements)
     for v in dict.fromkeys(corners):  # each vertex once, in first-seen order
         q = mesh.vertices[v]
@@ -392,7 +391,6 @@ def insert_point(mesh: Mesh4, p, field=None, *,
 
 def triangulate(points, field=None, *, n_b: int = 24, margin: float = 1.0,
                 strip_super: bool = True, shuffle: bool = False, seed: int = 0,
-                snap_rtol: float = DEFAULT_SNAP_RTOL,
                 skip_duplicates: bool = False) -> Mesh4:
     """Mesh a point cloud by incremental insertion into a bounding tesseract.
 
@@ -412,7 +410,7 @@ def triangulate(points, field=None, *, n_b: int = 24, margin: float = 1.0,
         order = np.random.default_rng(seed).permutation(len(pts))
     for idx in order:
         try:
-            insert_point(mesh, pts[idx], fld, snap_rtol=snap_rtol)
+            insert_point(mesh, pts[idx], fld)
         except DuplicateVertexError:
             if not skip_duplicates:
                 raise
@@ -429,11 +427,11 @@ def triangulate(points, field=None, *, n_b: int = 24, margin: float = 1.0,
 _AUDIT_BAND = 1e-7  # relative width of the float band escalated to exact
 
 
-def _audit_pairs_exact(mesh, pairs, metric, tol, violations):
+def _audit_pairs_exact(mesh, pairs, metric, violations):
     for vid, eid in pairs:
         pts = list(mesh.element_points(eid)) + [mesh.vertices[vid]]
         res = inhypersphere_m_d(metric, pts)
-        if res.sign > 0 and abs(res.value) > tol:
+        if res.sign > 0 and abs(res.value) > 0.0:
             violations.append((vid, eid, res.value))
 
 
@@ -477,16 +475,16 @@ def _metric_scaled(V, metric):
     return V @ G.T
 
 
-def audit_delaunay(mesh: Mesh4, field=None, tol: float = 0.0) -> AuditReport:
+def audit_delaunay(mesh: Mesh4, field=None) -> AuditReport:
     """Empty-circumhypersphere audit of a mesh under a metric field.
 
     For every alive vertex v and alive element E not containing v, the
     metric in-hypersphere test (metric evaluated at v) must not report v
-    strictly inside beyond ``tol``.  Ties (exactly cospherical) pass.
-    Circumcentres are solved in batches in metric-scaled space, once for a
-    constant field and once per vertex for a varying one; pairs the float
-    test cannot clear are decided by the exact predicate under the same
-    metric.
+    strictly inside.  Ties (exactly cospherical) pass.  Vertices sharing a
+    metric form a group: one for a constant field, one per distinct metric
+    for a varying one.  Per group, circumcentres are solved in metric-scaled
+    space, and the pairs the float test cannot clear, element-major, are
+    decided by the exact predicate under that metric.
     """
     fld = resolve_field(field)
     elems = [(eid, mesh.elements[eid]) for eid in mesh.alive_elements()]
@@ -494,25 +492,21 @@ def audit_delaunay(mesh: Mesh4, field=None, tol: float = 0.0) -> AuditReport:
     violations: list[tuple[int, int, float]] = []
     if not elems or not verts_alive:
         return AuditReport(violations, 0)
+    groups: dict = {}  # metric entries -> (metric, its vertices)
+    for vid in verts_alive:
+        metric = None if fld.kind == "identity" else fld(mesh.vertices[vid])
+        key = None if metric is None else metric.m.tobytes()
+        groups.setdefault(key, (metric, []))[1].append(vid)
     V = mesh.vertex_array()
     E = np.array([verts for _, verts in elems], dtype=np.int64)
-
-    if fld.is_constant:
-        metric = None if fld.kind == "identity" else fld.constant_metric
-        V = V if metric is None else _metric_scaled(V, metric)
-        centers, r2 = _circumspheres(V[E])
-        Vv = V[np.array(verts_alive)]
+    for metric, vids in groups.values():
+        W = V if metric is None else _metric_scaled(V, metric)
+        centers, r2 = _circumspheres(W[E])
+        Wv = W[np.array(vids)]
         pending: list[tuple[int, int]] = []
         chunk = 2048
         for k0 in range(0, len(elems), chunk):
             k1 = k0 + chunk
-            pending += _suspect_pairs(centers[k0:k1], r2[k0:k1], Vv, verts_alive, elems[k0:k1])
-        _audit_pairs_exact(mesh, pending, metric, tol, violations)
-    else:
-        for vid in verts_alive:
-            metric = fld(mesh.vertices[vid])
-            W = _metric_scaled(V, metric)
-            centers, r2 = _circumspheres(W[E])
-            pending = _suspect_pairs(centers, r2, W[vid][None, :], [vid], elems)
-            _audit_pairs_exact(mesh, pending, metric, tol, violations)
+            pending += _suspect_pairs(centers[k0:k1], r2[k0:k1], Wv, vids, elems[k0:k1])
+        _audit_pairs_exact(mesh, pending, metric, violations)
     return AuditReport(violations, len(elems) * len(verts_alive))

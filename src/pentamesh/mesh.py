@@ -32,8 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .geometry import (
     _scale_to_ints,
     as_point4,
     hypervolume,
-    hypervolume_exact,
 )
 
 __all__ = [
@@ -98,7 +96,7 @@ class Mesh4:
         self.nbr: list[list[tuple[int, int] | None] | None] = []
         self.star: list[set[int]] = []
         self._coords = np.empty((16, 4))  # rows [0, len(vertices)) mirror vertices
-        self.grain = 0  # every coordinate ever added is a multiple of 2**-grain
+        self.grain = 0  # every vertex coordinate is a multiple of 2**-grain
         self.n_alive = 0
         self.last_created: int | None = None
         # set by build_bounding_mesh; None for meshes without a super box
@@ -129,11 +127,12 @@ class Mesh4:
         return vid
 
     def pop_vertex(self) -> None:
-        """Remove the last vertex added; no element may reference it."""
+        """Remove the last vertex added and restore ``grain``; no element may reference it."""
         if self.star[-1]:
             raise MeshError(f"vertex {len(self.vertices) - 1} still referenced")
         for column in (self.vertices, self.is_super, self.vertex_alive, self.star):
             column.pop()
+        self.grain = max(map(_grain, self.vertices), default=0)
 
     def add_element(self, verts: Sequence[int]) -> int:
         """Register a pentatope; the caller supplies a positively oriented tuple."""
@@ -349,19 +348,6 @@ class Mesh4:
         """The (element, local facet) sharing facet ``li`` of ``eid``, if any."""
         return self.nbr[eid][li]
 
-    @property
-    def adjacency(self) -> Mapping[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """Read-only view of the table: sorted facet key -> its (element, local facet) owners."""
-        out = {}
-        for eid in self.alive_elements():
-            keys = _facet_keys(self.elements[eid])
-            for li, nb in enumerate(self.nbr[eid]):
-                if nb is None:
-                    out[keys[li]] = ((eid, li),)
-                elif (eid, li) < nb:
-                    out[keys[li]] = ((eid, li), nb)
-        return MappingProxyType(out)
-
     def nearest_vertex(self, p) -> int | None:
         """The alive vertex nearest p (Euclidean), or None if there is none."""
         n = len(self.vertices)
@@ -380,10 +366,6 @@ class Mesh4:
             if not result:
                 break
         return result
-
-    def element_hypervolume(self, eid: int, exact: bool = False):
-        pts = self.element_points(eid)
-        return hypervolume_exact(*pts) if exact else hypervolume(*pts)
 
     def total_hypervolume(self, exact: bool = False):
         """Sum of signed element hypervolumes; a ``Fraction`` when ``exact``.

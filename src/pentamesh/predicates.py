@@ -32,9 +32,11 @@ the filter and go to the exact tier.
 The 4D float brackets ``_insphere4_core`` and ``_orient4_core`` are
 array-shaped: each tests k simplices (or facets) against one query point,
 a BFS layer of a cavity or the facets of a walk step or cavity boundary.
-They use elementwise ufuncs only, each sum spelled out term by term in
-the scalar expansion's order, so every row equals the one-row result bit
-for bit and a batched caller certifies and escalates exactly the rows a
+Both take the factors of their 2x2 pair minors in one flat gather from a
+table of ``_gather_table`` and form the minors in ``_minor_step``.  They
+use elementwise ufuncs only, each sum spelled out term by term in the
+scalar expansion's order, so every row equals the one-row result bit for
+bit and a batched caller certifies and escalates exactly the rows a
 per-element caller would.  Reductions that reorder or fuse the additions
 (``sum``, ``einsum``, ``@``, ``dot``, ``linalg``) must not be used in
 them.  :func:`orientation4` is a one-row call of ``_orient4_core``.
@@ -63,12 +65,9 @@ __all__ = [
     "MetricDecomposition",
     "PredicateResult",
     "decompose_metric",
-    "exact_rational_cholesky",
     "inhypersphere4",
-    "inhypersphere_m",
     "inhypersphere_m_d",
     "orientation4",
-    "orientation_m",
     "orientation_m_d",
     "scale_points_standard",
 ]
@@ -90,9 +89,6 @@ class PredicateResult:
     sign: int
     value: float
     exactness: str
-
-    def __bool__(self) -> bool:  # pragma: no cover - convenience only
-        return self.sign != 0
 
 
 @dataclass(frozen=True)
@@ -252,26 +248,39 @@ class _Lift:
         return (total > 0) - (total < 0)
 
 
-# Index tables of the array bracket.  Row pairs (a, b) of the six shared
-# pair minors; columns (i, j) of each minor; for each of the five
-# determinants (row i left out) its top and bottom row pair; and the
-# bottom minors in the order 23 13 12 03 02 01 that meets 01 02 03 12 13 23.
-_PAIR_A = np.array([0, 0, 1, 2, 2, 3])[:, None]
-_PAIR_B = np.array([1, 2, 2, 3, 4, 4])[:, None]
-_COL_I = np.array([0, 0, 0, 1, 1, 2])[None, :]
-_COL_J = np.array([1, 2, 3, 2, 3, 3])[None, :]
-_DET_TOP = np.array([2, 1, 0, 0, 0])          # pairs 12 02 01 01 01
-_DET_BOT = np.array([5, 5, 5, 4, 3])[:, None]  # pairs 34 34 34 24 23
-_COL_REV = np.array([5, 4, 3, 2, 1, 0])[None, :]
+# Gather tables of the array brackets.  A row-major corner array of width 4
+# flattens to entry 4 row + column; a table lists, per pair minor
+# x1 x2 - y1 y2, the flat indices of its factors x1, x2, y1, y2.
+_PAIR_COLS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-# Gather table of the orientation bracket: the flat indices 4 row + column
-# of the factors x1, x2, y1, y2 of its twelve pair minors x1 x2 - y1 y2,
-# first those of rows 0 1 in column order 01 02 03 12 13 23, then those of
-# rows 2 3 in the order 23 13 12 03 02 01 that meets them term by term.
-_PAIR_COLS = list(zip(_COL_I[0].tolist(), _COL_J[0].tolist()))
-_ORIENT_GATHER = np.array([(a + i, b + j, a + j, b + i) for a, b, cols in
-                           ((0, 4, _PAIR_COLS), (8, 12, _PAIR_COLS[::-1])) for i, j in cols]).T
+def _gather_table(blocks):
+    """(4, m) flat factor indices of the pair minors of ``(row a, row b, column pairs)`` blocks."""
+    return np.array([(4 * a + i, 4 * b + j, 4 * a + j, 4 * b + i)
+                     for a, b, cols in blocks for i, j in cols]).T
+
+
+def _minor_step(U):
+    """Pair minors x1 x2 - y1 y2 and magnitudes |x1 x2| + |y1 y2| of gathered factors."""
+    X = U[0] * U[1]
+    Y = U[2] * U[3]
+    return X - Y, np.abs(X) + np.abs(Y)
+
+
+# The orientation bracket's twelve minors: those of rows 0 1 in column order
+# 01 02 03 12 13 23, then those of rows 2 3 in the order 23 13 12 03 02 01
+# that meets them term by term.
+_ORIENT_GATHER = _gather_table(((0, 1, _PAIR_COLS), (2, 3, _PAIR_COLS[::-1])))
+
+# The in-sphere bracket's six shared row pairs 01 02 12 23 24 34, six
+# minors each, minor 6 pair + column pair.  Each of the five determinants
+# (row i left out) is expanded across a top and a bottom row pair, 12 02 01
+# 01 01 over 34 34 34 24 23; term t multiplies top minor t with bottom minor
+# 5 - t, so column order 01 02 03 12 13 23 meets 23 13 12 03 02 01.
+_INSPHERE_GATHER = _gather_table([(a, b, _PAIR_COLS)
+                                  for a, b in ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4))])
+_DET_TOP = 6 * np.array([2, 1, 0, 0, 0]) + np.arange(6)[:, None]      # (6 terms, 5 dets)
+_DET_BOT = 6 * np.array([5, 5, 5, 4, 3]) + 5 - np.arange(6)[:, None]
 
 
 def _orient4_core(F, p):
@@ -284,10 +293,7 @@ def _orient4_core(F, p):
     """
     U = (F - np.asarray(p, dtype=float)).reshape(-1, 16).T[_ORIENT_GATHER]  # (4, 12, k)
     with np.errstate(over="ignore", invalid="ignore"):
-        X = U[0] * U[1]
-        Y = U[2] * U[3]
-        minor = X - Y
-        mmag = np.abs(X) + np.abs(Y)
+        minor, mmag = _minor_step(U)
         T = minor[:6] * minor[6:]
         det = T[0] - T[1] + T[2] + T[3] - T[4] + T[5]
         T = mmag[:6] * mmag[6:]
@@ -340,20 +346,16 @@ def _insphere4_core(P, f, mrows, mdiag):
             qs = 0.0 + V[:, :, 0] + V[:, :, 1] + V[:, :, 2] + V[:, :, 3]
             qmags = 0.0 + W[:, :, 0] + W[:, :, 1] + W[:, :, 2] + W[:, :, 3]
 
-        X = U[:, _PAIR_A, _COL_I] * U[:, _PAIR_B, _COL_J]   # (k, 6 pairs, 6 minors)
-        Y = U[:, _PAIR_A, _COL_J] * U[:, _PAIR_B, _COL_I]
-        minor = X - Y
-        mmag = np.abs(X) + np.abs(Y)
+        minor, mmag = _minor_step(U.reshape(-1, 20).T[_INSPHERE_GATHER])  # (36, k)
+        T = minor[_DET_TOP] * minor[_DET_BOT]   # (6 terms, 5 dets, k)
+        dets = T[0] - T[1] + T[2] + T[3] - T[4] + T[5]
+        T = mmag[_DET_TOP] * mmag[_DET_BOT]
+        dmags = T[0] + T[1] + T[2] + T[3] + T[4] + T[5]
 
-        T = minor[:, _DET_TOP] * minor[:, _DET_BOT, _COL_REV]   # (k, 5 dets, 6 terms)
-        dets = (T[..., 0] - T[..., 1] + T[..., 2] + T[..., 3] - T[..., 4] + T[..., 5])
-        T = mmag[:, _DET_TOP] * mmag[:, _DET_BOT, _COL_REV]
-        dmags = (T[..., 0] + T[..., 1] + T[..., 2] + T[..., 3] + T[..., 4] + T[..., 5])
-
-        T = qs * dets
-        total = T[:, 0] - T[:, 1] + T[:, 2] - T[:, 3] + T[:, 4]
-        T = qmags * dmags
-        mag = T[:, 0] + T[:, 1] + T[:, 2] + T[:, 3] + T[:, 4]
+        T = qs.T * dets
+        total = T[0] - T[1] + T[2] - T[3] + T[4]
+        T = qmags.T * dmags
+        mag = T[0] + T[1] + T[2] + T[3] + T[4]
     return total, mag
 
 
@@ -432,13 +434,6 @@ def orientation_m_d(M, pts, mode: str = "auto") -> PredicateResult:
 def orientation4(a, b, c, d, e, mode: str = "auto") -> PredicateResult:
     """Sign of det[(a-e); (b-e); (c-e); (d-e)] with exact escalation."""
     return orientation_m_d(None, (a, b, c, d, e), mode=mode)
-
-
-def orientation_m(M, a, b, c, d, e, mode: str = "auto") -> PredicateResult:
-    """sqrt(det M)-weighted orientation; same sign as :func:`orientation4`."""
-    if M is None:
-        raise ValueError("orientation_m requires a metric; use orientation4")
-    return orientation_m_d(M, (a, b, c, d, e), mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -559,13 +554,6 @@ def inhypersphere4(a, b, c, d, e, f, mode: str = "auto") -> PredicateResult:
     return inhypersphere_m_d(None, (a, b, c, d, e, f), mode=mode)
 
 
-def inhypersphere_m(M, a, b, c, d, e, f, mode: str = "auto") -> PredicateResult:
-    """Metric in-hypersphere test (decomposition-free formulation)."""
-    if M is None:
-        raise ValueError("inhypersphere_m requires a metric; use inhypersphere4")
-    return inhypersphere_m_d(M, (a, b, c, d, e, f), mode=mode)
-
-
 # ---------------------------------------------------------------------------
 # the standard (decompose-and-scale) route
 # ---------------------------------------------------------------------------
@@ -602,35 +590,3 @@ def scale_points_standard(G, pts):
         G = G.G
     G = np.asarray(G, dtype=float)
     return [tuple(G @ np.asarray(p, dtype=float)) for p in pts]
-
-
-def _fraction_sqrt(x: Fraction) -> Fraction:
-    """Exact square root of a rational, if it is a perfect square."""
-    if x < 0:
-        raise ValueError("negative pivot")
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        raise ValueError("pivot is not a perfect rational square")
-    return Fraction(rn, rd)
-
-
-def exact_rational_cholesky(M) -> list[list[Fraction]]:
-    """Upper-triangular rational G with G^T G = M, exactly.
-
-    Succeeds when every pivot is a perfect rational square (e.g. whenever
-    M was assembled as C^T C from a rational triangular C); raises
-    ValueError otherwise.
-    """
-    n = len(M)
-    m = [[Fraction(M[i][j]) for j in range(n)] for i in range(n)]
-    G = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        s = m[i][i] - sum(G[k][i] * G[k][i] for k in range(i))
-        if s <= 0:
-            raise ValueError("matrix is not positive definite")
-        G[i][i] = _fraction_sqrt(s)
-        for j in range(i + 1, n):
-            s = m[i][j] - sum(G[k][i] * G[k][j] for k in range(i))
-            G[i][j] = s / G[i][i]
-    return G

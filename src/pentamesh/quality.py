@@ -48,6 +48,7 @@ EDGE_ORDER = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2),
 
 _ETA1_COEF = 5.0 ** 0.75
 _ETA3_COEF = 6.0 * 5.0 ** 0.75
+_QUADRATURE_ORDER = 4  # Gauss-Legendre order of quality_metric's edge lengths
 
 
 def edge_lengths_squared(pts) -> list[float]:
@@ -121,14 +122,13 @@ def pentatope_quality(pts, which: int = 1) -> float:
     return _eta_from(abs(hypervolume(*pts)), edge_lengths_squared(pts), which)
 
 
-def quality_metric(pts, field, mode: str = "pointwise", which: int = 1,
-                   order: int = 4) -> float:
+def quality_metric(pts, field, mode: str = "pointwise", which: int = 1) -> float:
     """Metric-space quality: lengths and volume measured under the field.
 
     ``pointwise`` evaluates the field once at the element centroid;
-    ``quadrature`` integrates edge lengths (Gauss-Legendre of the given
-    order) and the volume density (simplex rule).  Both coincide for
-    constant fields.
+    ``quadrature`` integrates edge lengths (Gauss-Legendre of order
+    ``_QUADRATURE_ORDER``) and the volume density (simplex rule of half
+    that order).  Both coincide for constant fields.
     """
     fld = resolve_field(field)
     if mode == "pointwise":
@@ -137,9 +137,9 @@ def quality_metric(pts, field, mode: str = "pointwise", which: int = 1,
                for i, j in EDGE_ORDER]
         v = metric_volume_pointwise(pts, metric)
     elif mode == "quadrature":
-        lsq = [metric_length_quadrature(pts[i], pts[j], fld, order=order) ** 2
+        lsq = [metric_length_quadrature(pts[i], pts[j], fld, order=_QUADRATURE_ORDER) ** 2
                for i, j in EDGE_ORDER]
-        v = metric_volume_quadrature(pts, fld, order=max(1, order // 2))
+        v = metric_volume_quadrature(pts, fld, order=_QUADRATURE_ORDER // 2)
     else:
         raise ValueError(f"mode must be 'pointwise' or 'quadrature', got {mode!r}")
     return _eta_from(v, lsq, which)

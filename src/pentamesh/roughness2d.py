@@ -34,6 +34,8 @@ __all__ = [
     "total_roughness",
 ]
 
+_LOP_MAX_PASSES = 200  # lop's guard: queue pops per triangle before it stops
+
 
 def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -269,8 +271,7 @@ def total_roughness(points, values, tris, c_v: float) -> float:
     return total
 
 
-def lop(points, values=None, c_field=1.0, *, max_passes: int = 200,
-        return_history: bool = False):
+def lop(points, values=None, c_field=1.0, *, return_history: bool = False):
     """Local optimization procedure: flip edges until metric-Delaunay.
 
     ``c_field`` is either a constant characteristic speed or a callable
@@ -279,7 +280,8 @@ def lop(points, values=None, c_field=1.0, *, max_passes: int = 200,
     convex quadrilateral is tested with the metric circumcircle criterion
     and flipped on strict violation; ties are left alone.  Each flip
     strictly lowers the roughness of the affected pair, so the loop
-    terminates.
+    terminates; a guard still stops it after ``_LOP_MAX_PASSES`` queue pops
+    per triangle.
 
     Returns the triangle list, or ``(triangles, roughness_history)`` when
     ``return_history`` is set (requires ``values`` and a constant field).
@@ -308,7 +310,7 @@ def lop(points, values=None, c_field=1.0, *, max_passes: int = 200,
     passes = 0
     while queue:
         passes += 1
-        if passes > max_passes * max(1, len(tris)):
+        if passes > _LOP_MAX_PASSES * max(1, len(tris)):
             break
         e = queue.popleft()
         owners = [ti for ti in edge_map.get(e, []) if tris[ti] is not None]

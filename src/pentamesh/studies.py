@@ -116,11 +116,6 @@ def convergence_study(*, R: float = 1.0, L: float = 4.0, levels: int = 4,
 # predicate comparison
 # ---------------------------------------------------------------------------
 
-def _plain_insphere_value_float(pts) -> float:
-    """Euclidean in-hypersphere value in plain double precision."""
-    return inhypersphere_m_d(None, pts, mode="float").value
-
-
 def predicate_comparison_study(dims=(2, 3, 4, 5, 10), trials: int = 100,
                                seed: int = 0, exact: bool = False) -> list:
     """Standard (decompose-and-scale) vs decomposition-free in-hypersphere.
@@ -167,7 +162,7 @@ def predicate_comparison_study(dims=(2, 3, 4, 5, 10), trials: int = 100,
             for kind in ("cholesky", "sqrt"):
                 dec = decompose_metric(M, kind)
                 scaled = scale_points_standard(dec, pts)
-                std = _plain_insphere_value_float(scaled)
+                std = inhypersphere_m_d(None, scaled, mode="float").value
                 denom = abs(std) if std != 0.0 else 1e-300
                 sums[(kind, "diff")] += abs(std - alt) / denom
                 sums[(kind, "err")] += dec.error

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pentamesh.geometry import hypervolume
+from pentamesh.geometry import CANONICAL_FACETS, hypervolume
 from pentamesh.predicates import _det_exact
 
 
@@ -65,6 +65,18 @@ def circumsphere(pts5):
     b = (P[1:] ** 2).sum(axis=1) - (P[0] ** 2).sum()
     c = np.linalg.solve(A, b)
     return c, float(((P[0] - c) ** 2).sum())
+
+
+def facet_table(mesh):
+    """Sorted facet key -> its (element, local facet) owners, read from ``mesh.nbr``."""
+    out = {}
+    for eid in mesh.alive_elements():
+        verts = mesh.elements[eid]
+        for li, nb in enumerate(mesh.nbr[eid]):
+            if nb is None or (eid, li) < nb:
+                key = tuple(sorted(verts[i] for i in CANONICAL_FACETS[li]))
+                out[key] = ((eid, li),) if nb is None else ((eid, li), nb)
+    return out
 
 
 def spd_metric(rng, dim=4, spread=1.0):

@@ -11,6 +11,7 @@ from pentamesh.bounding import (
 )
 from pentamesh.geometry import hypervolume_exact, hypervolume
 from pentamesh.predicates import inhypersphere4, orientation4
+from conftest import facet_table
 
 
 def exact_corner_points(table):
@@ -132,7 +133,7 @@ class TestBuildBoundingMesh:
         mesh = build_bounding_mesh(pts)
         lo, hi = mesh.bounding_lo, mesh.bounding_hi
         n_boundary = 0
-        for key, owners in mesh.adjacency.items():
+        for key, owners in facet_table(mesh).items():
             if len(owners) == 1:
                 n_boundary += 1
                 coords = np.array([mesh.vertices[v] for v in key])

@@ -19,10 +19,11 @@ from pentamesh.flips import (
     improve_quality,
     validate_flip,
 )
-from pentamesh.geometry import MetricField, hypervolume, regular_pentatope, resolve_field
+from pentamesh.geometry import MetricField, _grain, hypervolume, regular_pentatope, resolve_field
 from pentamesh.insertion import triangulate
 from pentamesh.mesh import Mesh4, MeshError
 from pentamesh.quality import pentatope_quality, quality_metric
+from conftest import facet_table
 
 
 def boundary_multiset(tuples):
@@ -321,9 +322,11 @@ class TestApplication:
         assert not mesh.vertex_alive[rep2.removed_vertex]
 
     def test_failed_replace_removes_the_new_vertex(self, rng, monkeypatch):
+        # a centroid finer than every vertex leaves the grain as it was too
         mesh = triangulate(rng.random((30, 4)))
+        grain = mesh.grain
         cand = next(c for e in mesh.alive_elements() for c in find_candidates(mesh, e)
-                    if c.kind == "1_5")
+                    if c.kind == "1_5" and _grain(c.new_point) > grain)
 
         def failing(old, tuples):
             raise MeshError("injected")
@@ -333,15 +336,16 @@ class TestApplication:
             apply_flip(mesh, cand)
         assert len(mesh.vertices) == 30
         assert mesh.validate() == []
+        assert mesh.grain == grain
 
     def test_3_3_keeps_counts(self, rng):
         mesh = triangle_star_mesh(rng, 3)
         n_elems = mesh.n_alive
-        n_facets = len(mesh.adjacency)
+        n_facets = len(facet_table(mesh))
         cand = next(c for c in find_candidates(mesh, 0) if c.kind == "3_3")
         apply_flip(mesh, cand)
         assert mesh.n_alive == n_elems
-        assert len(mesh.adjacency) == n_facets
+        assert len(facet_table(mesh)) == n_facets
 
     def test_4_8_counts(self, rng):
         mesh = edge_star_mesh(rng, 4)

@@ -1,8 +1,10 @@
 import csv
+import importlib
 import io
 import math
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -31,6 +33,18 @@ from pentamesh.studies import (
 )
 from pentamesh.bounding import build_bounding_mesh
 from pentamesh.cli import main as cli_main
+
+
+def test_every_module_export_resolves():
+    # a name deleted from a module must leave its __all__ too
+    stale, checked = [], 0
+    for info in pkgutil.iter_modules(pentamesh.__path__):
+        module = importlib.import_module(f"pentamesh.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            checked += 1
+            if not hasattr(module, name):
+                stale.append(f"{info.name}.{name}")
+    assert checked and stale == []
 
 
 class TestProjection:

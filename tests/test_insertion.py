@@ -7,7 +7,7 @@ import pytest
 
 from pentamesh import insertion
 from pentamesh.bounding import build_bounding_mesh
-from pentamesh.geometry import CANONICAL_FACETS, MetricField, Metric4, hypervolume
+from pentamesh.geometry import CANONICAL_FACETS, MetricField, Metric4, _grain, hypervolume
 from pentamesh.insertion import (
     audit_delaunay,
     build_cavity,
@@ -26,7 +26,13 @@ from pentamesh.mesh import (
 )
 from pentamesh.pointsets import generate_hypercylinder_points
 from pentamesh.predicates import inhypersphere_m_d
-from conftest import circumsphere, hypervolume_fraction, insphere_sign_fraction, spd_metric
+from conftest import (
+    circumsphere,
+    facet_table,
+    hypervolume_fraction,
+    insphere_sign_fraction,
+    spd_metric,
+)
 
 
 def brute_force_containing(mesh, p):
@@ -79,7 +85,7 @@ class TestInsideElement:
 
     def test_point_on_shared_facet_counts_inside(self, rng):
         mesh = build_bounding_mesh(rng.random((5, 4)))
-        for key, owners in mesh.adjacency.items():
+        for key, owners in facet_table(mesh).items():
             if len(owners) == 2:
                 p = tuple(np.mean([mesh.vertices[v] for v in key], axis=0))
                 for eid, _li in owners:
@@ -396,17 +402,21 @@ class TestInsertPoint:
         assert f"cavity of {len(cav.elements)} elements" in msg
 
     def test_degenerate_reconnection_leaves_mesh_unchanged(self, rng, monkeypatch):
-        # the vertices, the elements and the neighbour table stay as they were
+        # the vertices, the elements, the neighbour table and the grain stay
+        # as they were, also for a point finer than every vertex
         mesh = triangulate(rng.random((20, 4)), strip_super=False)
-        vertices, elements = list(mesh.vertices), list(mesh.elements)
+        vertices, elements, grain = list(mesh.vertices), list(mesh.elements), mesh.grain
         nbr = [row and list(row) for row in mesh.nbr]
+        p = (2.0 ** -70, 0.25, 0.75, 0.5)
+        assert _grain(p) > grain
         self._degenerate_reconnection(mesh, monkeypatch)
         with pytest.raises(CavityError):
-            insert_point(mesh, tuple(float(c) for c in rng.random(4)))
+            insert_point(mesh, p)
         assert mesh.vertices == vertices
         assert mesh.elements == elements
         assert [row and list(row) for row in mesh.nbr] == nbr
         assert mesh.validate() == []
+        assert mesh.grain == grain
 
     def test_duplicate_names_the_vertex(self, rng):
         pts = rng.random((10, 4))
@@ -575,7 +585,7 @@ def test_interior_facets_have_opposite_orientations(rng):
     mesh = triangulate(pts, strip_super=False)
     from pentamesh.geometry import CANONICAL_FACETS
     n_interior = 0
-    for key, owners in mesh.adjacency.items():
+    for key, owners in facet_table(mesh).items():
         if len(owners) != 2:
             continue
         ordered = []
@@ -626,7 +636,7 @@ class TestAudit:
                     continue
                 res = inhypersphere_m_d(metric, list(mesh.element_points(eid))
                                         + [mesh.vertices[vid]])
-                if res.sign > 0 and abs(res.value) > 0.0:  # the audit's tol=0
+                if res.sign > 0 and abs(res.value) > 0.0:  # the audit's rule
                     expected.append((vid, eid, res.value))
         assert expected and report.violations == expected
         assert report.n_checked == mesh.n_alive * len(vids)
@@ -653,9 +663,21 @@ class TestAudit:
                     continue
                 res = inhypersphere_m_d(metric, list(mesh.element_points(eid))
                                         + [mesh.vertices[vid]])
-                if res.sign > 0 and abs(res.value) > 0.0:  # the audit's tol=0
+                if res.sign > 0 and abs(res.value) > 0.0:  # the audit's rule
                     expected.append((vid, eid, res.value))
         assert expected and report.violations == expected
+
+    def test_constant_metric_as_a_function_matches_the_constant_field(self, rng):
+        # the vertices of a function field that returns one metric everywhere
+        # form one group, so its violations equal the constant field's,
+        # order included
+        m = np.array([[9.0, 2.0, 0.0, 1.0], [2.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.25, 0.0], [1.0, 0.0, 0.0, 4.0]])
+        mesh = triangulate(rng.random((25, 4)))
+        constant = audit_delaunay(mesh, MetricField.constant(m))
+        varying = audit_delaunay(mesh, MetricField.from_function(lambda p: m))
+        assert constant.violations and varying.violations == constant.violations
+        assert varying.n_checked == constant.n_checked
 
     def test_anisotropic_audit_runs(self, rng):
         pts = rng.random((25, 4))

@@ -90,15 +90,6 @@ class TestTableOracle:
         assert_table_matches_tuples(mesh)
         assert mesh.validate() == []
 
-    def test_adjacency_is_a_read_only_view_of_the_table(self, rng):
-        mesh = triangulate(rng.random((12, 4)), strip_super=False)
-        adj = mesh.adjacency
-        owners = facet_owners(mesh)
-        assert {frozenset(k): sorted(v) for k, v in adj.items()} == owners
-        assert all(list(k) == sorted(k) for k in adj)
-        with pytest.raises(TypeError):
-            adj[next(iter(adj))] = ()
-
 
 def simplex_set(mesh):
     return {frozenset(mesh.elements[e]) for e in mesh.alive_elements()}

@@ -1,6 +1,5 @@
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,12 +19,9 @@ from pentamesh.predicates import (
     _orient4_core,
     _orientation_rows,
     decompose_metric,
-    exact_rational_cholesky,
     inhypersphere4,
-    inhypersphere_m,
     inhypersphere_m_d,
     orientation4,
-    orientation_m,
     orientation_m_d,
     scale_points_standard,
 )
@@ -57,7 +53,7 @@ class TestOrientation:
 
     def test_metric_prefactor(self):
         m = np.diag([1.0, 1.0, 1.0, 4.0])
-        r = orientation_m(m, E[0], E[1], E[2], E[3], O4)
+        r = orientation_m_d(m, (E[0], E[1], E[2], E[3], O4))
         assert r.sign == 1
         assert r.value == pytest.approx(2.0)
 
@@ -66,12 +62,12 @@ class TestOrientation:
             pts = rng.normal(size=(5, 4))
             m = spd_metric(rng)
             plain = orientation4(*pts)
-            weighted = orientation_m(m, *pts)
+            weighted = orientation_m_d(m, pts)
             assert plain.sign == weighted.sign
 
     def test_requires_spd(self):
         with pytest.raises(ValueError):
-            orientation_m(np.diag([1.0, 1.0, 1.0, -1.0]), *np.random.rand(5, 4))
+            orientation_m_d(np.diag([1.0, 1.0, 1.0, -1.0]), np.random.rand(5, 4))
 
 
 class TestInHypersphere:
@@ -123,7 +119,7 @@ class TestMetricInHypersphere:
         for _ in range(100):
             pts = [tuple(p) for p in rng.normal(size=(6, 4))]
             a = inhypersphere4(*pts)
-            b = inhypersphere_m(np.eye(4), *pts)
+            b = inhypersphere_m_d(np.eye(4), pts)
             assert a.sign == b.sign
             assert a.value == pytest.approx(b.value, rel=1e-12, abs=1e-300)
 
@@ -131,7 +127,7 @@ class TestMetricInHypersphere:
         # under diag(1,1,1,4) the point (0,0,0,1/2) has metric norm 1
         m = np.diag([1.0, 1.0, 1.0, 4.0])
         pts = [E[0], -E[0], E[1], E[2], (0.0, 0.0, 0.0, 0.5)]
-        inside = inhypersphere_m(m, *pts, O4)
+        inside = inhypersphere_m_d(m, [*pts, O4])
         o = orientation4(*pts)
         assert inside.sign == o.sign
 
@@ -140,7 +136,7 @@ class TestMetricInHypersphere:
         for _ in range(200):
             pts = [tuple(p) for p in rng.normal(size=(6, 4))]
             m = spd_metric(rng)
-            got = inhypersphere_m(m, *pts, mode="exact")
+            got = inhypersphere_m_d(m, pts, mode="exact")
             assert got.sign == insphere_sign_fraction(pts, m)
 
     def test_sign_escalation_soundness(self, rng):
@@ -176,10 +172,10 @@ class TestGeneralDimension:
         for _ in range(50):
             pts = [tuple(p) for p in rng.normal(size=(6, 4))]
             m = spd_metric(rng)
-            a = inhypersphere_m(m, *pts)
+            a = inhypersphere_m_d(Metric4(m), pts)
             b = inhypersphere_m_d(m, pts)
             assert (a.sign, a.value, a.exactness) == (b.sign, b.value, b.exactness)
-            ra = orientation_m(m, *pts[:5])
+            ra = orientation_m_d(Metric4(m), pts[:5])
             rb = orientation_m_d(m, pts[:5])
             assert (ra.sign, ra.value, ra.exactness) == (rb.sign, rb.value, rb.exactness)
 
@@ -277,26 +273,8 @@ class TestStandardRoute:
             m = spd_metric(rng)
             dec = decompose_metric(m, "cholesky")
             scaled = scale_points_standard(dec, pts)
-            assert orientation4(*scaled).sign == orientation_m(m, *pts).sign
+            assert orientation4(*scaled).sign == orientation_m_d(m, pts).sign
 
-    def test_exact_rational_cholesky(self):
-        # assembled from a rational triangular factor: recovered exactly
-        C = [[Fraction(2), Fraction(1, 3), Fraction(0), Fraction(1)],
-             [Fraction(0), Fraction(3, 2), Fraction(1, 5), Fraction(0)],
-             [Fraction(0), Fraction(0), Fraction(1), Fraction(2, 7)],
-             [Fraction(0), Fraction(0), Fraction(0), Fraction(5, 4)]]
-        n = 4
-        M = [[sum(C[k][i] * C[k][j] for k in range(n)) for j in range(n)]
-             for i in range(n)]
-        G = exact_rational_cholesky(M)
-        assert G == C
-        back = [[sum(G[k][i] * G[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
-        assert back == M
-
-    def test_exact_cholesky_rejects_irrational(self):
-        with pytest.raises(ValueError):
-            exact_rational_cholesky([[2, 0], [0, 3]])
 
 
 # ---------------------------------------------------------------------------
