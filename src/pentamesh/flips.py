@@ -8,15 +8,22 @@ kinds place the new vertex at the midpoint / centroid of the shared
 entity, so the replacement is a cone over the union boundary and the
 total hypervolume is conserved exactly in rational arithmetic.
 
-Candidate detection is entity-driven: configurations are recognized from
-the stars of the starter element's facets, triangles, edges, and
-vertices.  A configuration whose stage-1 elements meet a given frozen set
-is dropped as soon as those elements are known, before its rings, links,
-replacement tuples or inserted point are built.  The greedy driver passes
-the elements earlier flips created as that set, ranks a starter's
-candidates by quality gain first and checks only the improving ones with
-:func:`validate_flip`, best first, until one passes; :func:`apply_flip`
-validates again before it changes the mesh.
+Candidate detection is per entity and canonical: configurations are
+recognized from the stars of the starter element's facets, triangles,
+edges and vertices, one builder per entity kind.  A builder reads only
+the entity's sorted vertex tuple and its star, walked in sorted element
+order, so an entity gives the same candidates whichever starter reaches
+it and whatever the iteration order of the mesh's star sets.  Every
+candidate of an entity has that entity's star as stage 1, so a star that
+meets a given frozen set is rejected before its rings, links,
+replacement tuples or inserted point are built.
+
+The greedy driver passes the elements earlier flips created as that set,
+memoises each entity's candidates that pass the gain gate for the length
+of the call (:func:`improve_quality` gives the invalidation rule), ranks
+a starter's candidates by gain, then kind and stage 1, then enumeration
+order, and checks them with :func:`validate_flip`, best first, until one
+passes; :func:`apply_flip` validates again before it changes the mesh.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
 
-from .geometry import CANONICAL_FACETS, hypervolume, hypervolume_exact, resolve_field
+from .geometry import hypervolume, hypervolume_exact, resolve_field
 from .mesh import Mesh4, MeshError
 from .predicates import orientation4
 from .quality import pentatope_quality, quality_metric
@@ -262,7 +269,8 @@ def _closed_triangle_link(tris):
 
 
 def _entity_centroid(mesh: Mesh4, vids) -> tuple:
-    return tuple(sum(mesh.vertices[v][j] for v in vids) / len(vids) for j in range(4))
+    verts = mesh.vertices
+    return tuple(sum(c) / len(vids) for c in zip(*[verts[v] for v in sorted(vids)]))
 
 
 def _mk(kind, elems, stage2, new_entity_vids=None, mesh=None, removed_vertex=None):
@@ -270,6 +278,12 @@ def _mk(kind, elems, stage2, new_entity_vids=None, mesh=None, removed_vertex=Non
     return FlipCandidate(kind=kind, stage1=tuple(sorted(elems)),
                          stage2=tuple(tuple(t) for t in stage2),
                          new_point=new_point, removed_vertex=removed_vertex)
+
+
+def _entity_keys(verts) -> list[tuple[int, ...]]:
+    """Sorted vertex tuples of an element's facets, triangles, edges and vertices, in that order."""
+    verts = sorted(verts)
+    return [key for k in (4, 3, 2, 1) for key in combinations(verts, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -284,196 +298,179 @@ def find_candidates(mesh: Mesh4, starter: int, include_point_inserting: bool = T
     Configurations are matched against the stars of the starter's facets
     (2-4 / 2-8), triangles (3-3 / 3-9 / 4-6 / 4-12), edges (4-2 / 4-8 /
     6-6 / 6-4 / 6-12 / 8-8 / 8-16), and vertices (5-1 and the
-    point-removing reverses).  A configuration whose stage-1 elements
-    meet ``frozen`` is never built, so the result is the unfiltered list,
-    in the same order, less the candidates whose ``stage1`` meets
-    ``frozen``.  Distinct entities of the starter have distinct stars, so
-    no two candidates share kind, stage 1 and stage 2.  An empty list is a
-    perfectly normal outcome.  Geometric validity is *not* checked here;
-    run :func:`validate_flip` on each candidate.
+    point-removing reverses), in that order, then 1-5.  Each entity's
+    candidates come from :func:`_entity_candidates`, which reads only the
+    entity's sorted vertex tuple and its star, walked in sorted element
+    order, so they do not depend on the starter or on set iteration
+    order; :func:`improve_quality` gathers the same candidates in the
+    same order through its memo.  Every candidate of an entity has that
+    entity's star as stage 1, and a star that meets ``frozen`` is never
+    built, so the result is the unfiltered list, in the same order, less
+    the candidates whose ``stage1`` meets ``frozen``.  Distinct entities
+    of the starter have distinct stars, so no two candidates share kind,
+    stage 1 and stage 2.  An empty list is a perfectly normal outcome.
+    Geometric validity is *not* checked here; run :func:`validate_flip`
+    on each candidate.
     """
     if not mesh.alive(starter):
         raise MeshError(f"starter element {starter} is not alive")
     if starter in frozen:
         return []
-    sverts = mesh.elements[starter]
-    out: list[FlipCandidate] = []
-    emit = out.append
-    _facet_family(mesh, starter, sverts, emit, include_point_inserting, frozen)
-    _triangle_family(mesh, starter, sverts, emit, include_point_inserting, frozen)
-    _edge_family(mesh, starter, sverts, emit, include_point_inserting, frozen)
-    _vertex_family(mesh, starter, sverts, emit, frozen)
+    out = [cand for key in _entity_keys(mesh.elements[starter])
+           for cand in _entity_candidates(mesh, key, include_point_inserting, frozen)]
     if include_point_inserting:
-        emit(_mk("1_5", (starter,),
-                 [tuple(v for v in sverts if v != skip) + (NEW_LABEL,)
-                  for skip in reversed(sverts)],
-                 new_entity_vids=sverts, mesh=mesh))
+        out.append(_one_five(mesh, starter))
     return out
 
 
-def _facet_family(mesh, starter, sverts, emit, with_points, frozen):
-    for li in range(5):
-        nb = mesh.neighbor(starter, li)
-        if nb is None or nb[0] in frozen:
-            continue
-        other = nb[0]
-        shared = [sverts[i] for i in CANONICAL_FACETS[li]]
-        apex_s = next(v for v in sverts if v not in shared)
-        apex_o = next(v for v in mesh.elements[other] if v not in shared)
-        stage2 = [tri + (apex_s, apex_o) for tri in combinations(shared, 3)]
-        emit(_mk("2_4", (starter, other), stage2))
-        if with_points:
-            stage2 = [tri + (apex, NEW_LABEL)
-                      for tri in combinations(shared, 3) for apex in (apex_s, apex_o)]
-            emit(_mk("2_8", (starter, other), stage2,
-                     new_entity_vids=shared, mesh=mesh))
+def _one_five(mesh, eid):
+    verts = mesh.elements[eid]
+    return _mk("1_5", (eid,),
+               [tuple(v for v in verts if v != skip) + (NEW_LABEL,) for skip in reversed(verts)],
+               new_entity_vids=verts, mesh=mesh)
 
 
-def _triangle_family(mesh, starter, sverts, emit, with_points, frozen):
-    for tri in combinations(sverts, 3):
-        elems = mesh.elements_with_vertices(tri)
-        if starter not in elems or len(elems) not in (3, 4) or not frozen.isdisjoint(elems):
-            continue
-        pairs = []
-        ok = True
-        for eid in elems:
-            extra = [v for v in mesh.elements[eid] if v not in tri]
-            if len(extra) != 2:
-                ok = False
-                break
-            pairs.append(tuple(extra))
-        if not ok:
-            continue
-        cycle = _ring_cycle(pairs)
-        if cycle is None:
-            continue
-        elems = tuple(sorted(elems))
-        tri_edges = list(combinations(tri, 2))
-        cyc_edges = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
-        if len(elems) == 3:
-            stage2 = [tuple(cycle) + e for e in tri_edges]
-            emit(_mk("3_3", elems, stage2))
-            if with_points:
-                stage2 = [te + ce + (NEW_LABEL,) for te in tri_edges for ce in cyc_edges]
-                emit(_mk("3_9", elems, stage2, new_entity_vids=tri, mesh=mesh))
-        else:  # 4 elements around the triangle, quadrilateral ring
-            for diag in ((cycle[0], cycle[2]), (cycle[1], cycle[3])):
-                off = tuple(v for v in cycle if v not in diag)
-                stage2 = [diag + te + (v,) for te in tri_edges for v in off]
-                emit(_mk("4_6", elems, stage2))
-            if with_points:
-                stage2 = [te + ce + (NEW_LABEL,) for te in tri_edges for ce in cyc_edges]
-                emit(_mk("4_12", elems, stage2, new_entity_vids=tri, mesh=mesh))
+# Star sizes a facet, triangle, edge or vertex configuration can have.
+_STAR_SIZES = {4: (2,), 3: (3, 4), 2: (4, 6, 8), 1: (5, 8, 9, 12, 16)}
 
 
-def _edge_star(mesh, edge, frozen):
-    """Sorted elements and ring triangles of an edge star, or ``(None, None)``.
+def _entity_candidates(mesh, key, with_points, frozen) -> list[FlipCandidate]:
+    """The candidates recognised from the star of one entity, a sorted vertex tuple.
 
-    Only stars of 4, 6 or 8 elements can match an edge-family kind, so any
-    other size is rejected before the ring is built; so is a star that
-    meets ``frozen`` and one whose ring triangles do not form a closed link.
+    Every one has the entity's star as stage 1; a star of another size
+    than its kinds match, or one that meets ``frozen``, gives an empty
+    list without being examined.
     """
-    elems = mesh.elements_with_vertices(edge)
-    if len(elems) not in (4, 6, 8) or not frozen.isdisjoint(elems):
-        return None, None
-    rings = []
-    for eid in elems:
-        extra = tuple(v for v in mesh.elements[eid] if v not in edge)
-        if len(extra) != 3:
-            return None, None
-        rings.append((eid, extra))
-    if not _closed_triangle_link([r for _, r in rings]):
-        return None, None
-    return sorted(e for e, _ in rings), rings
+    star = mesh.star[key[0]] if len(key) == 1 else mesh.elements_with_vertices(key)
+    if len(star) not in _STAR_SIZES[len(key)] or not frozen.isdisjoint(star):
+        return []
+    star = sorted(star)
+    if len(key) == 4:
+        return _facet_candidates(mesh, key, star, with_points)
+    if len(key) == 3:
+        return _triangle_candidates(mesh, key, star, with_points)
+    if len(key) == 2:
+        return _edge_candidates(mesh, key, star, with_points)
+    return _vertex_candidates(mesh, key[0], star)
 
 
-def _edge_family(mesh, starter, sverts, emit, with_points, frozen):
-    for edge in combinations(sverts, 2):
-        elems, rings = _edge_star(mesh, edge, frozen)
-        if elems is None or starter not in elems:
-            continue
-        k = len(elems)
-        ring_tris = [r for _, r in rings]
-        if with_points:
-            kind = {4: "4_8", 6: "6_12a", 8: "8_16"}[k]
-            stage2 = [tri + (end, NEW_LABEL) for tri in ring_tris for end in edge]
-            emit(_mk(kind, elems, stage2, new_entity_vids=edge, mesh=mesh))
-        if k == 4:
-            ring = sorted({v for tri in ring_tris for v in tri})
-            if len(ring) == 4:
-                stage2 = [tuple(ring) + (edge[0],), tuple(ring) + (edge[1],)]
-                emit(_mk("4_2", elems, stage2))
-        elif k == 6:
-            deg = Counter(v for tri in ring_tris for v in tri)
-            apexes = sorted(v for v, c in deg.items() if c == 3)
-            base = sorted(v for v, c in deg.items() if c == 4)
-            if len(apexes) == 2 and len(base) == 3:
-                stage2 = [tuple(apexes) + be + (end,)
-                          for be in combinations(base, 2) for end in edge]
-                emit(_mk("6_6", elems, stage2))
-                stage2 = [tuple(base) + pair for pair in
-                          ((edge[0], apexes[0]), (apexes[0], edge[1]),
-                           (edge[1], apexes[1]), (apexes[1], edge[0]))]
-                emit(_mk("6_4", elems, stage2))
-        elif k == 8:
-            # octahedral link: three antipodal pairs, flip to another pair
-            verts = sorted({v for tri in ring_tris for v in tri})
-            if len(verts) != 6:
-                continue
-            adj = {v: set() for v in verts}
-            for tri in ring_tris:
-                for a, b in combinations(tri, 2):
-                    adj[a].add(b)
-                    adj[b].add(a)
-            antipodes = {}
-            for v in verts:
-                non = [w for w in verts if w != v and w not in adj[v]]
-                if len(non) != 1:
-                    antipodes = None
-                    break
-                antipodes[v] = non[0]
-            if not antipodes:
-                continue
-            pairs = sorted({tuple(sorted((v, antipodes[v]))) for v in verts})
-            if len(pairs) != 3:
-                continue
-            for idx, new_edge in enumerate(pairs):
-                others = [p for p in pairs if p != new_edge]
-                stage2 = [new_edge + (q1, q2, q3)
-                          for q1 in others[0] for q2 in others[1] for q3 in edge]
-                emit(_mk(f"8_8v{idx + 1}", elems, stage2))
+def _facet_candidates(mesh, facet, star, with_points):
+    apexes = tuple(next(v for v in mesh.elements[e] if v not in facet) for e in star)
+    tris = list(combinations(facet, 3))
+    out = [_mk("2_4", star, [tri + apexes for tri in tris])]
+    if with_points:
+        stage2 = [tri + (apex, NEW_LABEL) for tri in tris for apex in apexes]
+        out.append(_mk("2_8", star, stage2, new_entity_vids=facet, mesh=mesh))
+    return out
 
 
-def _vertex_family(mesh, starter, sverts, emit, frozen):
-    for v in sverts:
-        star = mesh.star[v]
-        k = len(star)
-        if k not in (5, 8, 9, 12, 16) or not frozen.isdisjoint(star):
-            continue
-        star = sorted(star)
-        outer_sets = [frozenset(mesh.elements[e]) - {v} for e in star]
-        outer = sorted(set().union(*outer_sets))
-        if k == 5 and len(outer) == 5:
-            if {frozenset(c) for c in combinations(outer, 4)} == set(outer_sets):
-                emit(_mk("5_1", star, [tuple(outer)], removed_vertex=v))
-            continue
-        cnt = Counter(w for s in outer_sets for w in s)
-        if k == 8 and len(outer) == 6:
-            _try_unsplit_tet(mesh, star, v, outer_sets, cnt, emit)
-            _try_unsplit_edge(mesh, star, v, outer_sets, cnt, "8_4", emit)
-        elif k == 9 and len(outer) == 6:
-            _try_unsplit_triangle(mesh, star, v, outer_sets, outer, emit, "9_3")
-        elif k == 12 and len(outer) == 7:
-            _try_unsplit_edge(mesh, star, v, outer_sets, cnt, "12_6a", emit)
-            _try_unsplit_triangle(mesh, star, v, outer_sets, outer, emit, "12_4")
-        elif k == 16 and len(outer) == 8:
-            _try_unsplit_edge(mesh, star, v, outer_sets, cnt, "16_8", emit)
+def _triangle_candidates(mesh, tri, star, with_points):
+    cycle = _ring_cycle([tuple(v for v in mesh.elements[e] if v not in tri) for e in star])
+    if cycle is None:
+        return []
+    tri_edges = list(combinations(tri, 2))
+    if len(star) == 3:
+        out = [_mk("3_3", star, [tuple(cycle) + e for e in tri_edges])]
+    else:  # 4 elements around the triangle, quadrilateral ring
+        out = []
+        for diag in ((cycle[0], cycle[2]), (cycle[1], cycle[3])):
+            off = tuple(v for v in cycle if v not in diag)
+            out.append(_mk("4_6", star, [diag + te + (v,) for te in tri_edges for v in off]))
+    if with_points:
+        cyc_edges = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
+        stage2 = [te + ce + (NEW_LABEL,) for te in tri_edges for ce in cyc_edges]
+        out.append(_mk("3_9" if len(star) == 3 else "4_12", star, stage2,
+                       new_entity_vids=tri, mesh=mesh))
+    return out
 
 
-def _try_unsplit_edge(mesh, star, v, outer_sets, cnt, kind, emit):
-    """Reverse of an edge split: star(v) pairs up across two pole vertices."""
+def _edge_candidates(mesh, edge, star, with_points):
+    # only a star whose ring triangles close into a sphere matches
+    k = len(star)
+    ring_tris = [tuple(v for v in mesh.elements[e] if v not in edge) for e in star]
+    if not _closed_triangle_link(ring_tris):
+        return []
+    out = []
+    if with_points:
+        kind = {4: "4_8", 6: "6_12a", 8: "8_16"}[k]
+        stage2 = [tri + (end, NEW_LABEL) for tri in ring_tris for end in edge]
+        out.append(_mk(kind, star, stage2, new_entity_vids=edge, mesh=mesh))
+    if k == 4:
+        ring = sorted({v for tri in ring_tris for v in tri})
+        if len(ring) == 4:
+            stage2 = [tuple(ring) + (edge[0],), tuple(ring) + (edge[1],)]
+            out.append(_mk("4_2", star, stage2))
+    elif k == 6:
+        deg = Counter(v for tri in ring_tris for v in tri)
+        apexes = sorted(v for v, c in deg.items() if c == 3)
+        base = sorted(v for v, c in deg.items() if c == 4)
+        if len(apexes) == 2 and len(base) == 3:
+            stage2 = [tuple(apexes) + be + (end,)
+                      for be in combinations(base, 2) for end in edge]
+            out.append(_mk("6_6", star, stage2))
+            stage2 = [tuple(base) + pair for pair in
+                      ((edge[0], apexes[0]), (apexes[0], edge[1]),
+                       (edge[1], apexes[1]), (apexes[1], edge[0]))]
+            out.append(_mk("6_4", star, stage2))
+    else:
+        # octahedral link: three antipodal pairs, flip to another pair
+        verts = sorted({v for tri in ring_tris for v in tri})
+        if len(verts) != 6:
+            return out
+        adj = {v: set() for v in verts}
+        for tri in ring_tris:
+            for a, b in combinations(tri, 2):
+                adj[a].add(b)
+                adj[b].add(a)
+        antipodes = {}
+        for v in verts:
+            non = [w for w in verts if w != v and w not in adj[v]]
+            if len(non) != 1:
+                return out
+            antipodes[v] = non[0]
+        pairs = sorted({tuple(sorted((v, antipodes[v]))) for v in verts})
+        if len(pairs) != 3:
+            return out
+        for idx, new_edge in enumerate(pairs):
+            others = [p for p in pairs if p != new_edge]
+            stage2 = [new_edge + (q1, q2, q3)
+                      for q1 in others[0] for q2 in others[1] for q3 in edge]
+            out.append(_mk(f"8_8v{idx + 1}", star, stage2))
+    return out
+
+
+def _vertex_candidates(mesh, v, star):
+    k = len(star)
+    outer_sets = [frozenset(mesh.elements[e]) - {v} for e in star]
+    outer = sorted(set().union(*outer_sets))
+    if k == 5 and len(outer) == 5:
+        if {frozenset(c) for c in combinations(outer, 4)} == set(outer_sets):
+            return [_mk("5_1", star, [tuple(outer)], removed_vertex=v)]
+        return []
+    cnt = Counter(w for s in outer_sets for w in s)
+    if k == 8 and len(outer) == 6:
+        return (_unsplit_tet(star, v, outer_sets, cnt)
+                + _unsplit_edge(star, v, outer_sets, cnt, "8_4"))
+    if k == 9 and len(outer) == 6:
+        return _unsplit_triangle(star, v, outer_sets, outer, "9_3")
+    if k == 12 and len(outer) == 7:
+        return (_unsplit_edge(star, v, outer_sets, cnt, "12_6a")
+                + _unsplit_triangle(star, v, outer_sets, outer, "12_4"))
+    if k == 16 and len(outer) == 8:
+        return _unsplit_edge(star, v, outer_sets, cnt, "16_8")
+    return []
+
+
+def _unsplit_edge(star, v, outer_sets, cnt, kind):
+    """Reverses of an edge split: star(v) pairs up across two pole vertices.
+
+    After a 6-12a or 8-16 split the link of v joins the split edge's ends
+    to a ring with opposite vertex pairs of its own (the bipyramid's
+    apexes, the octahedron's antipodes), so it unsplits across each pair.
+    """
     k = len(star)
     poles = sorted(w for w, c in cnt.items() if c == k // 2)
+    out = []
     for a, b in combinations(poles, 2):
         rings_a = {s - {a} for s in outer_sets if a in s and b not in s}
         rings_b = {s - {b} for s in outer_sets if b in s and a not in s}
@@ -482,26 +479,31 @@ def _try_unsplit_edge(mesh, star, v, outer_sets, cnt, kind, emit):
         if not _closed_triangle_link([tuple(r) for r in rings_a]):
             continue
         stage2 = [tuple(sorted(r)) + (a, b) for r in sorted(rings_a, key=sorted)]
-        emit(_mk(kind, star, stage2, removed_vertex=v))
-        return
+        out.append(_mk(kind, star, stage2, removed_vertex=v))
+    return out
 
 
-def _try_unsplit_tet(mesh, star, v, outer_sets, cnt, emit):
+def _unsplit_tet(star, v, outer_sets, cnt):
     """Reverse of a shared-tet split: 8 elements collapse to a facet pair."""
     apexes = sorted(w for w, c in cnt.items() if c == 4)
     tet = sorted(w for w, c in cnt.items() if c == 6)
     if len(apexes) != 2 or len(tet) != 4:
-        return
+        return []
     want = {frozenset(face) | {apex}
             for face in combinations(tet, 3) for apex in apexes}
     if set(outer_sets) != want:
-        return
-    stage2 = [tuple(tet) + (apexes[0],), tuple(tet) + (apexes[1],)]
-    emit(_mk("8_2", star, stage2, removed_vertex=v))
+        return []
+    return [_mk("8_2", star, [tuple(tet) + (apexes[0],), tuple(tet) + (apexes[1],)],
+                removed_vertex=v)]
 
 
-def _try_unsplit_triangle(mesh, star, v, outer_sets, outer, emit, kind):
-    """Reverse of a shared-triangle split: elements are tri-edge x ring-edge."""
+def _unsplit_triangle(star, v, outer_sets, outer, kind):
+    """Reverses of a shared-triangle split: elements are tri-edge x ring-edge.
+
+    After a 3-9 split the triangle and the ring are both 3-cycles, so
+    either can serve as the triangle.
+    """
+    out = []
     for tri in combinations(outer, 3):
         ring = [w for w in outer if w not in tri]
         ring_pairs = {s - set(tri) for s in outer_sets}
@@ -518,8 +520,8 @@ def _try_unsplit_triangle(mesh, star, v, outer_sets, outer, emit, kind):
         if set(outer_sets) != want:
             continue
         stage2 = [tuple(sorted(tri)) + tuple(sorted(ce)) for ce in cyc_edges]
-        emit(_mk(kind, star, stage2, removed_vertex=v))
-        return
+        out.append(_mk(kind, star, stage2, removed_vertex=v))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +701,7 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
 
     Repeatedly takes the worst alive element that is neither frozen nor a
     previous starter, enumerates the flips in its star that touch no
-    frozen element (:func:`find_candidates` never builds the others), and
+    frozen element (those of :func:`find_candidates`, in its order), and
     executes the geometrically valid one with the largest gain in the
     minimum quality over the affected group; only strict gains count.
     Ties go to the smaller ``(kind, stage1)``, then to the candidate
@@ -711,6 +713,18 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
     :func:`validate_flip` runs on them in that order only until one
     passes.  Elements produced by a flip are frozen; the loop ends when
     every element is frozen or has already served as starter.
+
+    Neighbouring starters share most of their facets, triangles, edges
+    and vertices, so each entity's improving candidates and their gains
+    are memoised for the length of the call; an entity whose star meets
+    the frozen set is memoised as empty without being examined.  Only a
+    flip changes a star, and only the stars of entities of the elements
+    it removes or creates, so those entries are dropped after each flip;
+    a live entry equals a fresh build, because stage-1 qualities and
+    vertex coordinates never change.  The memo gives each starter the
+    candidates of :func:`find_candidates` in the same order, so the
+    tie-breaking above is unchanged.  Validation is not memoised: its
+    duplicate check reads elements outside the star.
     """
     fld = resolve_field(field)
     use_metric = fld.kind != "identity"
@@ -732,8 +746,19 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
     hv_before = float(hv_before_exact)
     n_before = mesh.n_alive
 
+    def gain(cand):
+        """after - before when every replacement beats the group's minimum, else None."""
+        before = min(quality_of[e] for e in cand.stage1)
+        after = math.inf
+        for tup in cand.stage2:
+            after = min(after, quality(_candidate_points(mesh, cand, tup)))
+            if after <= before:
+                return None
+        return after - before
+
     frozen: set[int] = set()
     started: set[int] = set()
+    memo: dict[tuple[int, ...], tuple[tuple[FlipCandidate, float], ...]] = {}
     report = ImprovementReport(
         heuristic=heuristic, flips_by_kind=Counter(),
         n_elements_before=n_before, n_elements_after=n_before,
@@ -749,23 +774,15 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
         started.add(starter)
         report.starters += 1
 
-        ranked = []
-        for cand in find_candidates(mesh, starter, include_point_inserting,
-                                    frozen=frozen):
-            before = min(quality_of[e] for e in cand.stage1)
-            after = math.inf
-            for tup in cand.stage2:
-                after = min(after, quality(_candidate_points(mesh, cand, tup)))
-                if after <= before:
-                    break
-            else:
-                ranked.append(((-(after - before), cand.kind, cand.stage1), cand))
+        ranked = _improving_candidates(mesh, starter, memo, gain,
+                                       include_point_inserting, frozen)
         # stable: equal keys keep enumeration order, so the first seen wins
-        ranked.sort(key=lambda item: item[0])
-        cand = next((c for _, c in ranked if validate_flip(mesh, c)[0]), None)
+        ranked.sort(key=lambda item: (-item[1], item[0].kind, item[0].stage1))
+        cand = next((c for c, _ in ranked if validate_flip(mesh, c)[0]), None)
         if cand is None:
             continue
 
+        stale = [mesh.elements[e] for e in cand.stage1]
         fr = apply_flip(mesh, cand)
         report.flips_by_kind[fr.kind] += 1
         report.flips.append(fr)
@@ -774,6 +791,10 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
         for e in fr.new_elements:
             quality_of[e] = quality(mesh.element_points(e))
             frozen.add(e)
+            stale.append(mesh.elements[e])
+        for verts in stale:
+            for key in _entity_keys(verts):
+                memo.pop(key, None)
 
     qualities_after = [quality_of[e] for e in mesh.alive_elements()]
     hv_after_exact = mesh.total_hypervolume(exact=True)
@@ -782,3 +803,36 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
     report.hypervolume_after = float(hv_after_exact)
     report.hv_conserved_exactly = (hv_after_exact == hv_before_exact)
     return report
+
+
+def _gated_entity(mesh, key, gain, with_points, frozen):
+    """``(candidate, gain)`` for the candidates of one entity that pass ``gain``.
+
+    A tuple, so that the many entities without any share the empty one.
+    """
+    gated = []
+    for cand in _entity_candidates(mesh, key, with_points, frozen):
+        g = gain(cand)
+        if g is not None:
+            gated.append((cand, g))
+    return tuple(gated)
+
+
+def _improving_candidates(mesh, starter, memo, gain, with_points, frozen):
+    """The starter's gated ``(candidate, gain)`` pairs in :func:`find_candidates` order.
+
+    Entity entries come from ``memo``, built by :func:`_gated_entity` on a
+    miss; 1-5 belongs to the starter alone and is gated afresh.
+    """
+    out = []
+    for key in _entity_keys(mesh.elements[starter]):
+        entries = memo.get(key)
+        if entries is None:
+            entries = memo[key] = _gated_entity(mesh, key, gain, with_points, frozen)
+        out += entries
+    if with_points:
+        cand = _one_five(mesh, starter)
+        g = gain(cand)
+        if g is not None:
+            out.append((cand, g))
+    return out

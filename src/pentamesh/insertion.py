@@ -41,7 +41,7 @@ from .predicates import (
     _metric_info,
     _orient4_certified,
     _orient4_core,
-    inhypersphere_m_d,
+    inhypersphere_m_d,  # noqa: F401  no caller here; perfbench/tracing.py wraps this name
     orientation4,
 )
 
@@ -209,7 +209,7 @@ def _in_sphere_rows(mesh: Mesh4, eids: list[int], p, mrows, mdiag, lift):
     Rows whose float bracket the filter certifies are decided by its
     sign; the others by ``lift``, the integer lift of p at the mesh's grain
     (:class:`~pentamesh.predicates._Lift`), made at the first such row.
-    Returns the membership list and the lift.
+    Returns the membership list, the float bracket values and the lift.
     """
     elems, verts = mesh.elements, mesh.vertices
     corners = chain.from_iterable(verts[v] for eid in eids for v in elems[eid])
@@ -221,7 +221,7 @@ def _in_sphere_rows(mesh: Mesh4, eids: list[int], p, mrows, mdiag, lift):
         if lift is None:
             lift = _Lift(verts, p, mesh.grain, mrows, mdiag)
         inside[k] = lift.insphere(elems[eids[k]]) > 0
-    return inside, lift
+    return inside, total, lift
 
 
 def build_cavity(mesh: Mesh4, base: int, p, metric) -> Cavity:
@@ -258,7 +258,7 @@ def build_cavity(mesh: Mesh4, base: int, p, metric) -> Cavity:
                     front.append(nb[0])
         layer = front
         if layer:
-            inside, lift = _in_sphere_rows(mesh, layer, p, mrows, mdiag, lift)
+            inside, _, lift = _in_sphere_rows(mesh, layer, p, mrows, mdiag, lift)
     cav = Cavity(elements)
     cav.boundary = cavity_boundary(mesh, elements)
     return cav
@@ -428,11 +428,24 @@ _AUDIT_BAND = 1e-7  # relative width of the float band escalated to exact
 
 
 def _audit_pairs_exact(mesh, pairs, metric, violations):
-    for vid, eid in pairs:
-        pts = list(mesh.element_points(eid)) + [mesh.vertices[vid]]
-        res = inhypersphere_m_d(metric, pts)
-        if res.sign > 0 and abs(res.value) > 0.0:
-            violations.append((vid, eid, res.value))
+    """Append the ``(vertex, element)`` pairs whose in-sphere sign is positive.
+
+    Each vertex's pairs form one bracket against it, and its uncertified
+    rows share one integer lift (:func:`_in_sphere_rows`), so every sign
+    and value equals :func:`~pentamesh.predicates.inhypersphere_m_d`'s.
+    A pair is decided by its sign alone; violations keep the pair order.
+    """
+    mrows, mdiag, pref = _metric_info(metric, 4)
+    rows_of: dict[int, list[int]] = {}
+    for k, (vid, _) in enumerate(pairs):
+        rows_of.setdefault(vid, []).append(k)
+    found = []
+    for vid, ks in rows_of.items():
+        eids = [pairs[k][1] for k in ks]
+        inside, total, _ = _in_sphere_rows(mesh, eids, mesh.vertices[vid], mrows, mdiag, None)
+        found += [(k, (vid, eid, pref * t))
+                  for k, eid, hit, t in zip(ks, eids, inside, total.tolist()) if hit]
+    violations += [v for _, v in sorted(found)]
 
 
 def _circumspheres(P):
@@ -483,8 +496,10 @@ def audit_delaunay(mesh: Mesh4, field=None) -> AuditReport:
     strictly inside.  Ties (exactly cospherical) pass.  Vertices sharing a
     metric form a group: one for a constant field, one per distinct metric
     for a varying one.  Per group, circumcentres are solved in metric-scaled
-    space, and the pairs the float test cannot clear, element-major, are
-    decided by the exact predicate under that metric.
+    space, and the pairs the float test cannot clear are decided by the
+    signs of the metric in-sphere predicate under that metric: one array
+    bracket per vertex, whose uncertified rows share one integer lift of
+    the vertex.  Violations are listed element-major within a group.
     """
     fld = resolve_field(field)
     elems = [(eid, mesh.elements[eid]) for eid in mesh.alive_elements()]

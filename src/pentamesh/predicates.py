@@ -15,7 +15,8 @@ magnitude of the expansion), and otherwise the sign is evaluated exactly.
 In 4D the exact tier is an integer lift of the query point (:class:`_Lift`):
 the float inputs, dyadic rationals, become integers at one binary scale and
 the float expansions (pair minors, ``_laplace4``) run on them; cavity growth
-shares one lift among an insertion's uncertified rows.  Other dimensions
+shares one lift among an insertion's uncertified rows, and the audit one
+among a query vertex's.  Other dimensions
 use one rational bracket, :func:`_insphere_exact`, and fraction-free
 elimination.  There is no 80-bit middle tier: on
 near-degenerate 4D input an extended-precision retry costs more than the

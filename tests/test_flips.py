@@ -1,6 +1,8 @@
+import copy
 import heapq
 import itertools
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -456,3 +458,93 @@ class TestDriverMatchesReferenceSelector:
         assert len(expected) > 0
         assert got == expected
         assert rep.amq_after == expected_amq
+
+
+# ---------------------------------------------------------------------------
+# canonical per-entity enumeration and the driver's memo
+# ---------------------------------------------------------------------------
+
+def mesh_with_point_flips(seed, n_points, n_flips):
+    """A random Delaunay mesh after up to ``n_flips`` valid point-inserting flips,
+    so that vertex stars the point-removing kinds match occur."""
+    rng = np.random.default_rng(seed)
+    mesh = triangulate(rng.random((n_points, 4)))
+    for _ in range(n_flips):
+        eids = sorted(mesh.alive_elements())
+        eid = eids[int(rng.integers(len(eids)))]
+        valid = [c for c in find_candidates(mesh, eid)
+                 if c.inserts_point and validate_flip(mesh, c)[0]]
+        if valid:
+            apply_flip(mesh, valid[int(rng.integers(len(valid)))])
+    return mesh
+
+
+def test_enumeration_ignores_star_set_order():
+    # the same mesh with every star set rebuilt in another insertion order
+    # iterates its stars differently, yet gives identical candidates
+    mesh = mesh_with_point_flips(3, 30, 6)
+    twin = copy.deepcopy(mesh)
+    rng = np.random.default_rng(0)
+    twin.star = [set(rng.permutation(sorted(s)).tolist()) for s in mesh.star]
+    assert twin.star == mesh.star
+    assert any(list(a) != list(b) for a, b in zip(twin.star, mesh.star))
+    kinds = set()
+    for eid in mesh.alive_elements():
+        got = find_candidates(mesh, eid)
+        assert find_candidates(twin, eid) == got
+        kinds |= {c.kind for c in got}
+    assert {"2_4", "3_3", "4_6", "4_8", "5_1"} <= kinds
+
+
+def _with_memo_hook(hook):
+    """Patch the driver's per-starter gathering to run ``hook(args)`` first."""
+    original = flips._improving_candidates
+
+    def patched(*args):
+        hook(*args)
+        return original(*args)
+
+    return mock.patch.object(flips, "_improving_candidates", patched)
+
+
+class TestMemo:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(8, 20),
+           n_flips=st.integers(0, 3), heuristic=st.sampled_from([1, 2, 3]),
+           with_points=st.booleans())
+    def test_live_entries_equal_a_fresh_build(self, seed, n_points, n_flips,
+                                              heuristic, with_points):
+        # every starter after the first follows either another starter or an
+        # applied flip and its invalidation; each live entry must equal the
+        # gated candidates of its entity built afresh from the mesh as it is
+        checked = []
+
+        def check(mesh, starter, memo, gain, with_points, frozen):
+            for key, entries in memo.items():
+                assert entries == flips._gated_entity(mesh, key, gain, with_points, frozen)
+            checked.append(len(memo))
+
+        mesh = mesh_with_point_flips(seed, n_points, n_flips)
+        with _with_memo_hook(check):
+            rep = improve_quality(mesh, heuristic=heuristic,
+                                  include_point_inserting=with_points)
+        assert len(checked) == rep.starters and sum(checked) > 0
+
+    @pytest.mark.parametrize("field,heuristic,with_points,n_points,seed", [
+        (None, 1, True, 40, 5),
+        (None, 2, True, 30, 11),
+        (MetricField.constant(np.diag([1.0, 4.0, 0.25, 2.0])), 2, False, 35, 7),
+        (MetricField.speed(c0=1.0, beta=0.5, center=0.5), 3, True, 30, 99),
+    ], ids=["identity-eta1", "identity-eta2", "constant-eta2-no-point-flips", "speed-eta3"])
+    def test_memo_equals_a_fresh_memo_per_starter(self, field, heuristic, with_points,
+                                                  n_points, seed):
+        pts = np.random.default_rng(seed).random((n_points, 4))
+        mesh = triangulate(pts, field)
+        twin = triangulate(pts, field)
+        rep = improve_quality(mesh, heuristic=heuristic, field=field,
+                              include_point_inserting=with_points)
+        with _with_memo_hook(lambda mesh, starter, memo, *rest: memo.clear()):
+            fresh = improve_quality(twin, heuristic=heuristic, field=field,
+                                    include_point_inserting=with_points)
+        assert rep.flips and rep == fresh
+        assert (mesh.vertices, mesh.elements, mesh.nbr) == (twin.vertices, twin.elements, twin.nbr)

@@ -636,7 +636,7 @@ class TestAudit:
                     continue
                 res = inhypersphere_m_d(metric, list(mesh.element_points(eid))
                                         + [mesh.vertices[vid]])
-                if res.sign > 0 and abs(res.value) > 0.0:  # the audit's rule
+                if res.sign > 0:  # the audit's rule: the sign alone
                     expected.append((vid, eid, res.value))
         assert expected and report.violations == expected
         assert report.n_checked == mesh.n_alive * len(vids)
@@ -663,9 +663,24 @@ class TestAudit:
                     continue
                 res = inhypersphere_m_d(metric, list(mesh.element_points(eid))
                                         + [mesh.vertices[vid]])
-                if res.sign > 0 and abs(res.value) > 0.0:  # the audit's rule
+                if res.sign > 0:  # the audit's rule: the sign alone
                     expected.append((vid, eid, res.value))
         assert expected and report.violations == expected
+
+    def test_exactly_positive_pair_with_zero_float_value_is_reported(self):
+        # five cospherical lattice points with |x|^2 = 9 and a sixth moved
+        # 2^-51 inside their sphere: the float bracket rounds to exactly 0,
+        # the exact sign is positive, and the sign alone decides
+        corners = [(2.0, 0.0, 1.0, 2.0), (1.0, 2.0, 0.0, -2.0), (-2.0, 0.0, 2.0, -1.0),
+                   (2.0, -2.0, -1.0, 0.0), (0.0, 0.0, 3.0, 0.0)]
+        q = (-2.0, 0.0, -2.0 + 2.0 ** -51, -1.0)
+        res = inhypersphere_m_d(None, corners + [q])
+        assert (res.sign, res.value, res.exactness) == (1, 0.0, "exact")
+        mesh = Mesh4()
+        for p in corners + [q]:
+            mesh.add_vertex(p)
+        mesh.add_element((0, 1, 2, 3, 4))
+        assert audit_delaunay(mesh).violations == [(5, 0, 0.0)]
 
     def test_constant_metric_as_a_function_matches_the_constant_field(self, rng):
         # the vertices of a function field that returns one metric everywhere

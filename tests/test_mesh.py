@@ -173,6 +173,7 @@ class TestCompact:
 class TestFlipThenReverse:
     @settings(max_examples=10, deadline=None)
     @example(seed=57829, heuristic=1)  # an 8_8v1 flip whose reverse is found as 8_8v2
+    @example(seed=1491, heuristic=2)  # a 6_12a flip: its 12_6a reverse has two pole pairs
     @given(seed=st.integers(0, 2**32 - 1), heuristic=st.sampled_from((1, 2)))
     def test_reverse_restores_the_simplex_set(self, seed, heuristic):
         # after each flip improve_quality applies, its reverse kind, applied
