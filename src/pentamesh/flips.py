@@ -4,9 +4,11 @@ Seventeen flip kinds: the five basic moves (1-5, 2-4, 3-3, 4-2, 5-1) and
 twelve extensions of lower-dimensional moves, including three 8-8
 variants.  Each kind is stored as a pair of connectivity stages over
 abstract vertex labels; reverse kinds swap the stages.  Point-inserting
-kinds place the new vertex at the midpoint / centroid of the shared
-entity, so the replacement is a cone over the union boundary and the
-total hypervolume is conserved exactly in rational arithmetic.
+kinds place the new vertex at the rounded midpoint / centroid of the
+shared entity, so the replacement is a cone over the union boundary.  A
+flip is valid only if it conserves the exact hypervolume: float volume
+sums may reject it, and integer volumes decide every candidate they pass
+(Shewchuk's filter pattern, as in the predicates).
 
 Candidate detection is per entity and canonical: configurations are
 recognized from the stars of the starter element's facets, triangles,
@@ -32,12 +34,11 @@ import heapq
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from itertools import combinations
 
-from .geometry import hypervolume, hypervolume_exact, resolve_field
+from .geometry import _hypervolumes_int, hypervolume, resolve_field
 from .mesh import Mesh4, MeshError
-from .predicates import orientation4
+from .predicates import orientation4  # noqa: F401  perfbench/tracing.py wraps this name
 from .quality import pentatope_quality, quality_metric
 
 __all__ = [
@@ -536,69 +537,61 @@ def _boundary_multiset(tuples):
     return Counter({f: 1 for f, c in cnt.items() if c == 1}), max(cnt.values(), default=0)
 
 
-_VOL_RTOL = 1e-12  # relative hypervolume tolerance of float validation
+_VOL_RTOL = 1e-12  # relative hypervolume tolerance of the float pre-filter
 
 
 def _candidate_points(mesh, cand, tup):
     return [cand.new_point if v == NEW_LABEL else mesh.vertices[v] for v in tup]
 
 
-def validate_flip(mesh: Mesh4, cand: FlipCandidate, *, exact: bool = False):
+def validate_flip(mesh: Mesh4, cand: FlipCandidate):
     """Geometric validity of a candidate: (ok, reject_reason).
 
-    Checks that all matched elements are alive, every replacement
-    pentatope is non-degenerate, the total unsigned hypervolume is
-    conserved (exactly, in rational mode, else to the relative
-    ``_VOL_RTOL``), the boundary facet multiset is preserved, and no
-    replacement duplicates an element outside the group.  Validity is
-    metric-free.
+    Checks that all matched elements are alive, the boundary facet
+    multiset is preserved, no replacement duplicates an element outside
+    the group, and, exactly, that no replacement pentatope is degenerate
+    and the total unsigned hypervolume is conserved (:func:`_check_flip`).
+    Validity is metric-free.
+    """
+    reason, _ = _check_flip(mesh, cand)
+    return not reason, reason
+
+
+def _check_flip(mesh, cand):
+    """:func:`validate_flip`'s reject reason, "" if none, and the exact stage-2 volumes.
+
+    Float sums of unsigned volumes that differ by more than the relative
+    ``_VOL_RTOL`` reject; a candidate they pass is decided on the integer
+    volumes of :func:`~pentamesh.geometry._hypervolumes_int`, whose signs
+    (returned for a valid candidate only) orient the replacements.
     """
     if any(not mesh.alive(e) for e in cand.stage1):
-        return False, "dead element in stage 1"
-    stage1_tuples = [mesh.elements[e] for e in cand.stage1]
-    b1, mult1 = _boundary_multiset(stage1_tuples)
+        return "dead element in stage 1", None
+    stage1 = [mesh.elements[e] for e in cand.stage1]
+    b1, mult1 = _boundary_multiset(stage1)
     b2, mult2 = _boundary_multiset(cand.stage2)
     if b1 != b2 or mult1 > 2 or mult2 > 2:
-        return False, "boundary facets not preserved"
+        return "boundary facets not preserved", None
     for tup in cand.stage2:
         ext = set(tup) - {NEW_LABEL}
         for eid in mesh.elements_with_vertices(tuple(ext)) - set(cand.stage1):
             if set(mesh.elements[eid]) == ext:
-                return False, "replacement duplicates an existing element"
-
-    if exact:
-        vol1 = sum(abs(hypervolume_exact(*mesh.element_points(e))) for e in cand.stage1)
-        vol2 = Fraction(0)
-        for tup in cand.stage2:
-            v = hypervolume_exact(*_candidate_points(mesh, cand, tup))
-            if v == 0:
-                return False, "degenerate replacement element"
-            vol2 += abs(v)
-        if vol1 != vol2:
-            return False, "hypervolume not conserved"
-        return True, ""
+                return "replacement duplicates an existing element", None
 
     vol1 = sum(abs(hypervolume(*mesh.element_points(e))) for e in cand.stage1)
-    vol2 = 0.0
-    for tup in cand.stage2:
-        pts = _candidate_points(mesh, cand, tup)
-        v = hypervolume(*pts)
-        # hypervolume is det(q - pts[0]) / 24 over edge vectors whose
-        # coordinates are at most ``scale``: 24 products of four such
-        # entries, so its float error stays below about 10 eps scale^4
-        # (2e-15 scale^4).  The band 24 _VOL_RTOL scale^4 (2.4e-11 scale^4)
-        # exceeds that, and measured on edge vectors it follows the scale
-        # and offset of the cloud.
-        x0, y0, z0, t0 = pts[0]
-        scale = max([max(abs(x - x0), abs(y - y0), abs(z - z0), abs(t - t0))
-                     for x, y, z, t in pts[1:]])
-        if abs(v) <= 24.0 * _VOL_RTOL * scale ** 4:
-            if orientation4(*pts).sign == 0:
-                return False, "degenerate replacement element"
-        vol2 += abs(v)
+    vol2 = sum(abs(hypervolume(*_candidate_points(mesh, cand, tup))) for tup in cand.stage2)
     if abs(vol1 - vol2) > _VOL_RTOL * max(vol1, vol2):
-        return False, "hypervolume not conserved"
-    return True, ""
+        return "hypervolume not conserved", None
+    tuples = stage1 + list(cand.stage2)
+    points = {v: cand.new_point if v == NEW_LABEL else mesh.vertices[v]
+              for tup in tuples for v in tup}
+    dets, _ = _hypervolumes_int(points, tuples)
+    dets1, dets2 = dets[:len(stage1)], dets[len(stage1):]
+    if 0 in dets2:
+        return "degenerate replacement element", None
+    if sum(map(abs, dets1)) != sum(map(abs, dets2)):
+        return "hypervolume not conserved", None
+    return "", dets2
 
 
 @dataclass(frozen=True)
@@ -613,24 +606,20 @@ class FlipReport:
 def apply_flip(mesh: Mesh4, cand: FlipCandidate) -> FlipReport:
     """Execute a validated flip; the mesh is untouched if preconditions fail.
 
-    Replacement pentatopes are normalized to positive orientation; kinds
-    that remove a vertex mark it dead once its star empties.  When
+    The flip is validated again, and the exact volume signs of that
+    validation put each replacement pentatope in positive orientation;
+    kinds that remove a vertex mark it dead once its star empties.  When
     :meth:`~pentamesh.mesh.Mesh4.replace` raises, the vertex a
     point-inserting kind added is removed again before the error propagates.
     """
-    ok, reason = validate_flip(mesh, cand)
-    if not ok:
+    reason, dets = _check_flip(mesh, cand)
+    if reason:
         raise MeshError(f"flip {cand.kind} rejected: {reason}")
-    new_vid = None
+    new_vid = mesh.add_vertex(cand.new_point) if cand.inserts_point else None
     tuples = []
-    if cand.inserts_point:
-        new_vid = mesh.add_vertex(cand.new_point)
-    for tup in cand.stage2:
+    for tup, det in zip(cand.stage2, dets):
         verts = tuple(new_vid if v == NEW_LABEL else v for v in tup)
-        pts = [mesh.vertices[v] for v in verts]
-        if hypervolume(*pts) < 0.0:
-            verts = (verts[1], verts[0]) + verts[2:]
-        tuples.append(verts)
+        tuples.append(verts if det > 0 else (verts[1], verts[0]) + verts[2:])
     try:
         created = tuple(mesh.replace(cand.stage1, tuples))
     except MeshError:
@@ -711,8 +700,9 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
     replacement elements is no better than the group's current minimum,
     the improving candidates are ranked by gain, and
     :func:`validate_flip` runs on them in that order only until one
-    passes.  Elements produced by a flip are frozen; the loop ends when
-    every element is frozen or has already served as starter.
+    passes; its exact test keeps ``hv_conserved_exactly`` true.  Elements
+    produced by a flip are frozen; the loop ends when every element is
+    frozen or has already served as starter.
 
     Neighbouring starters share most of their facets, triangles, edges
     and vertices, so each entity's improving candidates and their gains

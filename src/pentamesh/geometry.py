@@ -138,11 +138,20 @@ def _grain(values) -> int:
     return max(v.as_integer_ratio()[1] for v in values).bit_length() - 1
 
 
-def _hypervolume_int(p1, p2, p3, p4, p5) -> int:
-    """24 times the signed hypervolume of five integer points."""
-    x1, y1, z1, t1 = p1
-    return _det4(*[(p[0] - x1, p[1] - y1, p[2] - z1, p[3] - t1)
-                   for p in (p2, p3, p4, p5)])
+def _hypervolumes_int(points: dict, simplices) -> tuple[list[int], int]:
+    """Exact integer volumes of ``simplices``, 5-tuples of keys of ``points``: ``(dets, den)``.
+
+    Every point is scaled to integers over one denominator ``den``, so
+    ``dets[i]`` is exactly ``24 * den**4`` times the signed hypervolume of
+    simplex ``i``; zero means a degenerate simplex.
+    """
+    ints, den = _scale_to_ints([c for p in points.values() for c in p])
+    pos = dict(zip(points, (ints[k:k + 4] for k in range(0, len(ints), 4))))
+    dets = []
+    for simplex in simplices:
+        (x1, y1, z1, t1), *rest = [pos[k] for k in simplex]
+        dets.append(_det4(*[(x - x1, y - y1, z - z1, t - t1) for x, y, z, t in rest]))
+    return dets, den
 
 
 def hypervolume_exact(p1, p2, p3, p4, p5) -> Fraction:
@@ -150,13 +159,10 @@ def hypervolume_exact(p1, p2, p3, p4, p5) -> Fraction:
 
     Coordinates are floats, ints or ``Fraction``s, numpy's included.  Float
     coordinates convert to rationals without rounding, so this is the exact
-    measure of the simplex stored in the mesh.  The coordinates are scaled
-    to integers over one denominator ``den``; the integer determinant then
-    equals ``24 * den**4`` times the hypervolume.
+    measure of the simplex stored in the mesh.
     """
-    ints, den = _scale_to_ints([c for p in (p1, p2, p3, p4, p5) for c in p])
-    pts = [ints[4 * k:4 * k + 4] for k in range(5)]
-    return Fraction(_hypervolume_int(*pts), 24 * den ** 4)
+    (det,), den = _hypervolumes_int(dict(enumerate((p1, p2, p3, p4, p5))), [range(5)])
+    return Fraction(det, 24 * den ** 4)
 
 
 def _facet_cofactors(a, b, c, d):

@@ -39,8 +39,7 @@ import numpy as np
 from .geometry import (
     FACET_OPPOSITE,
     _grain,
-    _hypervolume_int,
-    _scale_to_ints,
+    _hypervolumes_int,
     as_point4,
     hypervolume,
 )
@@ -370,16 +369,14 @@ class Mesh4:
     def total_hypervolume(self, exact: bool = False):
         """Sum of signed element hypervolumes; a ``Fraction`` when ``exact``.
 
-        The exact sum scales every vertex to integers over one common
-        denominator ``den``, adds the integer determinants, and divides once.
+        The exact sum adds the integer volumes of
+        :func:`~pentamesh.geometry._hypervolumes_int` and divides once.
         """
         if exact:
             tuples = [self.elements[eid] for eid in self.alive_elements()]
-            used = {v for verts in tuples for v in verts}
-            ints, den = _scale_to_ints([c for v in used for c in self.vertices[v]])
-            pos = {v: ints[4 * k:4 * k + 4] for k, v in enumerate(used)}
-            det_sum = sum(_hypervolume_int(*[pos[v] for v in verts]) for verts in tuples)
-            return Fraction(det_sum, 24 * den ** 4)
+            dets, den = _hypervolumes_int({v: self.vertices[v] for verts in tuples
+                                           for v in verts}, tuples)
+            return Fraction(sum(dets), 24 * den ** 4)
         return float(sum(hypervolume(*self.element_points(eid))
                          for eid in self.alive_elements()))
 
@@ -419,7 +416,7 @@ class Mesh4:
                     ())
         return out
 
-    def validate(self, check_orientation: bool = True) -> list[str]:
+    def validate(self) -> list[str]:
         """Invariant audit; returns a list of violation descriptions.
 
         Facet owners are counted once, from the element tuples, and every
@@ -451,6 +448,6 @@ class Mesh4:
                     continue
                 problems.append(f"element {eid} facet {li} {keys[li]} has neighbour "
                                 f"{other} facet {lo}, which {problem}")
-            if check_orientation and hypervolume(*self.element_points(eid)) <= 0.0:
+            if hypervolume(*self.element_points(eid)) <= 0.0:
                 problems.append(f"element {eid} is not positively oriented")
         return problems

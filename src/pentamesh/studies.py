@@ -186,7 +186,7 @@ def predicate_comparison_study(dims=(2, 3, 4, 5, 10), trials: int = 100,
 # ---------------------------------------------------------------------------
 
 def quality_study(sizes=(50, 100, 150, 200, 250, 300), heuristic: int = 1,
-                  seed: int = 0, include_point_inserting: bool = True):
+                  seed: int = 0):
     """Random tesseract clouds: triangulate, strip, improve, tabulate.
 
     Returns (summary_rows, histogram_rows): the summary carries initial and
@@ -201,8 +201,7 @@ def quality_study(sizes=(50, 100, 150, 200, 250, 300), heuristic: int = 1,
         rng = np.random.default_rng(seed + i)
         pts = rng.random((n, 4))
         mesh = triangulate(pts)
-        rep = improve_quality(mesh, heuristic=heuristic,
-                              include_point_inserting=include_point_inserting)
+        rep = improve_quality(mesh, heuristic=heuristic)
         summary.append({"n_points": n, **rep.as_row()})
         for kind, count in sorted(rep.flips_by_kind.items()):
             histogram.append({"n_points": n, "flip": kind, "executions": count})

@@ -171,7 +171,7 @@ def test_criterion_7_flip_tables():
             cands = [c for c in find_candidates(mesh, starter) if c.kind == kind]
             if not cands:
                 continue
-            ok, _r = validate_flip(mesh, cands[0], exact=True)
+            ok, _r = validate_flip(mesh, cands[0])
             if not ok:
                 continue
             hv0 = mesh.total_hypervolume(exact=True)
