@@ -2,23 +2,30 @@
 
 Seventeen flip kinds: the five basic moves (1-5, 2-4, 3-3, 4-2, 5-1) and
 twelve extensions of lower-dimensional moves, including three 8-8
-variants.  Each kind is stored as a pair of connectivity stages over
-abstract vertex labels; reverse kinds swap the stages.  Point-inserting
-kinds place the new vertex at the rounded midpoint / centroid of the
-shared entity, so the replacement is a cone over the union boundary.  A
-flip is valid only if it conserves the exact hypervolume: float volume
-sums may reject it, and integer volumes decide every candidate they pass
-(Shewchuk's filter pattern, as in the predicates).
+variants.  Each kind is published as a pair of connectivity stages over
+abstract vertex labels (:func:`flip_table`); reverse kinds swap the
+stages.  A flip is valid only if it conserves the exact hypervolume:
+float volume sums may reject it, and integer volumes decide every
+candidate they pass (Shewchuk's filter pattern, as in the predicates).
 
-Candidate detection is per entity and canonical: configurations are
-recognized from the stars of the starter element's facets, triangles,
-edges and vertices, one builder per entity kind.  A builder reads only
-the entity's sorted vertex tuple and its star, walked in sorted element
-order, so an entity gives the same candidates whichever starter reaches
-it and whatever the iteration order of the mesh's star sets.  Every
-candidate of an entity has that entity's star as stage 1, so a star that
-meets a given frozen set is rejected before its rings, links,
-replacement tuples or inserted point are built.
+Every kind is one bistellar move joined with the rest of a link (Pachner
+1991; Lickorish, "Simplicial moves on complexes and manifolds", 1999):
+the star σ * ∂τ * K of a vertex, edge, triangle or facet σ becomes
+τ * ∂σ * K, and a point-inserting kind cones the star's boundary to a
+new vertex at the centroid of σ, which for 1-5 is the element itself.
+So the candidate search reads no table: one rule recognises every
+configuration in the star of each entity of the starter
+(:func:`_entity_candidates`), and the tests check it against the tables.
+The rule reads only the entity's vertex tuple and its star, walked in
+sorted element order, so an entity gives the same candidates whichever
+starter reaches it and whatever the iteration order of the mesh's star
+sets.  Every candidate of an entity has that entity's star as stage 1, so
+a star that meets a given frozen set is rejected before its link,
+replacement tuples or inserted point are built.  Where two tables
+describe one configuration the search uses one name (6-12a and 12-6a for
+the b tables, 3-3 and 6-6 for their reverses), and it numbers the 8-8
+reconnections of an edge star by their sorted new edge, so a kind tag
+does not say which published 8-8 table a flip instantiates.
 
 The greedy driver passes the elements earlier flips created as that set,
 memoises each entity's candidates that pass the gain gate for the length
@@ -32,11 +39,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from .geometry import _hypervolumes_int, hypervolume, resolve_field
+from .geometry import FACET_OPPOSITE, _hypervolumes_int, hypervolume, resolve_field
 from .mesh import Mesh4, MeshError
 from .predicates import orientation4  # noqa: F401  perfbench/tracing.py wraps this name
 from .quality import pentatope_quality, quality_metric
@@ -57,9 +64,11 @@ __all__ = [
 #: Placeholder for the inserted vertex in candidate stage-2 tuples.
 NEW_LABEL = -1
 
-# Connectivity tables over abstract labels 1..vertex_count; point-inserting
-# kinds use vertex_count+1 for the new vertex.  new_entity names the labels
-# whose midpoint/centroid receives the inserted point.
+# The published catalog: connectivity tables over abstract labels
+# 1..vertex_count; point-inserting kinds use vertex_count+1 for the new
+# vertex.  new_entity names the labels whose midpoint/centroid receives the
+# inserted point.  The candidate search derives the same configurations from
+# one join rule (_entity_candidates) and does not read these tables.
 _BASE_TABLES = {
     "1_5": dict(
         stage1=((1, 2, 3, 4, 5),),
@@ -228,301 +237,133 @@ class FlipCandidate:
 
 
 # ---------------------------------------------------------------------------
-# entity helpers
+# candidate detection
 # ---------------------------------------------------------------------------
 
-def _ring_cycle(pairs):
-    """Order ring vertices into a simple cycle from its 2-subsets, or None."""
-    adj = defaultdict(list)
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    verts = list(adj)
-    if len(pairs) != len(verts) or any(len(v) != 2 for v in adj.values()):
-        return None
-    cycle = [verts[0]]
-    prev = None
-    while True:
-        nxt = [v for v in adj[cycle[-1]] if v != prev]
-        if not nxt:
-            return None
-        prev = cycle[-1]
-        cycle.append(nxt[0])
-        if cycle[-1] == cycle[0]:
-            break
-        if len(cycle) > len(verts) + 1:
-            return None
-    cycle.pop()
-    return cycle if len(cycle) == len(verts) else None
+# (|σ|, star size, |τ|) -> the kind that turns the star σ * ∂τ * K of the
+# entity σ into τ * ∂σ * K; |τ| = 0 cones ∂σ * link(σ) to a new vertex at the
+# centroid of σ.  "8_8v" is numbered by the sorted new edge τ.
+_KINDS = {
+    (5, 1, 0): "1_5",
+    (4, 2, 0): "2_8", (4, 2, 2): "2_4",
+    (3, 3, 0): "3_9", (3, 3, 3): "3_3", (3, 4, 0): "4_12", (3, 4, 2): "4_6",
+    (2, 4, 0): "4_8", (2, 4, 4): "4_2", (2, 6, 0): "6_12a", (2, 6, 2): "6_6",
+    (2, 6, 3): "6_4", (2, 8, 0): "8_16", (2, 8, 2): "8_8v",
+    (1, 5, 5): "5_1", (1, 8, 2): "8_4", (1, 8, 4): "8_2", (1, 9, 3): "9_3",
+    (1, 12, 2): "12_6a", (1, 12, 3): "12_4", (1, 16, 2): "16_8",
+}
 
-
-def _closed_triangle_link(tris):
-    """True when a set of triangles forms a closed 2-manifold (sphere)."""
-    edge_count = Counter()
-    for tri in tris:
-        for e in combinations(sorted(tri), 2):
-            edge_count[e] += 1
-    if any(c != 2 for c in edge_count.values()):
-        return False
-    verts = {v for tri in tris for v in tri}
-    # Euler characteristic of a sphere
-    return len(verts) - len(edge_count) + len(tris) == 2
-
-
-def _entity_centroid(mesh: Mesh4, vids) -> tuple:
-    verts = mesh.vertices
-    return tuple(sum(c) / len(vids) for c in zip(*[verts[v] for v in sorted(vids)]))
-
-
-def _mk(kind, elems, stage2, new_entity_vids=None, mesh=None, removed_vertex=None):
-    new_point = _entity_centroid(mesh, new_entity_vids) if new_entity_vids else None
-    return FlipCandidate(kind=kind, stage1=tuple(sorted(elems)),
-                         stage2=tuple(tuple(t) for t in stage2),
-                         new_point=new_point, removed_vertex=removed_vertex)
+# Star sizes an entity of each size can have, from the table above.
+_STAR_SIZES = {n: {size for m, size, _ in _KINDS if m == n} for n in range(1, 6)}
 
 
 def _entity_keys(verts) -> list[tuple[int, ...]]:
-    """Sorted vertex tuples of an element's facets, triangles, edges and vertices, in that order."""
-    verts = sorted(verts)
-    return [key for k in (4, 3, 2, 1) for key in combinations(verts, k)]
+    """An element's sorted facets, triangles, edges and vertices, then the element as stored."""
+    ordered = sorted(verts)
+    return [key for k in (4, 3, 2, 1) for key in combinations(ordered, k)] + [tuple(verts)]
 
-
-# ---------------------------------------------------------------------------
-# candidate detection
-# ---------------------------------------------------------------------------
 
 def find_candidates(mesh: Mesh4, starter: int, include_point_inserting: bool = True,
                     *, frozen: set[int] | frozenset[int] = frozenset()
                     ) -> list[FlipCandidate]:
     """All flip configurations in the starter's vertex star that contain it.
 
-    Configurations are matched against the stars of the starter's facets
-    (2-4 / 2-8), triangles (3-3 / 3-9 / 4-6 / 4-12), edges (4-2 / 4-8 /
-    6-6 / 6-4 / 6-12 / 8-8 / 8-16), and vertices (5-1 and the
-    point-removing reverses), in that order, then 1-5.  Each entity's
-    candidates come from :func:`_entity_candidates`, which reads only the
-    entity's sorted vertex tuple and its star, walked in sorted element
-    order, so they do not depend on the starter or on set iteration
-    order; :func:`improve_quality` gathers the same candidates in the
-    same order through its memo.  Every candidate of an entity has that
-    entity's star as stage 1, and a star that meets ``frozen`` is never
-    built, so the result is the unfiltered list, in the same order, less
-    the candidates whose ``stage1`` meets ``frozen``.  Distinct entities
-    of the starter have distinct stars, so no two candidates share kind,
-    stage 1 and stage 2.  An empty list is a perfectly normal outcome.
-    Geometric validity is *not* checked here; run :func:`validate_flip`
-    on each candidate.
+    Configurations are matched against the stars of the starter's facets,
+    triangles, edges and vertices, in that order, and of the starter
+    itself, by :func:`_entity_candidates`.  It reads only the entity's
+    vertex tuple and its star, walked in sorted element order, so the
+    candidates do not depend on the starter or on set iteration order;
+    :func:`improve_quality` gathers the same candidates in the same order
+    through its memo.  Every candidate of an entity has that entity's star
+    as stage 1, and a star that meets ``frozen`` is never built, so the
+    result is the unfiltered list, in the same order, less the candidates
+    whose ``stage1`` meets ``frozen``.  Distinct entities of the starter
+    have distinct stars, so no two candidates share kind, stage 1 and
+    stage 2.  An empty list is a perfectly normal outcome.  Geometric
+    validity is *not* checked here; run :func:`validate_flip` on each
+    candidate.
     """
     if not mesh.alive(starter):
         raise MeshError(f"starter element {starter} is not alive")
     if starter in frozen:
         return []
-    out = [cand for key in _entity_keys(mesh.elements[starter])
-           for cand in _entity_candidates(mesh, key, include_point_inserting, frozen)]
-    if include_point_inserting:
-        out.append(_one_five(mesh, starter))
-    return out
-
-
-def _one_five(mesh, eid):
-    verts = mesh.elements[eid]
-    return _mk("1_5", (eid,),
-               [tuple(v for v in verts if v != skip) + (NEW_LABEL,) for skip in reversed(verts)],
-               new_entity_vids=verts, mesh=mesh)
-
-
-# Star sizes a facet, triangle, edge or vertex configuration can have.
-_STAR_SIZES = {4: (2,), 3: (3, 4), 2: (4, 6, 8), 1: (5, 8, 9, 12, 16)}
+    return [cand for key in _entity_keys(mesh.elements[starter])
+            for cand in _entity_candidates(mesh, key, include_point_inserting, frozen)]
 
 
 def _entity_candidates(mesh, key, with_points, frozen) -> list[FlipCandidate]:
-    """The candidates recognised from the star of one entity, a sorted vertex tuple.
+    """The candidates recognised from the star of one entity σ, a vertex tuple.
 
-    Every one has the entity's star as stage 1; a star of another size
-    than its kinds match, or one that meets ``frozen``, gives an empty
-    list without being examined.
+    The link of σ is what its star's elements hold besides σ.  A
+    point-inserting kind cones ∂σ * link(σ) to the centroid of σ: its
+    stage 2 is ``f + k + (NEW_LABEL,)`` for each facet f of σ and link
+    simplex k.  Every simplex τ with link(σ) = ∂τ * K (:func:`_splits`)
+    gives the reconnection τ * ∂σ * K, stage 2 ``τ + f + k`` for k in K;
+    when σ is a vertex it is removed.  An element's link is the empty
+    simplex alone, so an element has 1-5 only.
+
+    The link of an interior σ is a sphere, and a join ∂τ_1 * ... * ∂τ_m
+    of simplex boundaries is one of its dimension when Σ(|τ_i| - 1) =
+    5 - |σ|.  So the star sizes the kinds match are the products Π|τ_i|
+    = Π(p_i + 1) over the partitions p of 5 - |σ| (``_STAR_SIZES``): 5, 8,
+    9, 12 or 16 for a vertex, 4, 6 or 8 for an edge, 3 or 4 for a triangle,
+    2 for a facet and 1 for an element.  A star of another size, or one that meets
+    ``frozen``, gives an empty list without being examined, and so does a
+    vertex, edge or triangle that a boundary facet of the mesh passes
+    through, whose link is not closed.  Every candidate has the star as
+    stage 1.
     """
     star = mesh.star[key[0]] if len(key) == 1 else mesh.elements_with_vertices(key)
     if len(star) not in _STAR_SIZES[len(key)] or not frozen.isdisjoint(star):
         return []
-    star = sorted(star)
-    if len(key) == 4:
-        return _facet_candidates(mesh, key, star, with_points)
-    if len(key) == 3:
-        return _triangle_candidates(mesh, key, star, with_points)
-    if len(key) == 2:
-        return _edge_candidates(mesh, key, star, with_points)
-    return _vertex_candidates(mesh, key[0], star)
-
-
-def _facet_candidates(mesh, facet, star, with_points):
-    apexes = tuple(next(v for v in mesh.elements[e] if v not in facet) for e in star)
-    tris = list(combinations(facet, 3))
-    out = [_mk("2_4", star, [tri + apexes for tri in tris])]
-    if with_points:
-        stage2 = [tri + (apex, NEW_LABEL) for tri in tris for apex in apexes]
-        out.append(_mk("2_8", star, stage2, new_entity_vids=facet, mesh=mesh))
-    return out
-
-
-def _triangle_candidates(mesh, tri, star, with_points):
-    cycle = _ring_cycle([tuple(v for v in mesh.elements[e] if v not in tri) for e in star])
-    if cycle is None:
+    stage1 = tuple(sorted(star))
+    elements, nbr = mesh.elements, mesh.nbr
+    if len(key) <= 3 and any(elements[e][FACET_OPPOSITE[li]] not in key for e in stage1
+                             if None in nbr[e] for li, nb in enumerate(nbr[e]) if nb is None):
         return []
-    tri_edges = list(combinations(tri, 2))
-    if len(star) == 3:
-        out = [_mk("3_3", star, [tuple(cycle) + e for e in tri_edges])]
-    else:  # 4 elements around the triangle, quadrilateral ring
-        out = []
-        for diag in ((cycle[0], cycle[2]), (cycle[1], cycle[3])):
-            off = tuple(v for v in cycle if v not in diag)
-            out.append(_mk("4_6", star, [diag + te + (v,) for te in tri_edges for v in off]))
-    if with_points:
-        cyc_edges = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
-        stage2 = [te + ce + (NEW_LABEL,) for te in tri_edges for ce in cyc_edges]
-        out.append(_mk("3_9" if len(star) == 3 else "4_12", star, stage2,
-                       new_entity_vids=tri, mesh=mesh))
-    return out
-
-
-def _edge_candidates(mesh, edge, star, with_points):
-    # only a star whose ring triangles close into a sphere matches
-    k = len(star)
-    ring_tris = [tuple(v for v in mesh.elements[e] if v not in edge) for e in star]
-    if not _closed_triangle_link(ring_tris):
-        return []
+    link = [frozenset(elements[e]).difference(key) for e in stage1]
+    facets = list(combinations(key, len(key) - 1))
     out = []
-    if with_points:
-        kind = {4: "4_8", 6: "6_12a", 8: "8_16"}[k]
-        stage2 = [tri + (end, NEW_LABEL) for tri in ring_tris for end in edge]
-        out.append(_mk(kind, star, stage2, new_entity_vids=edge, mesh=mesh))
-    if k == 4:
-        ring = sorted({v for tri in ring_tris for v in tri})
-        if len(ring) == 4:
-            stage2 = [tuple(ring) + (edge[0],), tuple(ring) + (edge[1],)]
-            out.append(_mk("4_2", star, stage2))
-    elif k == 6:
-        deg = Counter(v for tri in ring_tris for v in tri)
-        apexes = sorted(v for v, c in deg.items() if c == 3)
-        base = sorted(v for v, c in deg.items() if c == 4)
-        if len(apexes) == 2 and len(base) == 3:
-            stage2 = [tuple(apexes) + be + (end,)
-                      for be in combinations(base, 2) for end in edge]
-            out.append(_mk("6_6", star, stage2))
-            stage2 = [tuple(base) + pair for pair in
-                      ((edge[0], apexes[0]), (apexes[0], edge[1]),
-                       (edge[1], apexes[1]), (apexes[1], edge[0]))]
-            out.append(_mk("6_4", star, stage2))
-    else:
-        # octahedral link: three antipodal pairs, flip to another pair
-        verts = sorted({v for tri in ring_tris for v in tri})
-        if len(verts) != 6:
-            return out
-        adj = {v: set() for v in verts}
-        for tri in ring_tris:
-            for a, b in combinations(tri, 2):
-                adj[a].add(b)
-                adj[b].add(a)
-        antipodes = {}
-        for v in verts:
-            non = [w for w in verts if w != v and w not in adj[v]]
-            if len(non) != 1:
-                return out
-            antipodes[v] = non[0]
-        pairs = sorted({tuple(sorted((v, antipodes[v]))) for v in verts})
-        if len(pairs) != 3:
-            return out
-        for idx, new_edge in enumerate(pairs):
-            others = [p for p in pairs if p != new_edge]
-            stage2 = [new_edge + (q1, q2, q3)
-                      for q1 in others[0] for q2 in others[1] for q3 in edge]
-            out.append(_mk(f"8_8v{idx + 1}", star, stage2))
+    kind = _KINDS.get((len(key), len(star), 0))
+    if with_points and kind:
+        verts = mesh.vertices
+        centroid = tuple(sum(c) / len(key) for c in zip(*[verts[v] for v in sorted(key)]))
+        ks = [tuple(sorted(k)) for k in link]
+        out.append(FlipCandidate(kind, stage1, tuple(f + k + (NEW_LABEL,) for f in facets
+                                                     for k in ks), new_point=centroid))
+    removed = key[0] if len(key) == 1 else None
+    for n, (tau, rest) in enumerate(_splits(link), 1):
+        kind = _KINDS.get((len(key), len(star), len(tau)))
+        if kind:  # the 8-8 reconnections are their edge star's only splits
+            out.append(FlipCandidate(kind + str(n) if kind == "8_8v" else kind, stage1,
+                                     tuple(tau + f + k for f in facets for k in rest),
+                                     removed_vertex=removed))
     return out
 
 
-def _vertex_candidates(mesh, v, star):
-    k = len(star)
-    outer_sets = [frozenset(mesh.elements[e]) - {v} for e in star]
-    outer = sorted(set().union(*outer_sets))
-    if k == 5 and len(outer) == 5:
-        if {frozenset(c) for c in combinations(outer, 4)} == set(outer_sets):
-            return [_mk("5_1", star, [tuple(outer)], removed_vertex=v)]
-        return []
-    cnt = Counter(w for s in outer_sets for w in s)
-    if k == 8 and len(outer) == 6:
-        return (_unsplit_tet(star, v, outer_sets, cnt)
-                + _unsplit_edge(star, v, outer_sets, cnt, "8_4"))
-    if k == 9 and len(outer) == 6:
-        return _unsplit_triangle(star, v, outer_sets, outer, "9_3")
-    if k == 12 and len(outer) == 7:
-        return (_unsplit_edge(star, v, outer_sets, cnt, "12_6a")
-                + _unsplit_triangle(star, v, outer_sets, outer, "12_4"))
-    if k == 16 and len(outer) == 8:
-        return _unsplit_edge(star, v, outer_sets, cnt, "16_8")
-    return []
+def _splits(link):
+    """Every ``(τ, K)`` with link = ∂τ * K, sorted; τ and the simplices of K are sorted tuples.
 
-
-def _unsplit_edge(star, v, outer_sets, cnt, kind):
-    """Reverses of an edge split: star(v) pairs up across two pole vertices.
-
-    After a 6-12a or 8-16 split the link of v joins the split edge's ends
-    to a ring with opposite vertex pairs of its own (the bipyramid's
-    apexes, the octahedron's antipodes), so it unsplits across each pair.
+    ``link`` is a list of vertex sets.  A simplex of ∂τ * K omits exactly
+    one vertex of τ, so τ holds exactly one vertex x that ``link[0]``
+    leaves out, and the link simplices without x are τ less x joined with
+    each simplex of K, which in a closed link share no vertex.  So for each
+    such x, τ less x is what all simplices lacking x share, and their
+    residues are K.  It is accepted when there are len(link) / |τ| of them
+    and each, with a vertex y of τ less x swapped for x, is a link simplex
+    too: then the link holds the |τ| |K| distinct simplices (τ - y) ∪ k,
+    and nothing else.
     """
-    k = len(star)
-    poles = sorted(w for w, c in cnt.items() if c == k // 2)
+    members = set(link)
     out = []
-    for a, b in combinations(poles, 2):
-        rings_a = {s - {a} for s in outer_sets if a in s and b not in s}
-        rings_b = {s - {b} for s in outer_sets if b in s and a not in s}
-        if len(rings_a) != k // 2 or rings_a != rings_b:
-            continue
-        if not _closed_triangle_link([tuple(r) for r in rings_a]):
-            continue
-        stage2 = [tuple(sorted(r)) + (a, b) for r in sorted(rings_a, key=sorted)]
-        out.append(_mk(kind, star, stage2, removed_vertex=v))
-    return out
-
-
-def _unsplit_tet(star, v, outer_sets, cnt):
-    """Reverse of a shared-tet split: 8 elements collapse to a facet pair."""
-    apexes = sorted(w for w, c in cnt.items() if c == 4)
-    tet = sorted(w for w, c in cnt.items() if c == 6)
-    if len(apexes) != 2 or len(tet) != 4:
-        return []
-    want = {frozenset(face) | {apex}
-            for face in combinations(tet, 3) for apex in apexes}
-    if set(outer_sets) != want:
-        return []
-    return [_mk("8_2", star, [tuple(tet) + (apexes[0],), tuple(tet) + (apexes[1],)],
-                removed_vertex=v)]
-
-
-def _unsplit_triangle(star, v, outer_sets, outer, kind):
-    """Reverses of a shared-triangle split: elements are tri-edge x ring-edge.
-
-    After a 3-9 split the triangle and the ring are both 3-cycles, so
-    either can serve as the triangle.
-    """
-    out = []
-    for tri in combinations(outer, 3):
-        ring = [w for w in outer if w not in tri]
-        ring_pairs = {s - set(tri) for s in outer_sets}
-        ring_pairs = {frozenset(p) for p in ring_pairs if len(p) == 2 and set(p) <= set(ring)}
-        if len(ring) == 3:
-            cyc_edges = [frozenset(e) for e in combinations(ring, 2)]
-        else:
-            cycle = _ring_cycle([tuple(p) for p in ring_pairs])
-            if cycle is None or set(cycle) != set(ring):
-                continue
-            cyc_edges = [frozenset((cycle[i], cycle[(i + 1) % len(cycle)]))
-                         for i in range(len(cycle))]
-        want = {frozenset(te) | ce for te in combinations(tri, 2) for ce in cyc_edges}
-        if set(outer_sets) != want:
-            continue
-        stage2 = [tuple(sorted(tri)) + tuple(sorted(ce)) for ce in cyc_edges]
-        out.append(_mk(kind, star, stage2, removed_vertex=v))
-    return out
+    for x in frozenset().union(*link) - link[0]:
+        lacking = [s for s in link if x not in s]
+        common = frozenset.intersection(*lacking)
+        if len(lacking) * (len(common) + 1) == len(link) and all(
+                s.difference((y,)).union((x,)) in members for s in lacking for y in common):
+            out.append((tuple(sorted(common | {x})),
+                        [tuple(sorted(s - common)) for s in lacking]))
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +388,8 @@ def _candidate_points(mesh, cand, tup):
 def validate_flip(mesh: Mesh4, cand: FlipCandidate):
     """Geometric validity of a candidate: (ok, reject_reason).
 
-    Checks that all matched elements are alive, the boundary facet
+    Checks that all matched elements are alive, a removed vertex belongs
+    to stage-1 elements only and to no replacement, the boundary facet
     multiset is preserved, no replacement duplicates an element outside
     the group, and, exactly, that no replacement pentatope is degenerate
     and the total unsigned hypervolume is conserved (:func:`_check_flip`).
@@ -567,6 +409,10 @@ def _check_flip(mesh, cand):
     """
     if any(not mesh.alive(e) for e in cand.stage1):
         return "dead element in stage 1", None
+    gone = cand.removed_vertex
+    if gone is not None and (not mesh.star[gone] <= set(cand.stage1)
+                             or any(gone in tup for tup in cand.stage2)):
+        return "removed vertex still in use", None
     stage1 = [mesh.elements[e] for e in cand.stage1]
     b1, mult1 = _boundary_multiset(stage1)
     b2, mult2 = _boundary_multiset(cand.stage2)
@@ -705,13 +551,14 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
     frozen or has already served as starter.
 
     Neighbouring starters share most of their facets, triangles, edges
-    and vertices, so each entity's improving candidates and their gains
-    are memoised for the length of the call; an entity whose star meets
-    the frozen set is memoised as empty without being examined.  Only a
-    flip changes a star, and only the stars of entities of the elements
-    it removes or creates, so those entries are dropped after each flip;
-    a live entry equals a fresh build, because stage-1 qualities and
-    vertex coordinates never change.  The memo gives each starter the
+    and vertices, so the improving candidates and gains of each entity,
+    the starter itself among them, are memoised for the length of the
+    call; an entity whose star meets the frozen set is memoised as empty
+    without being examined.  Only a flip changes a star, and only the
+    stars of entities of the elements it removes or creates, so those
+    entries are dropped after each flip; a live entry equals a fresh
+    build, because stage-1 qualities and vertex coordinates never
+    change.  The memo gives each starter the
     candidates of :func:`find_candidates` in the same order, so the
     tie-breaking above is unchanged.  Validation is not memoised: its
     duplicate check reads elements outside the star.
@@ -811,8 +658,7 @@ def _gated_entity(mesh, key, gain, with_points, frozen):
 def _improving_candidates(mesh, starter, memo, gain, with_points, frozen):
     """The starter's gated ``(candidate, gain)`` pairs in :func:`find_candidates` order.
 
-    Entity entries come from ``memo``, built by :func:`_gated_entity` on a
-    miss; 1-5 belongs to the starter alone and is gated afresh.
+    Entity entries come from ``memo``, built by :func:`_gated_entity` on a miss.
     """
     out = []
     for key in _entity_keys(mesh.elements[starter]):
@@ -820,9 +666,4 @@ def _improving_candidates(mesh, starter, memo, gain, with_points, frozen):
         if entries is None:
             entries = memo[key] = _gated_entity(mesh, key, gain, with_points, frozen)
         out += entries
-    if with_points:
-        cand = _one_five(mesh, starter)
-        g = gain(cand)
-        if g is not None:
-            out.append((cand, g))
     return out

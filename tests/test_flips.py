@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import heapq
 import itertools
 from collections import Counter
@@ -22,6 +23,7 @@ from pentamesh.flips import (
     validate_flip,
 )
 from pentamesh.geometry import (
+    CANONICAL_FACETS,
     MetricField,
     _grain,
     hypervolume,
@@ -161,6 +163,10 @@ class TestStaticTables:
         assert len(t.stage1) == 8 and len(t.stage2) == 16
 
 
+# tables whose configuration the candidate search names after another table
+SEARCH_ALIAS = {"6_12b": "6_12a", "12_6b": "12_6a", "3_3r": "3_3", "6_6r": "6_6"}
+
+
 class TestCandidates:
     def test_isolated_element_only_1_5(self, rng):
         mesh = single_element_mesh(rng)
@@ -211,6 +217,28 @@ class TestCandidates:
         keys = [(c.kind, frozenset(c.stage1), frozenset(map(frozenset, c.stage2)))
                 for c in full]
         assert len(set(keys)) == len(keys)
+        # the join rule's invariant: stage 2 has the boundary of the star it replaces
+        for c in full:
+            b1, m1 = flips._boundary_multiset([mesh.elements[e] for e in c.stage1])
+            b2, m2 = flips._boundary_multiset(c.stage2)
+            assert b1 == b2 and m1 <= 2 and m2 <= 2, c
+
+    @pytest.mark.parametrize("kind", flip_kinds())
+    def test_tables_drive_the_search(self, kind):
+        # a mesh of a table's stage 1 offers its stage 2, under the name the search
+        # gives that configuration; label l is vertex l - 1, and vertex_count + 1
+        # labels the inserted or removed vertex
+        table = flip_table(kind)
+        new = table.vertex_count + 1
+        coords = np.random.default_rng(0).random((new, 4))
+        mesh = Mesh4.from_arrays(coords, [tuple(v - 1 for v in tup) for tup in table.stage1])
+        want = {frozenset(NEW_LABEL if v == new else v - 1 for v in tup) for tup in table.stage2}
+        names = {c.kind for e in mesh.alive_elements() for c in find_candidates(mesh, e)
+                 if len(c.stage1) == mesh.n_alive and set(map(frozenset, c.stage2)) == want}
+        if kind.startswith("8_8v"):  # numbered by the new edge, not by the table
+            assert len(names) == 1 and names.pop() in {"8_8v1", "8_8v2", "8_8v3"}
+        else:
+            assert names == {SEARCH_ALIAS.get(kind, kind)}
 
 
 class TestValidity:
@@ -340,6 +368,26 @@ class TestApplication:
         assert len(mesh.vertices) == 30
         assert mesh.validate() == []
         assert mesh.grain == grain
+
+    @pytest.mark.parametrize("outside", [False, True], ids=["in-stage-2", "star-outside"])
+    def test_bad_removed_vertex_rejected_before_any_change(self, outside):
+        # a vertex a replacement uses, or one with elements outside stage 1,
+        # cannot be removed; apply_flip must refuse before it changes the mesh
+        mesh = facet_pair_mesh(np.random.default_rng(0))
+        cand = next(c for c in find_candidates(mesh, 0) if c.kind == "2_4")
+        vid = cand.stage2[0][0]
+        if outside:
+            li = mesh.nbr[0].index(None)
+            facet = tuple(mesh.elements[0][i] for i in CANONICAL_FACETS[li])
+            vid = mesh.add_vertex((5.0, 5.0, 5.0, 5.0))
+            add_positive(mesh, facet + (vid,))
+        bad = dataclasses.replace(cand, removed_vertex=vid)
+        before = copy.deepcopy(mesh)
+        assert validate_flip(mesh, bad) == (False, "removed vertex still in use")
+        with pytest.raises(MeshError, match="removed vertex still in use"):
+            apply_flip(mesh, bad)
+        assert (mesh.elements, mesh.nbr, mesh.star, mesh.vertex_alive) == (
+            before.elements, before.nbr, before.star, before.vertex_alive)
 
     def test_3_3_keeps_counts(self, rng):
         mesh = triangle_star_mesh(rng, 3)
