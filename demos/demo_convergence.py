@@ -17,7 +17,7 @@ print(f"exact hypervolume: {hypercylinder_exact_hypervolume(1.0, 4.0):.5f} "
       f"(= 16 pi / 3 = {16 * math.pi / 3:.5f})")
 
 for metric in ("identity", "speed"):
-    res = convergence_study(levels=3, h0=1.0, refine=1.5, metric=metric, seed=0)
+    res = convergence_study(levels=3, refine=1.5, metric=metric, seed=0)
     print(f"\n--- {metric} metric ---")
     print(f"{'level':>5} {'points':>7} {'pentatopes':>11} {'HV':>9} {'error':>8} {'h':>7}")
     for r in res.rows:

@@ -9,7 +9,6 @@ roughness-optimality machinery for anisotropic Delaunay triangulations.
 """
 
 from .bounding import (
-    BoundingBox4,
     SubdivisionTable,
     TESSERACT_CORNERS,
     TESSERACT_CORNERS_BINARY,

@@ -18,7 +18,6 @@ from .geometry import hypervolume
 from .mesh import Mesh4, MeshError
 
 __all__ = [
-    "BoundingBox4",
     "SubdivisionTable",
     "TESSERACT_CORNERS",
     "build_bounding_mesh",
@@ -94,26 +93,6 @@ class SubdivisionTable:
     tuples: tuple
 
 
-@dataclass(frozen=True)
-class BoundingBox4:
-    """Axis-aligned box of the input cloud, before margin inflation."""
-
-    lo: tuple[float, float, float, float]
-    hi: tuple[float, float, float, float]
-    margin: float
-
-    def inflated(self) -> tuple[tuple, tuple]:
-        """Equal-sided tesseract bounds: max extent plus two margin pads."""
-        extents = [self.hi[j] - self.lo[j] for j in range(4)]
-        diag = float(np.sqrt(sum(e * e for e in extents)))
-        pad = self.margin * (diag if diag > 0.0 else 1.0)
-        side = max(extents) + 2.0 * pad
-        centers = [(self.lo[j] + self.hi[j]) / 2.0 for j in range(4)]
-        lo = tuple(c - side / 2.0 for c in centers)
-        hi = tuple(c + side / 2.0 for c in centers)
-        return lo, hi
-
-
 def subdivision_table(n_b: int) -> SubdivisionTable:
     """The published tesseract subdivision with ``n_b`` in {22, 23, 24}."""
     try:
@@ -127,10 +106,10 @@ def subdivision_table(n_b: int) -> SubdivisionTable:
 def build_bounding_mesh(points, n_b: int = 24, margin: float = 1.0) -> Mesh4:
     """Mesh the bounding tesseract of a point cloud with ``n_b`` pentatopes.
 
-    The tesseract is the axis-aligned cube covering all points, inflated by
-    ``margin`` times the bounding-box diagonal (one absolute unit for a
-    single point).  The 16 corners become super vertices; every element is
-    normalized to positive orientation.
+    The tesseract is the equal-sided cube centred on the points' bounding
+    box, with side the box's largest extent plus twice ``margin`` times its
+    diagonal (one absolute unit for a single point).  The 16 corners become
+    super vertices; every element is normalized to positive orientation.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 4 or pts.shape[0] < 1:
@@ -138,8 +117,11 @@ def build_bounding_mesh(points, n_b: int = 24, margin: float = 1.0) -> Mesh4:
     if margin <= 0.0:
         raise ValueError("margin must be positive")
     table = subdivision_table(n_b)
-    box = BoundingBox4(tuple(pts.min(axis=0)), tuple(pts.max(axis=0)), margin)
-    lo, hi = box.inflated()
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    extents = hi - lo
+    diag = float(np.sqrt(sum(e * e for e in extents)))
+    half = (max(extents) + 2.0 * margin * (diag if diag > 0.0 else 1.0)) / 2.0
+    lo, hi = tuple((lo + hi) / 2.0 - half), tuple((lo + hi) / 2.0 + half)
 
     mesh = Mesh4()
     for corner in table.corners:

@@ -34,17 +34,19 @@ from .studies import (
 
 
 def parse_metric(spec: str) -> MetricField:
-    """'identity' or 'speed:c0,beta[,center]'."""
+    """'identity' or 'speed[:c0[,beta[,center]]]'; anything else is an argument error."""
     if spec == "identity":
         return MetricField.identity()
-    if spec.startswith("speed"):
-        params = spec.split(":", 1)[1] if ":" in spec else ""
-        vals = [float(x) for x in params.split(",") if x] if params else []
-        defaults = [1.0, 0.1, 2.0]
-        vals = vals + defaults[len(vals):]
-        return MetricField.speed(c0=vals[0], beta=vals[1], center=vals[2])
+    name, _, params = spec.partition(":")
+    if name == "speed":
+        try:
+            vals = [float(x) for x in params.split(",") if x]
+        except ValueError:
+            vals = None
+        if vals is not None and len(vals) <= 3:
+            return MetricField.speed(*vals)
     raise argparse.ArgumentTypeError(
-        f"unknown metric {spec!r}; use 'identity' or 'speed:c0,beta'")
+        f"unknown metric {spec!r}; use 'identity' or 'speed:c0,beta[,center]'")
 
 
 def _open_out(path):

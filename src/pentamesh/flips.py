@@ -37,7 +37,6 @@ passes; :func:`apply_flip` validates again before it changes the mesh.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -65,97 +64,83 @@ __all__ = [
 NEW_LABEL = -1
 
 # The published catalog: connectivity tables over abstract labels
-# 1..vertex_count; point-inserting kinds use vertex_count+1 for the new
-# vertex.  new_entity names the labels whose midpoint/centroid receives the
-# inserted point.  The candidate search derives the same configurations from
-# one join rule (_entity_candidates) and does not read these tables.
+# 1..vertex_count, the labels of stage 1; a point-inserting kind's stage 2
+# adds label vertex_count+1 for the new vertex, placed at the centroid of
+# new_entity, the labels every stage-1 element shares.  _build_tables derives
+# both fields.  The candidate search derives the same configurations from one
+# join rule (_entity_candidates) and does not read these tables.
 _BASE_TABLES = {
     "1_5": dict(
         stage1=((1, 2, 3, 4, 5),),
         stage2=((1, 2, 3, 4, 6), (2, 3, 4, 5, 6), (1, 3, 4, 5, 6),
-                (1, 2, 4, 5, 6), (1, 2, 3, 5, 6)),
-        vertex_count=5, new_entity=(1, 2, 3, 4, 5)),
+                (1, 2, 4, 5, 6), (1, 2, 3, 5, 6))),
     "2_4": dict(
         stage1=((1, 2, 3, 4, 5), (1, 2, 3, 5, 6)),
-        stage2=((1, 2, 3, 4, 6), (1, 2, 4, 5, 6), (2, 3, 4, 5, 6), (1, 3, 4, 5, 6)),
-        vertex_count=6, new_entity=None),
+        stage2=((1, 2, 3, 4, 6), (1, 2, 4, 5, 6), (2, 3, 4, 5, 6), (1, 3, 4, 5, 6))),
     "3_3": dict(
         stage1=((1, 2, 3, 4, 5), (1, 2, 4, 5, 6), (1, 3, 4, 5, 6)),
-        stage2=((1, 2, 3, 4, 6), (2, 3, 4, 5, 6), (1, 2, 3, 5, 6)),
-        vertex_count=6, new_entity=None),
+        stage2=((1, 2, 3, 4, 6), (2, 3, 4, 5, 6), (1, 2, 3, 5, 6))),
     "4_8": dict(
         stage1=((1, 2, 3, 4, 5), (1, 2, 4, 5, 6), (2, 3, 4, 5, 6), (1, 2, 3, 4, 6)),
         stage2=((1, 3, 4, 5, 7), (1, 2, 3, 5, 7), (1, 4, 5, 6, 7), (1, 2, 5, 6, 7),
-                (3, 4, 5, 6, 7), (2, 3, 5, 6, 7), (1, 3, 4, 6, 7), (1, 2, 3, 6, 7)),
-        vertex_count=6, new_entity=(2, 4)),
+                (3, 4, 5, 6, 7), (2, 3, 5, 6, 7), (1, 3, 4, 6, 7), (1, 2, 3, 6, 7))),
     "3_9": dict(
         stage1=((1, 2, 3, 4, 5), (1, 2, 4, 5, 6), (2, 3, 4, 5, 6)),
         stage2=((1, 2, 3, 4, 7), (1, 3, 4, 5, 7), (1, 2, 3, 5, 7),
                 (1, 4, 5, 6, 7), (1, 2, 5, 6, 7), (1, 2, 4, 6, 7),
-                (3, 4, 5, 6, 7), (2, 3, 5, 6, 7), (2, 3, 4, 6, 7)),
-        vertex_count=6, new_entity=(2, 4, 5)),
+                (3, 4, 5, 6, 7), (2, 3, 5, 6, 7), (2, 3, 4, 6, 7))),
     "6_6": dict(
         stage1=((1, 2, 3, 4, 5), (1, 2, 4, 5, 6), (1, 3, 4, 5, 6),
                 (2, 3, 4, 5, 7), (2, 4, 5, 6, 7), (3, 4, 5, 6, 7)),
         stage2=((1, 2, 3, 4, 7), (1, 2, 4, 6, 7), (1, 3, 4, 6, 7),
-                (1, 2, 3, 5, 7), (1, 2, 5, 6, 7), (1, 3, 5, 6, 7)),
-        vertex_count=7, new_entity=None),
+                (1, 2, 3, 5, 7), (1, 2, 5, 6, 7), (1, 3, 5, 6, 7))),
     "6_12a": dict(
         stage1=((1, 2, 3, 4, 5), (1, 2, 4, 5, 6), (1, 3, 4, 5, 6),
                 (2, 3, 4, 5, 7), (2, 4, 5, 6, 7), (3, 4, 5, 6, 7)),
         stage2=((1, 2, 3, 4, 8), (2, 3, 4, 7, 8), (1, 2, 4, 6, 8), (2, 4, 6, 7, 8),
                 (1, 3, 4, 6, 8), (3, 4, 6, 7, 8), (1, 2, 3, 5, 8), (2, 3, 5, 7, 8),
-                (1, 2, 5, 6, 8), (2, 5, 6, 7, 8), (1, 3, 5, 6, 8), (3, 5, 6, 7, 8)),
-        vertex_count=7, new_entity=(4, 5)),
+                (1, 2, 5, 6, 8), (2, 5, 6, 7, 8), (1, 3, 5, 6, 8), (3, 5, 6, 7, 8))),
     "2_8": dict(
         stage1=((1, 2, 3, 4, 5), (1, 2, 3, 5, 6)),
         stage2=((1, 2, 3, 4, 7), (2, 3, 4, 5, 7), (1, 3, 4, 5, 7), (1, 2, 4, 5, 7),
-                (2, 3, 5, 6, 7), (1, 3, 5, 6, 7), (1, 2, 5, 6, 7), (1, 2, 3, 6, 7)),
-        vertex_count=6, new_entity=(1, 2, 3, 5)),
+                (2, 3, 5, 6, 7), (1, 3, 5, 6, 7), (1, 2, 5, 6, 7), (1, 2, 3, 6, 7))),
     "4_6": dict(
         stage1=((1, 2, 3, 4, 5), (2, 3, 4, 5, 6), (1, 2, 3, 4, 7), (2, 3, 4, 6, 7)),
         stage2=((1, 2, 3, 6, 7), (1, 3, 4, 6, 7), (1, 2, 4, 5, 6),
-                (1, 3, 4, 5, 6), (1, 2, 3, 5, 6), (1, 2, 4, 6, 7)),
-        vertex_count=7, new_entity=None),
+                (1, 3, 4, 5, 6), (1, 2, 3, 5, 6), (1, 2, 4, 6, 7))),
     "8_8v1": dict(
         stage1=((1, 2, 5, 6, 7), (2, 3, 5, 6, 7), (3, 4, 5, 6, 7), (1, 4, 5, 6, 7),
                 (1, 2, 5, 6, 8), (2, 3, 5, 6, 8), (3, 4, 5, 6, 8), (1, 4, 5, 6, 8)),
         stage2=((1, 2, 4, 5, 7), (2, 3, 4, 5, 7), (1, 2, 4, 6, 7), (2, 3, 4, 6, 7),
-                (1, 2, 4, 5, 8), (2, 3, 4, 5, 8), (1, 2, 4, 6, 8), (2, 3, 4, 6, 8)),
-        vertex_count=8, new_entity=None),
+                (1, 2, 4, 5, 8), (2, 3, 4, 5, 8), (1, 2, 4, 6, 8), (2, 3, 4, 6, 8))),
     "8_8v2": dict(
         stage1=((1, 2, 5, 6, 7), (2, 3, 5, 6, 7), (3, 4, 5, 6, 7), (1, 4, 5, 6, 7),
                 (1, 2, 5, 6, 8), (2, 3, 5, 6, 8), (3, 4, 5, 6, 8), (1, 4, 5, 6, 8)),
         stage2=((1, 2, 3, 5, 7), (1, 3, 4, 5, 7), (1, 2, 3, 6, 7), (1, 3, 4, 6, 7),
-                (1, 2, 3, 5, 8), (1, 3, 4, 5, 8), (1, 2, 3, 6, 8), (1, 3, 4, 6, 8)),
-        vertex_count=8, new_entity=None),
+                (1, 2, 3, 5, 8), (1, 3, 4, 5, 8), (1, 2, 3, 6, 8), (1, 3, 4, 6, 8))),
     "8_8v3": dict(
         stage1=((1, 2, 4, 5, 7), (2, 3, 4, 5, 7), (1, 2, 4, 6, 7), (2, 3, 4, 6, 7),
                 (1, 2, 4, 5, 8), (2, 3, 4, 5, 8), (1, 2, 4, 6, 8), (2, 3, 4, 6, 8)),
         stage2=((1, 2, 3, 5, 7), (1, 3, 4, 5, 7), (1, 2, 3, 6, 7), (1, 3, 4, 6, 7),
-                (1, 2, 3, 5, 8), (1, 3, 4, 5, 8), (1, 2, 3, 6, 8), (1, 3, 4, 6, 8)),
-        vertex_count=8, new_entity=None),
+                (1, 2, 3, 5, 8), (1, 3, 4, 5, 8), (1, 2, 3, 6, 8), (1, 3, 4, 6, 8))),
     "4_12": dict(
         stage1=((1, 2, 3, 4, 6), (1, 2, 3, 5, 6), (1, 2, 3, 4, 7), (1, 2, 3, 5, 7)),
         stage2=((2, 3, 4, 6, 8), (2, 3, 4, 7, 8), (1, 3, 4, 6, 8), (1, 3, 4, 7, 8),
                 (1, 2, 4, 6, 8), (1, 2, 4, 7, 8), (2, 3, 5, 6, 8), (2, 3, 5, 7, 8),
-                (1, 3, 5, 6, 8), (1, 3, 5, 7, 8), (1, 2, 5, 6, 8), (1, 2, 5, 7, 8)),
-        vertex_count=7, new_entity=(1, 2, 3)),
+                (1, 3, 5, 6, 8), (1, 3, 5, 7, 8), (1, 2, 5, 6, 8), (1, 2, 5, 7, 8))),
     "6_12b": dict(
         stage1=((1, 2, 4, 5, 6), (2, 3, 4, 5, 6), (1, 3, 4, 5, 6),
                 (1, 2, 4, 5, 7), (2, 3, 4, 5, 7), (1, 3, 4, 5, 7)),
         stage2=((1, 2, 5, 6, 8), (1, 2, 5, 7, 8), (1, 2, 4, 6, 8), (1, 2, 4, 7, 8),
                 (2, 3, 5, 6, 8), (2, 3, 5, 7, 8), (2, 3, 4, 6, 8), (2, 3, 4, 7, 8),
-                (1, 3, 5, 6, 8), (1, 3, 5, 7, 8), (1, 3, 4, 6, 8), (1, 3, 4, 7, 8)),
-        vertex_count=7, new_entity=(4, 5)),
+                (1, 3, 5, 6, 8), (1, 3, 5, 7, 8), (1, 3, 4, 6, 8), (1, 3, 4, 7, 8))),
     "8_16": dict(
         stage1=((1, 2, 4, 5, 7), (2, 3, 4, 5, 7), (1, 2, 4, 6, 7), (2, 3, 4, 6, 7),
                 (1, 2, 4, 5, 8), (2, 3, 4, 5, 8), (1, 2, 4, 6, 8), (2, 3, 4, 6, 8)),
         stage2=((2, 3, 6, 7, 9), (1, 4, 5, 7, 9), (1, 2, 5, 7, 9), (3, 4, 5, 7, 9),
                 (2, 3, 5, 7, 9), (1, 4, 6, 7, 9), (1, 2, 6, 7, 9), (3, 4, 6, 7, 9),
                 (1, 4, 5, 8, 9), (1, 2, 5, 8, 9), (3, 4, 5, 8, 9), (2, 3, 5, 8, 9),
-                (1, 4, 6, 8, 9), (1, 2, 6, 8, 9), (3, 4, 6, 8, 9), (2, 3, 6, 8, 9)),
-        vertex_count=8, new_entity=(2, 4)),
+                (1, 4, 6, 8, 9), (1, 2, 6, 8, 9), (3, 4, 6, 8, 9), (2, 3, 6, 8, 9))),
 }
 
 _REVERSE_OF = {
@@ -182,16 +167,15 @@ class FlipTable:
 def _build_tables() -> dict[str, FlipTable]:
     tables = {}
     for kind, spec in _BASE_TABLES.items():
-        inserts = spec["new_entity"] is not None
-        tables[kind] = FlipTable(
-            kind=kind, stage1=spec["stage1"], stage2=spec["stage2"],
-            vertex_count=spec["vertex_count"], new_entity=spec["new_entity"],
-            inserts_point=inserts, removes_point=False)
+        s1, s2 = spec["stage1"], spec["stage2"]
+        labels = set().union(*s1)
+        inserts = not labels.issuperset(set().union(*s2))
+        shared = tuple(sorted(set.intersection(*map(set, s1)))) if inserts else None
+        tables[kind] = FlipTable(kind, s1, s2, len(labels), shared,
+                                 inserts_point=inserts, removes_point=False)
         rkind = _REVERSE_OF[kind]
-        tables[rkind] = FlipTable(
-            kind=rkind, stage1=spec["stage2"], stage2=spec["stage1"],
-            vertex_count=spec["vertex_count"], new_entity=spec["new_entity"],
-            inserts_point=False, removes_point=inserts)
+        tables[rkind] = FlipTable(rkind, s2, s1, len(labels), shared,
+                                  inserts_point=False, removes_point=inserts)
     return tables
 
 
@@ -534,21 +518,21 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
                     include_point_inserting: bool = True) -> ImprovementReport:
     """Greedy quality improvement by bistellar flips.
 
-    Repeatedly takes the worst alive element that is neither frozen nor a
-    previous starter, enumerates the flips in its star that touch no
-    frozen element (those of :func:`find_candidates`, in its order), and
-    executes the geometrically valid one with the largest gain in the
-    minimum quality over the affected group; only strict gains count.
-    Ties go to the smaller ``(kind, stage1)``, then to the candidate
-    enumerated first.
+    Takes each initial element, worst first (ties by id), while it is
+    alive, enumerates the flips in its star that touch no frozen element
+    (those of :func:`find_candidates`, in its order), and executes the
+    geometrically valid one with the largest gain in the minimum quality
+    over the affected group; only strict gains count.  Ties go to the
+    smaller ``(kind, stage1)``, then to the candidate enumerated first.
 
     The gain comes first: a candidate is dropped as soon as one of its
     replacement elements is no better than the group's current minimum,
     the improving candidates are ranked by gain, and
     :func:`validate_flip` runs on them in that order only until one
     passes; its exact test keeps ``hv_conserved_exactly`` true.  Elements
-    produced by a flip are frozen; the loop ends when every element is
-    frozen or has already served as starter.
+    produced by a flip are frozen and never start; a flip only removes
+    initial elements and creates frozen ones, so one pass over the initial
+    elements, worst first, visits every starter.
 
     Neighbouring starters share most of their facets, triangles, edges
     and vertices, so the improving candidates and gains of each entity,
@@ -571,13 +555,7 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
             return quality_metric(pts, fld, which=heuristic)
         return pentatope_quality(pts, which=heuristic)
 
-    quality_of: dict[int, float] = {}
-    heap: list[tuple[float, int]] = []
-    for eid in mesh.alive_elements():
-        q = quality(mesh.element_points(eid))
-        quality_of[eid] = q
-        heapq.heappush(heap, (q, eid))
-
+    quality_of = {eid: quality(mesh.element_points(eid)) for eid in mesh.alive_elements()}
     qualities_before = list(quality_of.values())
     hv_before_exact = mesh.total_hypervolume(exact=True)
     hv_before = float(hv_before_exact)
@@ -594,7 +572,6 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
         return after - before
 
     frozen: set[int] = set()
-    started: set[int] = set()
     memo: dict[tuple[int, ...], tuple[tuple[FlipCandidate, float], ...]] = {}
     report = ImprovementReport(
         heuristic=heuristic, flips_by_kind=Counter(),
@@ -603,12 +580,9 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
         hypervolume_before=hv_before, hypervolume_after=hv_before,
         hv_conserved_exactly=True)
 
-    while heap:
-        q, starter = heapq.heappop(heap)
-        if (not mesh.alive(starter) or starter in frozen or starter in started
-                or quality_of.get(starter) != q):
+    for _, starter in sorted((q, eid) for eid, q in quality_of.items()):
+        if not mesh.alive(starter):
             continue
-        started.add(starter)
         report.starters += 1
 
         ranked = _improving_candidates(mesh, starter, memo, gain,

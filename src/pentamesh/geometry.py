@@ -44,7 +44,6 @@ __all__ = [
     "metric_length_quadrature",
     "metric_volume_pointwise",
     "metric_volume_quadrature",
-    "pentatope_centroid",
     "regular_pentatope",
 ]
 
@@ -194,11 +193,6 @@ def facet_normal(a, b, c, d) -> np.ndarray:
     return np.array(_facet_cofactors(a, b, c, d))
 
 
-def pentatope_centroid(pts) -> tuple[float, float, float, float]:
-    """Arithmetic mean of five 4D vertices."""
-    return tuple(sum(p[j] for p in pts) / 5.0 for j in range(4))
-
-
 def regular_pentatope(edge: float = 1.0) -> np.ndarray:
     """Vertices of a regular pentatope with the given edge length.
 
@@ -222,8 +216,8 @@ def regular_pentatope(edge: float = 1.0) -> np.ndarray:
 class Metric4:
     """A 4x4 symmetric positive-definite metric tensor.
 
-    Construction validates symmetry (to representation exactness) and
-    positive definiteness via the leading principal minors.  The (4,4)
+    Construction validates finiteness, symmetry (to representation
+    exactness) and positive definiteness via the leading principal minors.  The (4,4)
     entry carries the square of the characteristic speed when the metric
     has the diagonal space-time form.
     """
@@ -234,6 +228,8 @@ class Metric4:
         m = np.asarray(m, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"metric must be 4x4, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError(f"metric has a non-finite entry: {m.tolist()}")
         scale = max(np.abs(m).max(), 1.0)
         if np.abs(m - m.T).max() > 1e-12 * scale:
             raise ValueError("metric is not symmetric")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,15 +75,13 @@ class Cavity:
     """Facet-connected element set plus its enclosing boundary facets."""
 
     elements: set[int]
-    boundary: list[tuple[tuple[int, int, int, int], int, int]] = dc_field(default_factory=list)
+    boundary: list[tuple[tuple[int, int, int, int], int, int]]
 
 
 @dataclass(frozen=True)
 class InsertionReport:
-    vertex: int
     new_elements: tuple[int, ...]
     cavity_size: int
-    walk: WalkStats
 
 
 @dataclass
@@ -259,9 +257,7 @@ def build_cavity(mesh: Mesh4, base: int, p, metric) -> Cavity:
         layer = front
         if layer:
             inside, _, lift = _in_sphere_rows(mesh, layer, p, mrows, mdiag, lift)
-    cav = Cavity(elements)
-    cav.boundary = cavity_boundary(mesh, elements)
-    return cav
+    return Cavity(elements, cavity_boundary(mesh, elements))
 
 
 def _visible(mesh: Mesh4, facets, p, metric):
@@ -358,7 +354,7 @@ def insert_point(mesh: Mesh4, p, field=None) -> InsertionReport:
         if not all(lo[j] < p[j] < hi[j] for j in range(4)):
             raise GhostPointError(f"point {p!r} is outside the bounding tesseract")
 
-    base, walk = find_base_element(mesh, p)
+    base, _ = find_base_element(mesh, p)
     base_verts = mesh.elements[base]
     metric = None if fld.kind == "identity" else fld(p)
     cavity = build_cavity(mesh, base, p, metric)
@@ -386,7 +382,7 @@ def insert_point(mesh: Mesh4, p, field=None) -> InsertionReport:
         mesh.pop_vertex()
         raise CavityError(f"reconnection failed ({err}) while "
                           + _failure_context(p, base, base_verts, len(cavity.elements))) from err
-    return InsertionReport(new_vid, tuple(created), len(cavity.elements), walk)
+    return InsertionReport(tuple(created), len(cavity.elements))
 
 
 def triangulate(points, field=None, *, n_b: int = 24, margin: float = 1.0,
@@ -482,12 +478,6 @@ def _suspect_pairs(centers, r2, W, vids, elems):
             if vids[j] not in elems[k][1]]
 
 
-def _metric_scaled(V, metric):
-    """Vertex rows mapped by the Cholesky factor G of the metric, G^T G = M."""
-    G = np.linalg.cholesky(metric.m).T
-    return V @ G.T
-
-
 def audit_delaunay(mesh: Mesh4, field=None) -> AuditReport:
     """Empty-circumhypersphere audit of a mesh under a metric field.
 
@@ -512,10 +502,11 @@ def audit_delaunay(mesh: Mesh4, field=None) -> AuditReport:
         metric = None if fld.kind == "identity" else fld(mesh.vertices[vid])
         key = None if metric is None else metric.m.tobytes()
         groups.setdefault(key, (metric, []))[1].append(vid)
-    V = mesh.vertex_array()
+    V = np.array(mesh.vertices, dtype=float)
     E = np.array([verts for _, verts in elems], dtype=np.int64)
     for metric, vids in groups.values():
-        W = V if metric is None else _metric_scaled(V, metric)
+        # rows mapped by the Cholesky factor G of the metric, G^T G = M
+        W = V if metric is None else V @ np.linalg.cholesky(metric.m)
         centers, r2 = _circumspheres(W[E])
         Wv = W[np.array(vids)]
         pending: list[tuple[int, int]] = []

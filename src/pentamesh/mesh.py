@@ -9,18 +9,22 @@ facet)`` across that facet, or ``None`` on the mesh boundary; a dead
 element's row is ``None``.  Every alive element is kept positively
 oriented; each facet has at most two owners.
 
-Elements change through two primitives that share one mutation step.
-:meth:`Mesh4.replace` swaps a set of elements for arbitrary new ones: it
-reads the outside neighbours of the removed set's boundary facets from the
-table into a map that covers only those facets, glues each new facet to
-that map, else to another new element, and only as a fallback to an
-existing owner found through the vertex stars.  :meth:`Mesh4.cone` is the
-retessellation of point insertion, whose new elements are the cavity's
-boundary facets joined to a fresh apex: each new element's facet opposite
-the apex takes the outside neighbour straight from the table, and its
-other four facets (apex plus a ridge of the boundary facet) pair up
-through one map keyed by ridge, as in Boissonnat, Devillers & Hornus
-(SoCG 2009).  No facet map of the whole mesh is kept, and
+Elements change through one mutation step, ``_commit``, which kills
+elements, appends new ones with their neighbour rows and re-points the
+outside slots; every primitive below ends in it.  :meth:`Mesh4.replace`
+swaps a set of elements for arbitrary new ones: it reads the outside
+neighbours of the removed set's boundary facets from the table into a map
+that covers only those facets, glues each new facet to that map, else to
+another new element, and only as a fallback to an existing owner found
+through the vertex stars (which :meth:`Mesh4.add_element` next to
+existing elements needs).  :meth:`Mesh4.cone` is the retessellation of
+point insertion, whose new elements are the cavity's boundary facets
+joined to a fresh apex: each new element's facet opposite the apex takes
+the outside neighbour straight from the table, and its other four facets
+(apex plus a ridge of the boundary facet) pair up through one map keyed
+by ridge, as in Boissonnat, Devillers & Hornus (SoCG 2009).
+:meth:`Mesh4.remove_element` commits one killed element whose neighbours'
+slots become ``None``.  No facet map of the whole mesh is kept, and
 :meth:`Mesh4.compact` renumbers the table instead of gluing again.  The
 stars stay because the flip search asks for the elements around a vertex,
 edge or triangle (:meth:`Mesh4.elements_with_vertices`), and the walk
@@ -139,18 +143,9 @@ class Mesh4:
 
     def remove_element(self, eid: int) -> None:
         """Kill one element; its neighbours' slots across its facets become ``None``."""
-        verts = self.elements[eid]
-        if verts is None:
+        if self.elements[eid] is None:
             raise MeshError(f"element {eid} already removed")
-        nbr = self.nbr
-        for nb in nbr[eid]:
-            if nb is not None:
-                nbr[nb[0]][nb[1]] = None
-        for v in verts:
-            self.star[v].discard(eid)
-        self.elements[eid] = None
-        nbr[eid] = None
-        self.n_alive -= 1
+        self._commit((eid,), (), (), [(*nb, None) for nb in self.nbr[eid] if nb is not None])
 
     def replace(self, old, tuples) -> list[int]:
         """Kill the elements ``old`` and append ``tuples``; returns the new ids.
@@ -343,10 +338,6 @@ class Mesh4:
     def element_points(self, eid: int):
         return tuple(self.vertices[v] for v in self.elements[eid])
 
-    def neighbor(self, eid: int, li: int) -> tuple[int, int] | None:
-        """The (element, local facet) sharing facet ``li`` of ``eid``, if any."""
-        return self.nbr[eid][li]
-
     def nearest_vertex(self, p) -> int | None:
         """The alive vertex nearest p (Euclidean), or None if there is none."""
         n = len(self.vertices)
@@ -379,9 +370,6 @@ class Mesh4:
             return Fraction(sum(dets), 24 * den ** 4)
         return float(sum(hypervolume(*self.element_points(eid))
                          for eid in self.alive_elements()))
-
-    def vertex_array(self) -> np.ndarray:
-        return np.array(self.vertices, dtype=float)
 
     # -- maintenance --------------------------------------------------------
 

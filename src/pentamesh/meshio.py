@@ -81,10 +81,7 @@ def loads_p4m(text: str) -> Mesh4:
     head = need(1).split()
     if len(head) != 2 or head[0] != "vertices":
         raise MeshFormatError(2, f"expected 'vertices N', got {lines[1]!r}")
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise MeshFormatError(2, f"bad vertex count {head[1]!r}") from None
+    n = _count(head[1], 2, "vertex")
     mesh = Mesh4()
     row = 2
     for i in range(n):
@@ -99,10 +96,7 @@ def loads_p4m(text: str) -> Mesh4:
     head = need(row).split()
     if len(head) != 2 or head[0] != "pentatopes":
         raise MeshFormatError(row + 1, f"expected 'pentatopes M', got {lines[row]!r}")
-    try:
-        m = int(head[1])
-    except ValueError:
-        raise MeshFormatError(row + 1, f"bad pentatope count {head[1]!r}") from None
+    m = _count(head[1], row + 1, "pentatope")
     row += 1
     for i in range(m):
         parts = need(row + i).split()
@@ -118,7 +112,21 @@ def loads_p4m(text: str) -> Mesh4:
             mesh.add_element(verts)
         except Exception as exc:
             raise MeshFormatError(row + i + 1, str(exc)) from None
+    extra = next((k for k in range(row + m, len(lines)) if lines[k].strip()), None)
+    if extra is not None:
+        raise MeshFormatError(extra + 1, f"more than the {m} declared pentatopes")
     return mesh
+
+
+def _count(word: str, line: int, what: str) -> int:
+    """A non-negative count from a header; ``line`` is 1-based, for the error."""
+    try:
+        n = int(word)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise MeshFormatError(line, f"bad {what} count {word!r}")
+    return n
 
 
 def _read_text(path_or_file) -> str:

@@ -159,17 +159,8 @@ def _coarse(values, least: float) -> bool:
 # determinants with error magnitudes
 # ---------------------------------------------------------------------------
 
-def _det_general_mag(rows):
-    """Generic determinant with a Hadamard-style magnitude bound."""
-    a = np.array(rows, dtype=float)
-    n = a.shape[0]
-    det = float(np.linalg.det(a))
-    norms = np.sqrt((a * a).sum(axis=1))
-    mag = float(np.prod(np.maximum(norms, 0.0))) * n * n
-    return det, mag
-
-
 def _det_mag(rows):
+    """Determinant of square rows and a magnitude bound of its rounding error."""
     if len(rows) == 4:
         det, mag = _orient4_core(np.array([rows], dtype=float), (0.0, 0.0, 0.0, 0.0))
         return float(det[0]), float(mag[0])
@@ -187,7 +178,10 @@ def _det_mag(rows):
                + abs(a1) * (abs(b0 * c2) + abs(b2 * c0))
                + abs(a2) * (abs(b0 * c1) + abs(b1 * c0)))
         return det, mag
-    return _det_general_mag(rows)
+    # a Hadamard-style bound for the generic determinant
+    a = np.array(rows, dtype=float)
+    n = len(a)
+    return float(np.linalg.det(a)), float(np.prod(np.sqrt((a * a).sum(axis=1)))) * n * n
 
 
 class _Lift:

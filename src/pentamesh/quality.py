@@ -27,7 +27,6 @@ from .geometry import (
     metric_length_quadrature,
     metric_volume_pointwise,
     metric_volume_quadrature,
-    pentatope_centroid,
     resolve_field,
 )
 
@@ -132,7 +131,7 @@ def quality_metric(pts, field, mode: str = "pointwise", which: int = 1) -> float
     """
     fld = resolve_field(field)
     if mode == "pointwise":
-        metric = fld(pentatope_centroid(pts))
+        metric = fld(tuple(sum(p[j] for p in pts) / 5.0 for j in range(4)))
         lsq = [metric_length_pointwise(pts[i], pts[j], metric) ** 2
                for i, j in EDGE_ORDER]
         v = metric_volume_pointwise(pts, metric)

@@ -60,38 +60,39 @@ def hypercylinder_exact_hypervolume(R: float, L: float) -> float:
 class ConvergenceResult:
     rows: list
     slope: float
-    metric: str
 
 
-def convergence_study(*, R: float = 1.0, L: float = 4.0, levels: int = 4,
-                      h0: float = 1.0, refine: float = 1.5,
-                      metric: str = "identity", c0: float = 1.0,
-                      beta: float = 0.1, seed: int = 0, n_b: int = 24,
+def convergence_study(*, levels: int = 4, refine: float = 1.5,
+                      metric: str = "identity", seed: int = 0,
                       margin: float = 1.0,
                       h_exponent: float = -1.0 / 3.0) -> ConvergenceResult:
     """Mesh a refinement family of hypercylinder clouds and fit the error slope.
 
-    Each level halves nothing and divides the sampling parameters by
-    ``refine``; the meshed hypervolume (super elements stripped) is
-    compared against the exact 4/3 pi R^3 L.  The characteristic spacing is
-    the pentatope count raised to ``h_exponent`` (default -1/3; -1/4 is the
-    volume-scaling alternative), and the slope is the least-squares fit of
-    log error against log spacing.
+    The domain is the hypercylinder of radius R = 1 and length L = 4.  Level
+    k samples its boundary at spacing ``refine``^(1-k) in space and time; the
+    meshed hypervolume (super elements stripped) is compared against the
+    exact 4/3 pi R^3 L.  ``metric`` is "identity", "speed" (the field
+    ``MetricField.speed(c0=1, beta=0.1)`` centred at t = L/2) or anything
+    :func:`~pentamesh.geometry.resolve_field` accepts.  The characteristic
+    spacing is the pentatope count raised to ``h_exponent`` (default -1/3;
+    -1/4 is the volume-scaling alternative), and the slope is the
+    least-squares fit of log error against log spacing.
     """
     if levels < 3:
         raise ValueError("need at least 3 refinement levels for a slope")
+    R, L = 1.0, 4.0
     if metric == "identity":
         field = MetricField.identity()
     elif metric == "speed":
-        field = MetricField.speed(c0=c0, beta=beta, center=L / 2.0)
+        field = MetricField.speed(c0=1.0, beta=0.1, center=L / 2.0)
     else:
         field = resolve_field(metric)
     hv_exact = hypercylinder_exact_hypervolume(R, L)
     rows = []
     for level in range(levels):
-        h = h0 / refine ** level
+        h = 1.0 / refine ** level
         pts = generate_hypercylinder_points(R, L, h, h, seed=seed + level)
-        mesh = triangulate(pts, field, n_b=n_b, margin=margin,
+        mesh = triangulate(pts, field, margin=margin,
                            skip_duplicates=True, shuffle=True, seed=seed)
         hv = mesh.total_hypervolume()
         err = abs(hv_exact - hv)
@@ -109,7 +110,7 @@ def convergence_study(*, R: float = 1.0, L: float = 4.0, levels: int = 4,
     slope = float(np.polyfit(xs, ys, 1)[0])
     for r in rows:
         r["slope"] = slope
-    return ConvergenceResult(rows=rows, slope=slope, metric=metric)
+    return ConvergenceResult(rows=rows, slope=slope)
 
 
 # ---------------------------------------------------------------------------

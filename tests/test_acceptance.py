@@ -91,7 +91,7 @@ def test_criterion_4_convergence_order():
     t0 = time.time()
     slopes = {}
     for metric in ("identity", "speed"):
-        res = convergence_study(levels=4, h0=1.0, refine=1.5, metric=metric, seed=0)
+        res = convergence_study(levels=4, refine=1.5, metric=metric, seed=0)
         slopes[metric] = res.slope
         assert res.rows[-1]["n_pentatopes"] > 20_000
         assert 1.6 <= res.slope <= 2.4, f"{metric} slope {res.slope}"

@@ -162,6 +162,20 @@ class TestMetric4:
         with pytest.raises(ValueError, match="positive definite"):
             Metric4(np.diag([1.0, 1.0, 1.0, -2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Metric4(np.diag([1.0, 1.0, 1.0, bad]))
+        m = np.eye(4)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Metric4(m)
+
+    def test_non_finite_speed_fails_at_its_first_evaluation(self):
+        field = MetricField.speed(c0=float("nan"))
+        with pytest.raises(ValueError, match="non-finite"):
+            field((0.0, 0.0, 0.0, 2.0))
+
     def test_quad_matches_numpy(self, rng):
         from conftest import spd_metric
         for _ in range(50):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib
 import io
@@ -87,6 +88,23 @@ class TestP4M:
     def test_truncated(self):
         with pytest.raises(MeshFormatError):
             loads_p4m("p4m 1\nvertices 3\n0 0 0 0\n")
+
+    PENTATOPE = "p4m 1\nvertices 5\n0 0 0 0\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
+
+    def test_negative_counts_name_their_line(self):
+        with pytest.raises(MeshFormatError) as err:
+            loads_p4m(self.PENTATOPE + "pentatopes -1\n")
+        assert err.value.line == 8
+        with pytest.raises(MeshFormatError) as err:
+            loads_p4m("p4m 1\nvertices -1\npentatopes 0\n")
+        assert err.value.line == 2
+
+    def test_lines_beyond_the_declared_count_name_their_line(self):
+        text = self.PENTATOPE + "pentatopes 1\n0 1 2 3 4\n"
+        assert loads_p4m(text + "\n  \n").n_alive == 1  # blank trailing lines are fine
+        with pytest.raises(MeshFormatError) as err:
+            loads_p4m(text + "\n0 1 2 4 3\n")
+        assert err.value.line == 11
 
 
 class TestTet3:
@@ -208,7 +226,7 @@ class TestStudies:
         assert row["pentatopes_initial"] > 0
 
     def test_convergence_study_shrinks_error(self):
-        res = convergence_study(levels=3, h0=1.0, refine=1.5,
+        res = convergence_study(levels=3, refine=1.5,
                                 metric="identity", seed=1)
         errs = [r["hv_error"] for r in res.rows]
         assert errs[0] > errs[1] > errs[2] > 0.0
@@ -304,3 +322,9 @@ class TestCli:
         assert parse_metric("identity").kind == "identity"
         with pytest.raises(Exception):
             parse_metric("nonsense")
+
+    @pytest.mark.parametrize("spec", ["speedy", "speed:1,2,3,4", "speed:fast", "identity:2"])
+    def test_metric_parsing_rejects_other_specs(self, spec):
+        from pentamesh.cli import parse_metric
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_metric(spec)

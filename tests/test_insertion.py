@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from collections import deque
@@ -7,6 +8,7 @@ import pytest
 
 from pentamesh import insertion
 from pentamesh.bounding import build_bounding_mesh
+from pentamesh.flips import improve_quality
 from pentamesh.geometry import CANONICAL_FACETS, MetricField, Metric4, _grain, hypervolume
 from pentamesh.insertion import (
     audit_delaunay,
@@ -105,8 +107,8 @@ class TestFindBaseElement:
     def test_neighbor_step(self, rng):
         mesh = build_bounding_mesh(rng.random((5, 4)))
         eid = next(mesh.alive_elements())
-        nb = next(mesh.neighbor(eid, li) for li in range(5)
-                  if mesh.neighbor(eid, li) is not None)
+        nb = next(mesh.nbr[eid][li] for li in range(5)
+                  if mesh.nbr[eid][li] is not None)
         cen = tuple(np.mean(mesh.element_points(nb[0]), axis=0))
         found, stats = find_base_element(mesh, cen, start=eid)
         assert found in brute_force_containing(mesh, cen)
@@ -171,7 +173,7 @@ class TestBuildCavity:
         internal = 0
         for eid in cav.elements:
             for li in range(5):
-                nb = mesh.neighbor(eid, li)
+                nb = mesh.nbr[eid][li]
                 if nb is not None and nb[0] in cav.elements:
                     internal += 1
         assert internal % 2 == 0
@@ -185,7 +187,7 @@ def reference_cavity(mesh, base, p, metric, tiers):
     certified each call.
     """
     elements = {base}
-    front = deque(nb[0] for nb in (mesh.neighbor(base, li) for li in range(5))
+    front = deque(nb[0] for nb in (mesh.nbr[base][li] for li in range(5))
                   if nb is not None)
     seen = {base, *front}
     while front:
@@ -196,7 +198,7 @@ def reference_cavity(mesh, base, p, metric, tiers):
             continue
         elements.add(eid)
         for li in range(5):
-            nb = mesh.neighbor(eid, li)
+            nb = mesh.nbr[eid][li]
             if nb is not None and nb[0] not in seen:
                 seen.add(nb[0])
                 front.append(nb[0])
@@ -440,6 +442,31 @@ class TestInsertPoint:
         for p in pts:
             insert_point(mesh, p)
             assert mesh.validate() == []
+
+
+class TestNonFiniteField:
+    """A field that returns a non-finite metric fails before the mesh changes."""
+
+    field = MetricField.from_function(lambda p: np.diag([1.0, 1.0, 1.0, np.nan]))
+
+    @staticmethod
+    def snapshot(mesh):
+        return copy.deepcopy((mesh.vertices, mesh.vertex_alive, mesh.elements, mesh.nbr,
+                              mesh.star, mesh.n_alive, mesh.grain, mesh.last_created))
+
+    def test_insert_point_raises_and_leaves_the_mesh(self, rng):
+        mesh = build_bounding_mesh(rng.random((20, 4)))
+        before = self.snapshot(mesh)
+        with pytest.raises(ValueError, match="non-finite"):
+            insert_point(mesh, (0.5, 0.5, 0.5, 0.5), self.field)
+        assert self.snapshot(mesh) == before
+
+    def test_improve_quality_raises_and_leaves_the_mesh(self):
+        mesh = triangulate(np.random.default_rng(0).random((30, 4)))
+        before = self.snapshot(mesh)
+        with pytest.raises(ValueError, match="non-finite"):
+            improve_quality(mesh, field=self.field)
+        assert self.snapshot(mesh) == before
 
 
 class TestTriangulate:

@@ -59,7 +59,6 @@ def assert_table_matches_tuples(mesh):
             continue
         for li in range(5):
             assert mesh.nbr[eid][li] == expected[(eid, li)]
-            assert mesh.neighbor(eid, li) == expected[(eid, li)]
 
 
 def snapshot(mesh):
