@@ -18,6 +18,7 @@ reports violations.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import meshio
@@ -34,7 +35,7 @@ from .studies import (
 
 
 def parse_metric(spec: str) -> MetricField:
-    """'identity' or 'speed[:c0[,beta[,center]]]'; anything else is an argument error."""
+    """'identity' or 'speed[:c0[,beta[,center]]]' with finite parameters; else an argument error."""
     if spec == "identity":
         return MetricField.identity()
     name, _, params = spec.partition(":")
@@ -43,6 +44,8 @@ def parse_metric(spec: str) -> MetricField:
             vals = [float(x) for x in params.split(",") if x]
         except ValueError:
             vals = None
+        if vals is not None and not all(map(math.isfinite, vals)):
+            raise argparse.ArgumentTypeError(f"metric {spec!r} has a non-finite parameter")
         if vals is not None and len(vals) <= 3:
             return MetricField.speed(*vals)
     raise argparse.ArgumentTypeError(

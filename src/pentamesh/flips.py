@@ -27,12 +27,18 @@ the b tables, 3-3 and 6-6 for their reverses), and it numbers the 8-8
 reconnections of an edge star by their sorted new edge, so a kind tag
 does not say which published 8-8 table a flip instantiates.
 
-The greedy driver passes the elements earlier flips created as that set,
-memoises each entity's candidates that pass the gain gate for the length
-of the call (:func:`improve_quality` gives the invalidation rule), ranks
-a starter's candidates by gain, then kind and stage 1, then enumeration
-order, and checks them with :func:`validate_flip`, best first, until one
-passes; :func:`apply_flip` validates again before it changes the mesh.
+The search takes a gate that sees each star once and each configuration's
+replacement tuples before its :class:`FlipCandidate` is built;
+:func:`find_candidates` passes one that keeps everything.  The greedy
+driver passes the elements earlier flips created as the frozen set and a
+gate that drops a configuration at its first replacement no better than
+the group's minimum.  For the length of the call it memoises each
+simplex's quality and float volume, each entity's gated candidates and
+each candidate's verdict on the checks that read only its own tuples and
+points (:func:`improve_quality`).  It takes the best-ranked candidate that
+passes fresh live checks with a valid verdict, and applies it with that
+verdict's exact volumes, so an applied flip is validated once;
+:func:`validate_flip` and :func:`apply_flip` run every check afresh.
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ from itertools import combinations
 from .geometry import FACET_OPPOSITE, _hypervolumes_int, hypervolume, resolve_field
 from .mesh import Mesh4, MeshError
 from .predicates import orientation4  # noqa: F401  perfbench/tracing.py wraps this name
-from .quality import pentatope_quality, quality_metric
+# perfbench/tracing.py wraps pentatope_quality here too
+from .quality import _eta_volume, pentatope_quality, quality_metric  # noqa: F401
 
 __all__ = [
     "FlipCandidate",
@@ -272,11 +279,23 @@ def find_candidates(mesh: Mesh4, starter: int, include_point_inserting: bool = T
     if starter in frozen:
         return []
     return [cand for key in _entity_keys(mesh.elements[starter])
-            for cand in _entity_candidates(mesh, key, include_point_inserting, frozen)]
+            for cand, _ in _entity_candidates(mesh, key, include_point_inserting, frozen,
+                                              _accept_all)]
 
 
-def _entity_candidates(mesh, key, with_points, frozen) -> list[FlipCandidate]:
-    """The candidates recognised from the star of one entity σ, a vertex tuple.
+def _accept_all(stage1):
+    """:func:`find_candidates`' gate: every configuration passes, with gain 0."""
+    return lambda stage2, new_point: 0.0
+
+
+def _entity_candidates(mesh, key, with_points, frozen, gate):
+    """``(candidate, gain)`` for the flips in the star of one entity σ that pass ``gate``.
+
+    σ is a vertex tuple.  ``gate(stage1)`` is called once per examined
+    star and returns ``gain(stage2, new_point)``, the configuration's gain
+    or None to drop it; a :class:`FlipCandidate` is built only for the
+    configurations it keeps.  The result is a tuple, so that the many
+    entities without any share the empty one.
 
     The link of σ is what its star's elements hold besides σ.  A
     point-inserting kind cones ∂σ * link(σ) to the centroid of σ: its
@@ -292,37 +311,43 @@ def _entity_candidates(mesh, key, with_points, frozen) -> list[FlipCandidate]:
     = Π(p_i + 1) over the partitions p of 5 - |σ| (``_STAR_SIZES``): 5, 8,
     9, 12 or 16 for a vertex, 4, 6 or 8 for an edge, 3 or 4 for a triangle,
     2 for a facet and 1 for an element.  A star of another size, or one that meets
-    ``frozen``, gives an empty list without being examined, and so does a
+    ``frozen``, gives no candidate without being examined, and so does a
     vertex, edge or triangle that a boundary facet of the mesh passes
     through, whose link is not closed.  Every candidate has the star as
     stage 1.
     """
     star = mesh.star[key[0]] if len(key) == 1 else mesh.elements_with_vertices(key)
     if len(star) not in _STAR_SIZES[len(key)] or not frozen.isdisjoint(star):
-        return []
+        return ()
     stage1 = tuple(sorted(star))
     elements, nbr = mesh.elements, mesh.nbr
     if len(key) <= 3 and any(elements[e][FACET_OPPOSITE[li]] not in key for e in stage1
                              if None in nbr[e] for li, nb in enumerate(nbr[e]) if nb is None):
-        return []
+        return ()
     link = [frozenset(elements[e]).difference(key) for e in stage1]
     facets = list(combinations(key, len(key) - 1))
+    gain = gate(stage1)
     out = []
     kind = _KINDS.get((len(key), len(star), 0))
     if with_points and kind:
         verts = mesh.vertices
         centroid = tuple(sum(c) / len(key) for c in zip(*[verts[v] for v in sorted(key)]))
         ks = [tuple(sorted(k)) for k in link]
-        out.append(FlipCandidate(kind, stage1, tuple(f + k + (NEW_LABEL,) for f in facets
-                                                     for k in ks), new_point=centroid))
+        stage2 = tuple(f + k + (NEW_LABEL,) for f in facets for k in ks)
+        g = gain(stage2, centroid)
+        if g is not None:
+            out.append((FlipCandidate(kind, stage1, stage2, new_point=centroid), g))
     removed = key[0] if len(key) == 1 else None
     for n, (tau, rest) in enumerate(_splits(link), 1):
         kind = _KINDS.get((len(key), len(star), len(tau)))
-        if kind:  # the 8-8 reconnections are their edge star's only splits
-            out.append(FlipCandidate(kind + str(n) if kind == "8_8v" else kind, stage1,
-                                     tuple(tau + f + k for f in facets for k in rest),
-                                     removed_vertex=removed))
-    return out
+        if not kind:
+            continue
+        stage2 = tuple(tau + f + k for f in facets for k in rest)
+        g = gain(stage2, None)
+        if g is not None:  # n numbers the 8-8 reconnections, their edge star's only splits
+            out.append((FlipCandidate(kind + str(n) if kind == "8_8v" else kind, stage1,
+                                      stage2, removed_vertex=removed), g))
+    return tuple(out)
 
 
 def _splits(link):
@@ -364,9 +389,12 @@ def _boundary_multiset(tuples):
 
 _VOL_RTOL = 1e-12  # relative hypervolume tolerance of the float pre-filter
 
+_DUPLICATE = "replacement duplicates an existing element"
+_BOUNDARY = "boundary facets not preserved"
 
-def _candidate_points(mesh, cand, tup):
-    return [cand.new_point if v == NEW_LABEL else mesh.vertices[v] for v in tup]
+
+def _points(mesh, tup, new_point):
+    return [new_point if v == NEW_LABEL else mesh.vertices[v] for v in tup]
 
 
 def validate_flip(mesh: Mesh4, cand: FlipCandidate):
@@ -386,30 +414,59 @@ def validate_flip(mesh: Mesh4, cand: FlipCandidate):
 def _check_flip(mesh, cand):
     """:func:`validate_flip`'s reject reason, "" if none, and the exact stage-2 volumes.
 
-    Float sums of unsigned volumes that differ by more than the relative
-    ``_VOL_RTOL`` reject; a candidate they pass is decided on the integer
-    volumes of :func:`~pentamesh.geometry._hypervolumes_int`, whose signs
-    (returned for a valid candidate only) orient the replacements.
+    The live checks (:func:`_live_reason`) and the fixed ones
+    (:func:`_fixed_verdict`, on float volumes in stored vertex order)
+    report in the published order: dead element, removed vertex,
+    boundary, duplicate, then the volumes.
+    """
+    reason = _live_reason(mesh, cand)
+    if reason and reason != _DUPLICATE:
+        return reason, None
+    verdict = _fixed_verdict(mesh, cand, lambda tup, new_point: abs(
+        hypervolume(*_points(mesh, tup, new_point))))
+    return (reason, None) if reason and verdict[0] != _BOUNDARY else verdict
+
+
+def _live_reason(mesh, cand):
+    """The reject reason of the checks that flips elsewhere can change, "" if none.
+
+    A stage-1 element is dead, the removed vertex is still used outside
+    stage 1 or by a replacement, or a replacement duplicates an element
+    outside stage 1.
     """
     if any(not mesh.alive(e) for e in cand.stage1):
-        return "dead element in stage 1", None
+        return "dead element in stage 1"
     gone = cand.removed_vertex
     if gone is not None and (not mesh.star[gone] <= set(cand.stage1)
                              or any(gone in tup for tup in cand.stage2)):
-        return "removed vertex still in use", None
-    stage1 = [mesh.elements[e] for e in cand.stage1]
-    b1, mult1 = _boundary_multiset(stage1)
-    b2, mult2 = _boundary_multiset(cand.stage2)
-    if b1 != b2 or mult1 > 2 or mult2 > 2:
-        return "boundary facets not preserved", None
+        return "removed vertex still in use"
     for tup in cand.stage2:
         ext = set(tup) - {NEW_LABEL}
         for eid in mesh.elements_with_vertices(tuple(ext)) - set(cand.stage1):
             if set(mesh.elements[eid]) == ext:
-                return "replacement duplicates an existing element", None
+                return _DUPLICATE
+    return ""
 
-    vol1 = sum(abs(hypervolume(*mesh.element_points(e))) for e in cand.stage1)
-    vol2 = sum(abs(hypervolume(*_candidate_points(mesh, cand, tup))) for tup in cand.stage2)
+
+def _fixed_verdict(mesh, cand, volume):
+    """The reject reason of the checks on the candidate's own tuples and points, and the dets.
+
+    These read only the stage-1 vertex tuples, the replacement tuples and
+    their coordinates, none of which change while stage 1 is alive, so a
+    verdict holds as long as that.  The boundary facet multiset comes
+    first.  Then float sums of unsigned volumes, ``volume(tup,
+    new_point)``, that differ by more than the relative ``_VOL_RTOL``
+    reject; a candidate they pass is decided on the integer volumes of
+    :func:`~pentamesh.geometry._hypervolumes_int`, whose signs (returned
+    for a valid candidate only) orient the replacements.
+    """
+    stage1 = [mesh.elements[e] for e in cand.stage1]
+    b1, mult1 = _boundary_multiset(stage1)
+    b2, mult2 = _boundary_multiset(cand.stage2)
+    if b1 != b2 or mult1 > 2 or mult2 > 2:
+        return _BOUNDARY, None
+    vol1 = sum(volume(tup, None) for tup in stage1)
+    vol2 = sum(volume(tup, cand.new_point) for tup in cand.stage2)
     if abs(vol1 - vol2) > _VOL_RTOL * max(vol1, vol2):
         return "hypervolume not conserved", None
     tuples = stage1 + list(cand.stage2)
@@ -436,15 +493,23 @@ class FlipReport:
 def apply_flip(mesh: Mesh4, cand: FlipCandidate) -> FlipReport:
     """Execute a validated flip; the mesh is untouched if preconditions fail.
 
-    The flip is validated again, and the exact volume signs of that
-    validation put each replacement pentatope in positive orientation;
-    kinds that remove a vertex mark it dead once its star empties.  When
-    :meth:`~pentamesh.mesh.Mesh4.replace` raises, the vertex a
-    point-inserting kind added is removed again before the error propagates.
+    The flip is validated (:func:`_check_flip`), and the exact volume
+    signs of that validation put each replacement pentatope in positive
+    orientation (:func:`_apply`).
     """
     reason, dets = _check_flip(mesh, cand)
     if reason:
         raise MeshError(f"flip {cand.kind} rejected: {reason}")
+    return _apply(mesh, cand, dets)
+
+
+def _apply(mesh, cand, dets):
+    """Replace stage 1 by stage 2, each tuple oriented by the sign of its exact volume in ``dets``.
+
+    Kinds that remove a vertex mark it dead once its star empties.  When
+    :meth:`~pentamesh.mesh.Mesh4.replace` raises, the vertex a
+    point-inserting kind added is removed again before the error propagates.
+    """
     new_vid = mesh.add_vertex(cand.new_point) if cand.inserts_point else None
     tuples = []
     for tup, det in zip(cand.stage2, dets):
@@ -525,54 +590,70 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
     over the affected group; only strict gains count.  Ties go to the
     smaller ``(kind, stage1)``, then to the candidate enumerated first.
 
-    The gain comes first: a candidate is dropped as soon as one of its
-    replacement elements is no better than the group's current minimum,
-    the improving candidates are ranked by gain, and
-    :func:`validate_flip` runs on them in that order only until one
-    passes; its exact test keeps ``hv_conserved_exactly`` true.  Elements
-    produced by a flip are frozen and never start; a flip only removes
-    initial elements and creates frozen ones, so one pass over the initial
+    The gain comes first: a configuration is dropped as soon as one of
+    its replacement elements is no better than the group's current
+    minimum, before its :class:`FlipCandidate` is built, and the improving
+    candidates are validated best first only until one passes; the exact
+    volume test keeps ``hv_conserved_exactly`` true.  Elements produced by
+    a flip are frozen and never start; a flip only removes initial
+    elements and creates frozen ones, so one pass over the initial
     elements, worst first, visits every starter.
 
-    Neighbouring starters share most of their facets, triangles, edges
-    and vertices, so the improving candidates and gains of each entity,
-    the starter itself among them, are memoised for the length of the
-    call; an entity whose star meets the frozen set is memoised as empty
-    without being examined.  Only a flip changes a star, and only the
-    stars of entities of the elements it removes or creates, so those
-    entries are dropped after each flip; a live entry equals a fresh
-    build, because stage-1 qualities and vertex coordinates never
-    change.  The memo gives each starter the
-    candidates of :func:`find_candidates` in the same order, so the
-    tie-breaking above is unchanged.  Validation is not memoised: its
-    duplicate check reads elements outside the star.
+    What depends only on coordinates is computed once per call, since
+    coordinates never change within it.  Each distinct simplex, keyed by
+    its sorted vertex ids and inserted point, is measured once (quality
+    and float volume); the gate, the created elements' qualities and the
+    float volume pre-filter read that memo.  Each entity's improving
+    candidates, the starter's own among them, are memoised too, as empty
+    without examination when its star meets the frozen set.  A flip
+    changes only the stars of the entities of the elements it removes or
+    creates, so those entries are dropped after it, and a live entry
+    equals a fresh build: each starter gets the candidates of
+    :func:`find_candidates`, in order, and the tie-break is unchanged.
+    Each candidate's verdict on the fixed checks of :func:`_check_flip`
+    is memoised, as it holds while stage 1 is alive (element ids are never
+    reused); the live checks run afresh each time, and the exact volumes
+    of the accepted verdict orient the replacements.
     """
     fld = resolve_field(field)
     use_metric = fld.kind != "identity"
+    simplices: dict[tuple, tuple[float, float]] = {}
 
-    def quality(pts):
-        if use_metric:
-            return quality_metric(pts, fld, which=heuristic)
-        return pentatope_quality(pts, which=heuristic)
+    def measured(tup, new_point):
+        """``(quality, |hypervolume|)`` of a vertex tuple, NEW_LABEL at ``new_point``."""
+        key = (tuple(sorted(tup)), new_point)
+        m = simplices.get(key)
+        if m is None:
+            pts = _points(mesh, tup, new_point)
+            m = _eta_volume(pts, heuristic)
+            if use_metric:
+                m = (quality_metric(pts, fld, which=heuristic), m[1])
+            simplices[key] = m
+        return m
 
-    quality_of = {eid: quality(mesh.element_points(eid)) for eid in mesh.alive_elements()}
+    quality_of = {eid: measured(mesh.elements[eid], None)[0] for eid in mesh.alive_elements()}
     qualities_before = list(quality_of.values())
     hv_before_exact = mesh.total_hypervolume(exact=True)
     hv_before = float(hv_before_exact)
     n_before = mesh.n_alive
 
-    def gain(cand):
-        """after - before when every replacement beats the group's minimum, else None."""
-        before = min(quality_of[e] for e in cand.stage1)
-        after = math.inf
-        for tup in cand.stage2:
-            after = min(after, quality(_candidate_points(mesh, cand, tup)))
-            if after <= before:
-                return None
-        return after - before
+    def gate(stage1):
+        before = min(quality_of[e] for e in stage1)
+
+        def gain(stage2, new_point):
+            """after - before when every replacement beats the group's minimum, else None."""
+            after = math.inf
+            for tup in stage2:
+                after = min(after, measured(tup, new_point)[0])
+                if after <= before:
+                    return None
+            return after - before
+
+        return gain
 
     frozen: set[int] = set()
     memo: dict[tuple[int, ...], tuple[tuple[FlipCandidate, float], ...]] = {}
+    verdicts: dict[FlipCandidate, tuple] = {}
     report = ImprovementReport(
         heuristic=heuristic, flips_by_kind=Counter(),
         n_elements_before=n_before, n_elements_after=n_before,
@@ -585,22 +666,30 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
             continue
         report.starters += 1
 
-        ranked = _improving_candidates(mesh, starter, memo, gain,
+        ranked = _improving_candidates(mesh, starter, memo, gate,
                                        include_point_inserting, frozen)
         # stable: equal keys keep enumeration order, so the first seen wins
         ranked.sort(key=lambda item: (-item[1], item[0].kind, item[0].stage1))
-        cand = next((c for c, _ in ranked if validate_flip(mesh, c)[0]), None)
-        if cand is None:
+        for cand, _ in ranked:
+            if _live_reason(mesh, cand):
+                continue
+            verdict = verdicts.get(cand)
+            if verdict is None:
+                verdict = verdicts[cand] = _fixed_verdict(
+                    mesh, cand, lambda tup, new_point: measured(tup, new_point)[1])
+            if not verdict[0]:
+                break
+        else:
             continue
 
         stale = [mesh.elements[e] for e in cand.stage1]
-        fr = apply_flip(mesh, cand)
+        fr = _apply(mesh, cand, verdict[1])
         report.flips_by_kind[fr.kind] += 1
         report.flips.append(fr)
         for e in fr.removed_elements:
             quality_of.pop(e, None)
-        for e in fr.new_elements:
-            quality_of[e] = quality(mesh.element_points(e))
+        for tup, e in zip(cand.stage2, fr.new_elements):
+            quality_of[e] = measured(tup, cand.new_point)[0]
             frozen.add(e)
             stale.append(mesh.elements[e])
         for verts in stale:
@@ -616,20 +705,12 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
     return report
 
 
-def _gated_entity(mesh, key, gain, with_points, frozen):
-    """``(candidate, gain)`` for the candidates of one entity that pass ``gain``.
-
-    A tuple, so that the many entities without any share the empty one.
-    """
-    gated = []
-    for cand in _entity_candidates(mesh, key, with_points, frozen):
-        g = gain(cand)
-        if g is not None:
-            gated.append((cand, g))
-    return tuple(gated)
+def _gated_entity(mesh, key, gate, with_points, frozen):
+    """The memo entry of one entity: its ``(candidate, gain)`` pairs that pass ``gate``."""
+    return _entity_candidates(mesh, key, with_points, frozen, gate)
 
 
-def _improving_candidates(mesh, starter, memo, gain, with_points, frozen):
+def _improving_candidates(mesh, starter, memo, gate, with_points, frozen):
     """The starter's gated ``(candidate, gain)`` pairs in :func:`find_candidates` order.
 
     Entity entries come from ``memo``, built by :func:`_gated_entity` on a miss.
@@ -638,6 +719,6 @@ def _improving_candidates(mesh, starter, memo, gain, with_points, frozen):
     for key in _entity_keys(mesh.elements[starter]):
         entries = memo.get(key)
         if entries is None:
-            entries = memo[key] = _gated_entity(mesh, key, gain, with_points, frozen)
+            entries = memo[key] = _gated_entity(mesh, key, gate, with_points, frozen)
         out += entries
     return out

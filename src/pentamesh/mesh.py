@@ -349,13 +349,8 @@ class Mesh4:
 
     def elements_with_vertices(self, vids: Sequence[int]) -> set[int]:
         """Alive elements containing every vertex in ``vids``."""
-        it = iter(vids)
-        result = set(self.star[next(it)])
-        for v in it:
-            result &= self.star[v]
-            if not result:
-                break
-        return result
+        first, *rest = vids
+        return self.star[first].intersection(*[self.star[v] for v in rest])
 
     def total_hypervolume(self, exact: bool = False):
         """Sum of signed element hypervolumes; a ``Fraction`` when ``exact``.

@@ -15,6 +15,12 @@ lengths.  Edge ordering is load-bearing: ``l_1..l_10`` correspond to the
 vertex pairs (1,2),(1,3),(1,4),(1,5),(2,3),(2,4),(2,5),(3,4),(3,5),(4,5).
 Metric-space variants replace Euclidean lengths and volume by their
 metric-weighted counterparts (point-wise at the centroid, or integrated).
+
+Every heuristic first sorts the five points lexicographically, so its value
+is a function of the point set: any order of the same points gives the
+same float, bit for bit.  The Euclidean ones share one kernel
+(:func:`_eta_volume`) that also returns the unsigned hypervolume it used,
+which the flip driver reads for its volume pre-filter.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import math
 
 from .geometry import (
-    hypervolume,
+    _det4,
     metric_length_pointwise,
     metric_length_quadrature,
     metric_volume_pointwise,
@@ -98,27 +104,44 @@ def _eta_from(v: float, lsq, which: int) -> float:
     raise ValueError(f"heuristic must be 1, 2 or 3, got {which}")
 
 
+def _eta_volume(pts, which: int = 1) -> tuple[float, float]:
+    """``(η, |hypervolume|)`` of five points, taken in lexicographic point order.
+
+    The four rows from the first point give both the determinant and the
+    first four squared edge lengths; the values equal
+    ``_eta_from(abs(hypervolume(*s)), edge_lengths_squared(s), which)`` for
+    the sorted points ``s``.
+    """
+    p, *rest = sorted(map(tuple, pts))
+    x, y, z, t = p
+    rows = [(q[0] - x, q[1] - y, q[2] - z, q[3] - t) for q in rest]
+    lsq = [r[0] * r[0] + r[1] * r[1] + r[2] * r[2] + r[3] * r[3] for r in rows]
+    for i, j in EDGE_ORDER[4:]:
+        a, b = rest[i - 1], rest[j - 1]
+        d0, d1, d2, d3 = a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]
+        lsq.append(d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3)
+    v = abs(_det4(*rows)) / 24.0
+    return _eta_from(v, lsq, which), v
+
+
 def eta1(p1, p2, p3, p4, p5) -> float:
     """Geometric/arithmetic mean-ratio quality (0 degenerate .. 1 regular)."""
-    pts = (p1, p2, p3, p4, p5)
-    return _eta_from(abs(hypervolume(*pts)), edge_lengths_squared(pts), 1)
+    return _eta_volume((p1, p2, p3, p4, p5), 1)[0]
 
 
 def eta2(p1, p2, p3, p4, p5) -> float:
     """Arithmetic/RMS mean-ratio quality."""
-    pts = (p1, p2, p3, p4, p5)
-    return _eta_from(abs(hypervolume(*pts)), edge_lengths_squared(pts), 2)
+    return _eta_volume((p1, p2, p3, p4, p5), 2)[0]
 
 
 def eta3(p1, p2, p3, p4, p5) -> float:
     """Geometric/RMS mean-ratio quality; equals eta1 * eta2."""
-    pts = (p1, p2, p3, p4, p5)
-    return _eta_from(abs(hypervolume(*pts)), edge_lengths_squared(pts), 3)
+    return _eta_volume((p1, p2, p3, p4, p5), 3)[0]
 
 
 def pentatope_quality(pts, which: int = 1) -> float:
-    """Euclidean quality of a 5-point sequence with the chosen heuristic."""
-    return _eta_from(abs(hypervolume(*pts)), edge_lengths_squared(pts), which)
+    """Euclidean quality of five points with the chosen heuristic."""
+    return _eta_volume(pts, which)[0]
 
 
 def quality_metric(pts, field, mode: str = "pointwise", which: int = 1) -> float:
@@ -127,8 +150,10 @@ def quality_metric(pts, field, mode: str = "pointwise", which: int = 1) -> float
     ``pointwise`` evaluates the field once at the element centroid;
     ``quadrature`` integrates edge lengths (Gauss-Legendre of order
     ``_QUADRATURE_ORDER``) and the volume density (simplex rule of half
-    that order).  Both coincide for constant fields.
+    that order).  Both coincide for constant fields.  The points are
+    sorted lexicographically first, as for the Euclidean heuristics.
     """
+    pts = sorted(map(tuple, pts))
     fld = resolve_field(field)
     if mode == "pointwise":
         metric = fld(tuple(sum(p[j] for p in pts) / 5.0 for j in range(4)))

@@ -72,8 +72,9 @@ def convergence_study(*, levels: int = 4, refine: float = 1.5,
     k samples its boundary at spacing ``refine``^(1-k) in space and time; the
     meshed hypervolume (super elements stripped) is compared against the
     exact 4/3 pi R^3 L.  ``metric`` is "identity", "speed" (the field
-    ``MetricField.speed(c0=1, beta=0.1)`` centred at t = L/2) or anything
-    :func:`~pentamesh.geometry.resolve_field` accepts.  The characteristic
+    ``MetricField.speed(c0=1, beta=0.1)`` centred at t = L/2) or a
+    non-string :func:`~pentamesh.geometry.resolve_field` accepts; another
+    string raises ``ValueError`` before anything is meshed.  The characteristic
     spacing is the pentatope count raised to ``h_exponent`` (default -1/3;
     -1/4 is the volume-scaling alternative), and the slope is the
     least-squares fit of log error against log spacing.
@@ -81,12 +82,14 @@ def convergence_study(*, levels: int = 4, refine: float = 1.5,
     if levels < 3:
         raise ValueError("need at least 3 refinement levels for a slope")
     R, L = 1.0, 4.0
-    if metric == "identity":
+    if not isinstance(metric, str):
+        field = resolve_field(metric)
+    elif metric == "identity":
         field = MetricField.identity()
     elif metric == "speed":
         field = MetricField.speed(c0=1.0, beta=0.1, center=L / 2.0)
     else:
-        field = resolve_field(metric)
+        raise ValueError(f"unknown metric {metric!r}; use 'identity', 'speed' or a field")
     hv_exact = hypercylinder_exact_hypervolume(R, L)
     rows = []
     for level in range(levels):

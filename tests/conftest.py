@@ -14,6 +14,16 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def improve_benchmark_points(seed, index, n_points=50):
+    """The points of instance ``index`` of ``seed`` in the improve benchmark.
+
+    Built as ``perfbench/workloads.py`` builds them: uniform in the unit
+    tesseract, from the seed ``SeedSequence([seed, index])`` generates.
+    """
+    iseed = int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
+    return np.random.default_rng(iseed).random((n_points, 4))
+
+
 def random_pentatope(rng, scale=1.0, min_vol=1e-6):
     """A uniformly random non-degenerate pentatope."""
     while True:

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import hashlib
 import heapq
 import itertools
+import json
 from collections import Counter
 from unittest import mock
 
@@ -34,7 +36,7 @@ from pentamesh.geometry import (
 from pentamesh.insertion import triangulate
 from pentamesh.mesh import Mesh4, MeshError
 from pentamesh.quality import pentatope_quality, quality_metric
-from conftest import facet_table
+from conftest import facet_table, improve_benchmark_points
 
 
 def boundary_multiset(tuples):
@@ -643,3 +645,89 @@ class TestMemo:
                                     include_point_inserting=with_points)
         assert rep.flips and rep == fresh
         assert (mesh.vertices, mesh.elements, mesh.nbr) == (twin.vertices, twin.elements, twin.nbr)
+
+
+# ---------------------------------------------------------------------------
+# the driver's once-per-call work
+# ---------------------------------------------------------------------------
+
+class TestOncePerCall:
+    @pytest.mark.parametrize("field,heuristic,with_points,n_points,seed", [
+        (None, 1, True, 40, 5),
+        (None, 2, False, 30, 11),
+        (MetricField.speed(c0=1.0, beta=0.5, center=0.5), 3, True, 25, 99),
+    ], ids=["identity-eta1", "identity-eta2-no-point-flips", "speed-eta3"])
+    def test_each_simplex_is_measured_once(self, field, heuristic, with_points,
+                                           n_points, seed):
+        # a simplex is its point set: the vertex set plus any inserted point
+        calls = {"_eta_volume": Counter(), "quality_metric": Counter()}
+
+        def counting(name):
+            original = getattr(flips, name)
+
+            def counted(pts, *args, **kwargs):
+                calls[name][tuple(sorted(map(tuple, pts)))] += 1
+                return original(pts, *args, **kwargs)
+
+            return mock.patch.object(flips, name, counted)
+
+        mesh = triangulate(np.random.default_rng(seed).random((n_points, 4)), field)
+        with counting("_eta_volume"), counting("quality_metric"):
+            rep = improve_quality(mesh, heuristic=heuristic, field=field,
+                                  include_point_inserting=with_points)
+        assert rep.flips
+        assert calls["_eta_volume"] and max(calls["_eta_volume"].values()) == 1
+        if field is not None:
+            assert set(calls["quality_metric"]) == set(calls["_eta_volume"])
+            assert max(calls["quality_metric"].values()) == 1
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(8, 20),
+           n_flips=st.integers(0, 3), with_points=st.booleans())
+    def test_applied_flips_match_the_public_validate_and_apply(self, seed, n_points,
+                                                               n_flips, with_points):
+        # each flip the driver applies, on the verdict it memoised, passes the
+        # public validate_flip on a copy of the mesh before it, and the public
+        # apply_flip there gives the same elements and neighbours
+        mesh = mesh_with_point_flips(seed, n_points, n_flips)
+        real = flips._apply
+        applied = []
+
+        def checked(target, cand, dets):
+            if target is not mesh:  # the public apply_flip on the copy
+                return real(target, cand, dets)
+            twin = copy.deepcopy(mesh)
+            assert validate_flip(twin, cand) == (True, "")
+            public = apply_flip(twin, cand)
+            rep = real(mesh, cand, dets)
+            assert rep == public
+            assert (mesh.elements, mesh.nbr, mesh.vertices) == (twin.elements, twin.nbr,
+                                                                 twin.vertices)
+            applied.append(rep)
+            return rep
+
+        with mock.patch.object(flips, "_apply", checked):
+            rep = improve_quality(mesh, heuristic=2, include_point_inserting=with_points)
+        assert applied == rep.flips
+        assume(applied)
+
+
+# sha256 of the JSON of [kind, sorted sorted-vertex-tuples of the new elements]
+# for every flip improve_quality(heuristic=1) applies to the mesh of an improve
+# benchmark input; a change that alters one of these sequences says so
+_PINNED_SEQUENCES = {
+    (7, 0): "8827846f7ca5089fb42bd3b9a4b4293466b05e44795b1594b2b3b9823ec7c16d",
+    (7, 1): "53109b0687b9866c60b6c06426ff78236c74f9df46094fcb5a07c64ec7eec1e9",
+    (3301, 0): "507dd19d0176f80b7ab1c5502781981cbc865ad7167f97817a667256824671ee",
+    (3301, 1): "2b531f11218c573e9fc6ef4742fa0a65ee751c4e3dfeea4535c3c8b8f8ce12ad",
+}
+
+
+@pytest.mark.parametrize("seed,index", sorted(_PINNED_SEQUENCES))
+def test_improve_flip_sequences_are_pinned(seed, index):
+    mesh = triangulate(improve_benchmark_points(seed, index))
+    rep = improve_quality(mesh, heuristic=1)
+    sequence = [[f.kind, sorted(sorted(mesh.elements[e]) for e in f.new_elements)]
+                for f in rep.flips]
+    digest = hashlib.sha256(json.dumps(sequence).encode()).hexdigest()
+    assert digest == _PINNED_SEQUENCES[seed, index], digest

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import pentamesh
+from pentamesh import studies
 from pentamesh.flips import improve_quality
 from pentamesh.insertion import triangulate
 from pentamesh.meshio import (
@@ -225,6 +226,14 @@ class TestStudies:
         assert row["amq20_final"] >= row["amq20_initial"] - 1e-12
         assert row["pentatopes_initial"] > 0
 
+    def test_convergence_study_names_an_unknown_metric(self, monkeypatch):
+        def no_meshing(*args, **kwargs):
+            raise AssertionError("meshed before checking the metric")
+
+        monkeypatch.setattr(studies, "triangulate", no_meshing)
+        with pytest.raises(ValueError, match="unknown metric 'speedy'"):
+            convergence_study(levels=3, metric="speedy")
+
     def test_convergence_study_shrinks_error(self):
         res = convergence_study(levels=3, refine=1.5,
                                 metric="identity", seed=1)
@@ -328,3 +337,13 @@ class TestCli:
         from pentamesh.cli import parse_metric
         with pytest.raises(argparse.ArgumentTypeError):
             parse_metric(spec)
+
+    @pytest.mark.parametrize("spec", ["speed:nan", "speed:inf", "speed:1,nan", "speed:1,0.1,-inf"])
+    def test_non_finite_metric_is_a_usage_error(self, spec, tmp_path, rng, capsys):
+        pts = self._points_file(tmp_path, rng, n=10)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["mesh", pts, "--metric", spec])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and repr(spec) in err and "non-finite" in err
+        assert "Traceback" not in err

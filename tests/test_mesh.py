@@ -176,15 +176,16 @@ class TestFlipThenReverse:
     @given(seed=st.integers(0, 2**32 - 1), heuristic=st.sampled_from((1, 2)))
     def test_reverse_restores_the_simplex_set(self, seed, heuristic):
         # after each flip improve_quality applies, its reverse kind, applied
-        # to a copy, brings back the simplices the flip removed
+        # to a copy, brings back the simplices the flip removed; the driver
+        # applies a flip through _apply with the exact volumes it validated
         mesh = triangulate(np.random.default_rng(seed).random((16, 4)))
-        real = flips.apply_flip
+        real = flips._apply
         checked = []
 
-        def apply_and_reverse(mesh, cand):
+        def apply_and_reverse(mesh, cand, dets):
             before = simplex_set(mesh)
             removed = {frozenset(mesh.elements[e]) for e in cand.stage1}
-            rep = real(mesh, cand)
+            rep = real(mesh, cand, dets)
             assert_table_matches_tuples(mesh)
             trial = copy.deepcopy(mesh)
             rev = next(c for c in find_candidates(trial, rep.new_elements[0])
@@ -192,7 +193,9 @@ class TestFlipThenReverse:
                        and set(c.stage1) == set(rep.new_elements)
                        and {frozenset(rep.removed_vertex if v == NEW_LABEL else v
                                       for v in t) for t in c.stage2} == removed)
-            back = real(trial, rev)
+            reason, rev_dets = flips._check_flip(trial, rev)
+            assert not reason
+            back = real(trial, rev, rev_dets)
             restored = simplex_set(trial)
             if back.new_vertex is not None:
                 restored = {frozenset(rep.removed_vertex if v == back.new_vertex else v
@@ -203,7 +206,7 @@ class TestFlipThenReverse:
             checked.append(rep.kind)
             return rep
 
-        with mock.patch.object(flips, "apply_flip", apply_and_reverse):
+        with mock.patch.object(flips, "_apply", apply_and_reverse):
             report = improve_quality(mesh, heuristic=heuristic)
         assert len(checked) == len(report.flips)
 

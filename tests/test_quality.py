@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pentamesh.geometry import MetricField, hypervolume, regular_pentatope
 from pentamesh.quality import (
@@ -14,7 +16,7 @@ from pentamesh.quality import (
     quality_metric,
     theta,
 )
-from conftest import random_pentatope
+from conftest import improve_benchmark_points, random_pentatope, spd_metric
 
 
 def matrix_route(pts):
@@ -159,3 +161,34 @@ class TestQualityMetric:
     def test_edge_order_is_lexicographic(self):
         assert EDGE_ORDER == ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2),
                               (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+
+
+# vertices 7, 33, 36, 44 and 46 of the mesh of seed 3301, instance 3 (the
+# input's rows, in input order): eta1 in the element's stored order and in
+# another order once differed in the last bit, 0.25888139524740583 and ...057
+_ORDER_FOUND = improve_benchmark_points(3301, 3)[[7, 33, 36, 44, 46]].tolist()
+
+_ORDER_FIELDS = (None, MetricField.constant(spd_metric(np.random.default_rng(5))),
+                 MetricField.speed(c0=1.0, beta=0.5, center=0.5))
+
+_coordinate = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+class TestPointOrder:
+    @settings(max_examples=3, deadline=None)
+    @given(pts=st.lists(st.tuples(*[_coordinate] * 4), min_size=5, max_size=5))
+    @example(pts=_ORDER_FOUND)
+    def test_every_heuristic_is_a_function_of_the_point_set(self, pts):
+        # bit-identical over all 120 orders, given as numpy rows
+        rows = np.array(pts, dtype=float)
+
+        def values(p):
+            out = [pentatope_quality(p, w) for w in (1, 2, 3)]
+            out += [eta1(*p), eta2(*p), eta3(*p)]
+            out += [quality_metric(p, field, mode=mode, which=w) for field in _ORDER_FIELDS
+                    for mode in ("pointwise", "quadrature") for w in (1, 2, 3)]
+            return out
+
+        first = values(rows)
+        for perm in itertools.permutations(range(5)):
+            assert values(rows[list(perm)]) == first, perm
