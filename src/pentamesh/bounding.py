@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import hypervolume
+from .geometry import _hypervolumes_int
 from .mesh import Mesh4, MeshError
 
 __all__ = [
@@ -109,11 +109,16 @@ def build_bounding_mesh(points, n_b: int = 24, margin: float = 1.0) -> Mesh4:
     The tesseract is the equal-sided cube centred on the points' bounding
     box, with side the box's largest extent plus twice ``margin`` times its
     diagonal (one absolute unit for a single point).  The 16 corners become
-    super vertices; every element is normalized to positive orientation.
+    super vertices; every element is put in positive orientation by the
+    sign of its exact volume.  A non-finite point is rejected by its row.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 4 or pts.shape[0] < 1:
         raise ValueError("points must be a non-empty (n, 4) array")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        row = int(finite.argmin())
+        raise ValueError(f"input point {row} is not finite: {tuple(pts[row].tolist())!r}")
     if margin <= 0.0:
         raise ValueError("margin must be positive")
     table = subdivision_table(n_b)
@@ -127,17 +132,11 @@ def build_bounding_mesh(points, n_b: int = 24, margin: float = 1.0) -> Mesh4:
     for corner in table.corners:
         p = tuple(lo[j] + corner[j] * (hi[j] - lo[j]) for j in range(4))
         mesh.add_vertex(p, is_super=True)
-    cells = []
-    for tup in table.tuples:
-        verts = tuple(i - 1 for i in tup)
-        pts5 = tuple(mesh.vertices[v] for v in verts)
-        vol = hypervolume(*pts5)
-        if vol == 0.0:
-            raise MeshError(f"degenerate subdivision cell {tup}")
-        if vol < 0.0:
-            verts = (verts[1], verts[0]) + verts[2:]
-        cells.append(verts)
-    mesh.replace((), cells)
+    cells = [tuple(i - 1 for i in tup) for tup in table.tuples]
+    dets, _ = _hypervolumes_int(dict(enumerate(mesh.vertices)), cells)
+    if 0 in dets:
+        raise MeshError(f"degenerate subdivision cell {table.tuples[dets.index(0)]}")
+    mesh.replace((), [v if det > 0 else (v[1], v[0]) + v[2:] for v, det in zip(cells, dets)])
     mesh.bounding_lo = lo
     mesh.bounding_hi = hi
     return mesh

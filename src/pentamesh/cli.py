@@ -25,7 +25,7 @@ from . import meshio
 from .flips import improve_quality
 from .geometry import MetricField
 from .insertion import audit_delaunay, triangulate
-from .quality import pentatope_quality, quality_metric
+from .quality import quality_metric
 from .studies import (
     convergence_study,
     predicate_comparison_study,
@@ -75,18 +75,15 @@ def cmd_mesh(args) -> int:
 
 def cmd_quality(args) -> int:
     mesh = meshio.load_p4m(args.mesh)
-    use_metric = args.metric.kind != "identity"
-    rows = []
-    for eid in mesh.alive_elements():
-        pts = mesh.element_points(eid)
-        q = (quality_metric(pts, args.metric, which=args.heuristic)
-             if use_metric else pentatope_quality(pts, which=args.heuristic))
-        rows.append({"element": eid, f"eta{args.heuristic}": q})
+    column = f"eta{args.heuristic}"
+    rows = [{"element": eid, column: quality_metric(mesh.element_points(eid), args.metric,
+                                                    which=args.heuristic)}
+            for eid in mesh.alive_elements()]
     out = _open_out(args.output)
     write_csv(rows, out)
     if out is not sys.stdout:
         out.close()
-    qs = [r[f"eta{args.heuristic}"] for r in rows]
+    qs = [r[column] for r in rows]
     if qs:
         print(f"elements {len(qs)}  min {min(qs):.6f}  mean {sum(qs)/len(qs):.6f}",
               file=sys.stderr)

@@ -33,12 +33,13 @@ replacement tuples before its :class:`FlipCandidate` is built;
 driver passes the elements earlier flips created as the frozen set and a
 gate that drops a configuration at its first replacement no better than
 the group's minimum.  For the length of the call it memoises each
-simplex's quality and float volume, each entity's gated candidates and
-each candidate's verdict on the checks that read only its own tuples and
-points (:func:`improve_quality`).  It takes the best-ranked candidate that
-passes fresh live checks with a valid verdict, and applies it with that
-verdict's exact volumes, so an applied flip is validated once;
-:func:`validate_flip` and :func:`apply_flip` run every check afresh.
+simplex's quality and float volume, measured under the call's field by
+:func:`~pentamesh.quality._eta_volume`, and each entity's gated candidates
+(:func:`improve_quality`).  It takes the best-ranked candidate that passes
+the live checks and then the checks on its own tuples and points, and
+applies it with the exact volumes of that validation, so an applied flip
+is validated once; :func:`validate_flip` and :func:`apply_flip` run every
+check afresh.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from itertools import combinations
 from .geometry import FACET_OPPOSITE, _hypervolumes_int, hypervolume, resolve_field
 from .mesh import Mesh4, MeshError
 from .predicates import orientation4  # noqa: F401  perfbench/tracing.py wraps this name
-# perfbench/tracing.py wraps pentatope_quality here too
-from .quality import _eta_volume, pentatope_quality, quality_metric  # noqa: F401
+from .quality import _eta_volume
+from .quality import pentatope_quality  # noqa: F401  perfbench/tracing.py wraps this name
 
 __all__ = [
     "FlipCandidate",
@@ -601,22 +602,21 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
 
     What depends only on coordinates is computed once per call, since
     coordinates never change within it.  Each distinct simplex, keyed by
-    its sorted vertex ids and inserted point, is measured once (quality
-    and float volume); the gate, the created elements' qualities and the
-    float volume pre-filter read that memo.  Each entity's improving
+    its sorted vertex ids and inserted point, is measured once by
+    :func:`~pentamesh.quality._eta_volume` under ``field`` (quality and
+    Euclidean float volume); the gate, the created elements' qualities and
+    the float volume pre-filter read that memo.  Each entity's improving
     candidates, the starter's own among them, are memoised too, as empty
     without examination when its star meets the frozen set.  A flip
     changes only the stars of the entities of the elements it removes or
     creates, so those entries are dropped after it, and a live entry
     equals a fresh build: each starter gets the candidates of
     :func:`find_candidates`, in order, and the tie-break is unchanged.
-    Each candidate's verdict on the fixed checks of :func:`_check_flip`
-    is memoised, as it holds while stage 1 is alive (element ids are never
-    reused); the live checks run afresh each time, and the exact volumes
-    of the accepted verdict orient the replacements.
+    Ranked candidates run the live checks of :func:`_check_flip` and then
+    its fixed ones, which read the volume memo, best first until one
+    passes; the exact volumes of that validation orient the replacements.
     """
     fld = resolve_field(field)
-    use_metric = fld.kind != "identity"
     simplices: dict[tuple, tuple[float, float]] = {}
 
     def measured(tup, new_point):
@@ -624,11 +624,7 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
         key = (tuple(sorted(tup)), new_point)
         m = simplices.get(key)
         if m is None:
-            pts = _points(mesh, tup, new_point)
-            m = _eta_volume(pts, heuristic)
-            if use_metric:
-                m = (quality_metric(pts, fld, which=heuristic), m[1])
-            simplices[key] = m
+            m = simplices[key] = _eta_volume(_points(mesh, tup, new_point), heuristic, fld)
         return m
 
     quality_of = {eid: measured(mesh.elements[eid], None)[0] for eid in mesh.alive_elements()}
@@ -653,7 +649,6 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
 
     frozen: set[int] = set()
     memo: dict[tuple[int, ...], tuple[tuple[FlipCandidate, float], ...]] = {}
-    verdicts: dict[FlipCandidate, tuple] = {}
     report = ImprovementReport(
         heuristic=heuristic, flips_by_kind=Counter(),
         n_elements_before=n_before, n_elements_after=n_before,
@@ -673,10 +668,8 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
         for cand, _ in ranked:
             if _live_reason(mesh, cand):
                 continue
-            verdict = verdicts.get(cand)
-            if verdict is None:
-                verdict = verdicts[cand] = _fixed_verdict(
-                    mesh, cand, lambda tup, new_point: measured(tup, new_point)[1])
+            verdict = _fixed_verdict(mesh, cand,
+                                     lambda tup, new_point: measured(tup, new_point)[1])
             if not verdict[0]:
                 break
         else:
@@ -705,20 +698,15 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
     return report
 
 
-def _gated_entity(mesh, key, gate, with_points, frozen):
-    """The memo entry of one entity: its ``(candidate, gain)`` pairs that pass ``gate``."""
-    return _entity_candidates(mesh, key, with_points, frozen, gate)
-
-
 def _improving_candidates(mesh, starter, memo, gate, with_points, frozen):
     """The starter's gated ``(candidate, gain)`` pairs in :func:`find_candidates` order.
 
-    Entity entries come from ``memo``, built by :func:`_gated_entity` on a miss.
+    Entity entries come from ``memo``, built by :func:`_entity_candidates` on a miss.
     """
     out = []
     for key in _entity_keys(mesh.elements[starter]):
         entries = memo.get(key)
         if entries is None:
-            entries = memo[key] = _gated_entity(mesh, key, gate, with_points, frozen)
+            entries = memo[key] = _entity_candidates(mesh, key, with_points, frozen, gate)
         out += entries
     return out

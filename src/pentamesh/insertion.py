@@ -411,8 +411,7 @@ def triangulate(points, field=None, *, n_b: int = 24, margin: float = 1.0,
             if not skip_duplicates:
                 raise
     if strip_super:
-        mesh.strip_super()
-        mesh = mesh.compact()
+        mesh = mesh.strip_super()
     return mesh
 
 

@@ -25,7 +25,7 @@ the outside neighbour straight from the table, and its other four facets
 by ridge, as in Boissonnat, Devillers & Hornus (SoCG 2009).
 :meth:`Mesh4.remove_element` commits one killed element whose neighbours'
 slots become ``None``.  No facet map of the whole mesh is kept, and
-:meth:`Mesh4.compact` renumbers the table instead of gluing again.  The
+:meth:`Mesh4.compact` and :meth:`Mesh4.strip_super` renumber the table.  The
 stars stay because the flip search asks for the elements around a vertex,
 edge or triangle (:meth:`Mesh4.elements_with_vertices`), and the walk
 starts from the star of the vertex nearest the point
@@ -368,34 +368,33 @@ class Mesh4:
 
     # -- maintenance --------------------------------------------------------
 
-    def strip_super(self) -> int:
-        """Remove every element touching a super vertex; returns the count."""
-        doomed = [eid for eid in self.alive_elements()
-                  if any(self.is_super[v] for v in self.elements[eid])]
-        for eid in doomed:
-            self.remove_element(eid)
-        for vid, flag in enumerate(self.is_super):
-            if flag and not self.star[vid]:
-                self.kill_vertex(vid)
-        return len(doomed)
+    def strip_super(self) -> "Mesh4":
+        """:meth:`compact` less every element touching a super vertex; this mesh is unchanged."""
+        return self._renumbered([eid for eid in self.alive_elements()
+                                 if not any(self.is_super[v] for v in self.elements[eid])])
 
     def compact(self) -> "Mesh4":
-        """A fresh mesh without dead vertices/elements (indices renumbered).
+        """A fresh mesh without dead vertices/elements (indices renumbered)."""
+        return self._renumbered(list(self.alive_elements()))
+
+    def _renumbered(self, kept) -> "Mesh4":
+        """A fresh mesh of the alive elements ``kept`` (ascending ids) and the alive
+        vertices, less the super vertices no kept element holds.
 
         The neighbour table is renumbered, not glued again: a local facet
-        slot does not depend on vertex ids, so each alive row maps through
-        the element renumbering.
+        slot does not depend on vertex ids, so each kept row maps through the
+        element renumbering, and a slot into an element not kept becomes ``None``.
         """
-        keep = [vid for vid in range(len(self.vertices))
-                if self.vertex_alive[vid] and (self.star[vid] or not self.is_super[vid])]
+        renum = {old: new for new, old in enumerate(kept)}
+        keep = [vid for vid, alive in enumerate(self.vertex_alive)
+                if alive and (not self.is_super[vid] or any(e in renum for e in self.star[vid]))]
         remap = {old: new for new, old in enumerate(keep)}
-        alive = list(self.alive_elements())
-        renum = {old: new for new, old in enumerate(alive)}
         out = Mesh4()
         for old in keep:
             out.add_vertex(self.vertices[old], is_super=self.is_super[old])
-        out._commit((), [tuple(remap[v] for v in self.elements[eid]) for eid in alive],
-                    [[nb and (renum[nb[0]], nb[1]) for nb in self.nbr[eid]] for eid in alive],
+        out._commit((), [tuple(remap[v] for v in self.elements[eid]) for eid in kept],
+                    [[(renum[nb[0]], nb[1]) if nb is not None and nb[0] in renum else None
+                      for nb in self.nbr[eid]] for eid in kept],
                     ())
         return out
 
@@ -404,14 +403,18 @@ class Mesh4:
 
         Facet owners are counted once, from the element tuples, and every
         slot of the neighbour table is checked against them and against
-        the slot it points to.
+        the slot it points to.  Orientation is the sign of the exact volume
+        (:func:`~pentamesh.geometry._hypervolumes_int`), at any scale.
         """
         problems = []
         elements, nbr = self.elements, self.nbr
         keys_of = {eid: _facet_keys(elements[eid]) for eid in self.alive_elements()}
         owners = Counter(key for keys in keys_of.values() for key in keys)
         problems += [f"facet {key} has {n} owners" for key, n in owners.items() if n > 2]
-        for eid, keys in keys_of.items():
+        tuples = [elements[eid] for eid in keys_of]
+        dets, _ = _hypervolumes_int({v: self.vertices[v] for verts in tuples for v in verts},
+                                    tuples)
+        for (eid, keys), det in zip(keys_of.items(), dets):
             if any(not self.vertex_alive[v] for v in elements[eid]):
                 problems.append(f"element {eid} references a dead vertex")
             for li, nb in enumerate(nbr[eid]):
@@ -431,6 +434,6 @@ class Mesh4:
                     continue
                 problems.append(f"element {eid} facet {li} {keys[li]} has neighbour "
                                 f"{other} facet {lo}, which {problem}")
-            if hypervolume(*self.element_points(eid)) <= 0.0:
+            if det <= 0:
                 problems.append(f"element {eid} is not positively oriented")
         return problems

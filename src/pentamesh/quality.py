@@ -18,9 +18,9 @@ metric-weighted counterparts (point-wise at the centroid, or integrated).
 
 Every heuristic first sorts the five points lexicographically, so its value
 is a function of the point set: any order of the same points gives the
-same float, bit for bit.  The Euclidean ones share one kernel
-(:func:`_eta_volume`) that also returns the unsigned hypervolume it used,
-which the flip driver reads for its volume pre-filter.
+same float, bit for bit.  One kernel (:func:`_eta_volume`) measures the
+Euclidean and the point-wise metric heuristics; it also returns the unsigned
+Euclidean hypervolume, which the flip driver reads for its volume pre-filter.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ import math
 
 from .geometry import (
     _det4,
-    metric_length_pointwise,
     metric_length_quadrature,
-    metric_volume_pointwise,
     metric_volume_quadrature,
     resolve_field,
 )
@@ -104,24 +102,26 @@ def _eta_from(v: float, lsq, which: int) -> float:
     raise ValueError(f"heuristic must be 1, 2 or 3, got {which}")
 
 
-def _eta_volume(pts, which: int = 1) -> tuple[float, float]:
+def _eta_volume(pts, which: int = 1, field=None) -> tuple[float, float]:
     """``(η, |hypervolume|)`` of five points, taken in lexicographic point order.
 
-    The four rows from the first point give both the determinant and the
-    first four squared edge lengths; the values equal
-    ``_eta_from(abs(hypervolume(*s)), edge_lengths_squared(s), which)`` for
-    the sorted points ``s``.
+    The ten edge rows, in :data:`EDGE_ORDER`, are built once; the first four
+    give the Euclidean volume v.  Under the identity (``field`` None or of
+    kind ``"identity"``) η reads their squared lengths, else ``quad(row)``
+    and ``v * sqrt(det M)`` under the metric ``M`` of ``field`` at the centroid.
     """
     p, *rest = sorted(map(tuple, pts))
     x, y, z, t = p
     rows = [(q[0] - x, q[1] - y, q[2] - z, q[3] - t) for q in rest]
-    lsq = [r[0] * r[0] + r[1] * r[1] + r[2] * r[2] + r[3] * r[3] for r in rows]
     for i, j in EDGE_ORDER[4:]:
         a, b = rest[i - 1], rest[j - 1]
-        d0, d1, d2, d3 = a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]
-        lsq.append(d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3)
-    v = abs(_det4(*rows)) / 24.0
-    return _eta_from(v, lsq, which), v
+        rows.append((a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
+    v = abs(_det4(*rows[:4])) / 24.0
+    if field is None or field.kind == "identity":
+        lsq = [r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3 for r0, r1, r2, r3 in rows]
+        return _eta_from(v, lsq, which), v
+    metric = field(tuple(sum(c) / 5.0 for c in zip(p, *rest)))
+    return _eta_from(v * math.sqrt(metric.det), [metric.quad(r) for r in rows], which), v
 
 
 def eta1(p1, p2, p3, p4, p5) -> float:
@@ -153,17 +153,13 @@ def quality_metric(pts, field, mode: str = "pointwise", which: int = 1) -> float
     that order).  Both coincide for constant fields.  The points are
     sorted lexicographically first, as for the Euclidean heuristics.
     """
-    pts = sorted(map(tuple, pts))
     fld = resolve_field(field)
     if mode == "pointwise":
-        metric = fld(tuple(sum(p[j] for p in pts) / 5.0 for j in range(4)))
-        lsq = [metric_length_pointwise(pts[i], pts[j], metric) ** 2
-               for i, j in EDGE_ORDER]
-        v = metric_volume_pointwise(pts, metric)
-    elif mode == "quadrature":
-        lsq = [metric_length_quadrature(pts[i], pts[j], fld, order=_QUADRATURE_ORDER) ** 2
-               for i, j in EDGE_ORDER]
-        v = metric_volume_quadrature(pts, fld, order=_QUADRATURE_ORDER // 2)
-    else:
+        return _eta_volume(pts, which, fld)[0]
+    if mode != "quadrature":
         raise ValueError(f"mode must be 'pointwise' or 'quadrature', got {mode!r}")
+    pts = sorted(map(tuple, pts))
+    lsq = [metric_length_quadrature(pts[i], pts[j], fld, order=_QUADRATURE_ORDER) ** 2
+           for i, j in EDGE_ORDER]
+    v = metric_volume_quadrature(pts, fld, order=_QUADRATURE_ORDER // 2)
     return _eta_from(v, lsq, which)

@@ -143,6 +143,20 @@ class TestBuildBoundingMesh:
                 assert on_face
         assert n_boundary > 0
 
+    def test_cells_are_oriented_exactly_at_tiny_scale(self):
+        # scaling by a power of two is exact, and every cell's float
+        # hypervolume underflows to 0 at this scale
+        pts = np.random.default_rng(0).random((30, 4))
+        mesh = build_bounding_mesh(pts * 2.0 ** -330)
+        assert mesh.elements == build_bounding_mesh(pts).elements
+        assert mesh.validate() == []
+
+    def test_non_finite_point_is_named_by_its_row(self):
+        pts = np.random.default_rng(0).random((30, 4))
+        pts[3, 1] = np.inf
+        with pytest.raises(ValueError, match=r"input point 3 is not finite: \(.*inf"):
+            build_bounding_mesh(pts)
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             build_bounding_mesh(np.empty((0, 4)))

@@ -617,7 +617,7 @@ class TestMemo:
 
         def check(mesh, starter, memo, gain, with_points, frozen):
             for key, entries in memo.items():
-                assert entries == flips._gated_entity(mesh, key, gain, with_points, frozen)
+                assert entries == flips._entity_candidates(mesh, key, with_points, frozen, gain)
             checked.append(len(memo))
 
         mesh = mesh_with_point_flips(seed, n_points, n_flips)
@@ -659,36 +659,33 @@ class TestOncePerCall:
     ], ids=["identity-eta1", "identity-eta2-no-point-flips", "speed-eta3"])
     def test_each_simplex_is_measured_once(self, field, heuristic, with_points,
                                            n_points, seed):
-        # a simplex is its point set: the vertex set plus any inserted point
-        calls = {"_eta_volume": Counter(), "quality_metric": Counter()}
+        # a simplex is its point set: the vertex set plus any inserted point;
+        # every measurement carries the call's field, so the metric quality
+        # comes from the same one call
+        calls, kinds = Counter(), set()
+        original = flips._eta_volume
 
-        def counting(name):
-            original = getattr(flips, name)
-
-            def counted(pts, *args, **kwargs):
-                calls[name][tuple(sorted(map(tuple, pts)))] += 1
-                return original(pts, *args, **kwargs)
-
-            return mock.patch.object(flips, name, counted)
+        def counted(pts, which, fld):
+            calls[tuple(sorted(map(tuple, pts)))] += 1
+            kinds.add((which, fld.kind))
+            return original(pts, which, fld)
 
         mesh = triangulate(np.random.default_rng(seed).random((n_points, 4)), field)
-        with counting("_eta_volume"), counting("quality_metric"):
+        with mock.patch.object(flips, "_eta_volume", counted):
             rep = improve_quality(mesh, heuristic=heuristic, field=field,
                                   include_point_inserting=with_points)
         assert rep.flips
-        assert calls["_eta_volume"] and max(calls["_eta_volume"].values()) == 1
-        if field is not None:
-            assert set(calls["quality_metric"]) == set(calls["_eta_volume"])
-            assert max(calls["quality_metric"].values()) == 1
+        assert calls and max(calls.values()) == 1
+        assert kinds == {(heuristic, "identity" if field is None else field.kind)}
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(8, 20),
            n_flips=st.integers(0, 3), with_points=st.booleans())
     def test_applied_flips_match_the_public_validate_and_apply(self, seed, n_points,
                                                                n_flips, with_points):
-        # each flip the driver applies, on the verdict it memoised, passes the
-        # public validate_flip on a copy of the mesh before it, and the public
-        # apply_flip there gives the same elements and neighbours
+        # each flip the driver applies, with the exact volumes it validated,
+        # passes the public validate_flip on a copy of the mesh before it, and
+        # the public apply_flip there gives the same elements and neighbours
         mesh = mesh_with_point_flips(seed, n_points, n_flips)
         real = flips._apply
         applied = []

@@ -155,18 +155,31 @@ class TestCone:
 
 class TestCompact:
     def test_matches_a_glued_mesh(self, rng):
+        # both renumbering passes: every alive element, and those without a
+        # super vertex, each against the same elements glued afresh
         mesh = triangulate(rng.random((40, 4)), strip_super=False)
-        mesh.strip_super()
-        out = mesh.compact()
-        oracle = Mesh4.from_arrays(out.vertices, out.elements,
-                                   super_flags=out.is_super)
-        assert out.elements == oracle.elements
-        assert out.nbr == oracle.nbr
-        assert [list(s) for s in out.star] == [list(s) for s in oracle.star]
-        assert out.n_alive == oracle.n_alive == len(out.elements)
-        assert out.last_created == oracle.last_created
-        assert out.validate() == []
-        assert_table_matches_tuples(out)
+        for out in (mesh.compact(), mesh.strip_super()):
+            oracle = Mesh4.from_arrays(out.vertices, out.elements,
+                                       super_flags=out.is_super)
+            assert out.elements == oracle.elements
+            assert out.nbr == oracle.nbr
+            assert [list(s) for s in out.star] == [list(s) for s in oracle.star]
+            assert out.n_alive == oracle.n_alive == len(out.elements)
+            assert out.last_created == oracle.last_created
+            assert out.validate() == []
+            assert_table_matches_tuples(out)
+
+    def test_strip_super_keeps_its_source_and_input_vertices(self, rng):
+        mesh = triangulate(rng.random((40, 4)), strip_super=False)
+        before = snapshot(mesh)
+        out = mesh.strip_super()
+        assert snapshot(mesh) == before
+        assert not any(out.is_super)
+        assert out.vertices == [p for p, flag in zip(mesh.vertices, mesh.is_super) if not flag]
+        kept = sorted(tuple(sorted(mesh.vertices[v] for v in mesh.elements[e]))
+                      for e in mesh.alive_elements()
+                      if not any(mesh.is_super[v] for v in mesh.elements[e]))
+        assert sorted(tuple(sorted(out.element_points(e))) for e in out.alive_elements()) == kept
 
 
 class TestFlipThenReverse:
@@ -295,6 +308,13 @@ class TestValidate:
         report = corrupted(open_slots).splitlines()
         assert len(report) == 2
         assert all("no neighbour but another element owns it" in line for line in report)
+
+    def test_orientation_is_decided_exactly_at_tiny_scale(self):
+        # the float hypervolumes of these elements underflow to 0
+        pts = np.random.default_rng(0).random((30, 4))
+        mesh = triangulate(pts * 1e-80)
+        assert mesh.n_alive == triangulate(pts).n_alive
+        assert mesh.validate() == []
 
     def test_counts_facets_once_per_element(self, rng, monkeypatch):
         # one facet map per call, not one per slot

@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pentamesh.geometry import MetricField, hypervolume, regular_pentatope
+from pentamesh.geometry import (
+    MetricField,
+    hypervolume,
+    metric_length_pointwise,
+    metric_volume_pointwise,
+    regular_pentatope,
+)
 from pentamesh.quality import (
     EDGE_ORDER,
+    _eta_volume,
     edge_lengths_squared,
     eta1,
     eta2,
@@ -130,10 +137,34 @@ class TestEtaProperties:
 
 class TestQualityMetric:
     def test_identity_field(self, rng):
-        pts = random_pentatope(rng)
-        for which in (1, 2, 3):
-            assert quality_metric(pts, None, which=which) == pytest.approx(
-                pentatope_quality(pts, which), rel=1e-12)
+        # bit for bit: the identity field takes the Euclidean kernel path
+        for _ in range(20):
+            pts = random_pentatope(rng)
+            for which in (1, 2, 3):
+                want = pentatope_quality(pts, which)
+                assert quality_metric(pts, None, which=which) == want
+                assert quality_metric(pts, MetricField.identity(), which=which) == want
+
+    @pytest.mark.parametrize("field", [
+        MetricField.speed(c0=1.0, beta=0.5, center=0.5),
+        MetricField.constant(np.diag([1.0, 4.0, 0.25, 2.0])),
+    ], ids=["speed", "constant"])
+    def test_kernel_matches_the_pointwise_oracles(self, rng, field):
+        # edge lengths and volume from the public point-wise measures, at the
+        # field's metric at the centroid of the sorted points
+        for _ in range(20):
+            pts = sorted(map(tuple, random_pentatope(rng).tolist()))
+            metric = field(tuple(sum(c) / 5.0 for c in zip(*pts)))
+            lsq = [metric_length_pointwise(pts[i], pts[j], metric) ** 2 for i, j in EDGE_ORDER]
+            v = metric_volume_pointwise(pts, metric)
+            e1 = 5.0 ** 0.75 * math.sqrt(384.0 * v) / sum(lsq)
+            e2 = 6.0 * sum(lsq) / math.sqrt(theta(lsq))
+            e3 = 6.0 * 5.0 ** 0.75 * math.sqrt(384.0 * v / theta(lsq))
+            for which, want in ((1, e1), (2, e2), (3, e3)):
+                eta, vol = _eta_volume(pts[::-1], which, field)
+                assert eta == pytest.approx(want, rel=1e-14, abs=0.0)
+                assert quality_metric(pts[::-1], field, which=which) == eta
+                assert vol == abs(hypervolume(*pts))
 
     def test_pullback_oracle(self, rng):
         # a pentatope stretched 1/c in time scores under diag(1,1,1,c^2)
