@@ -10,6 +10,7 @@ subdivision (all cells congruent, hypervolume 1/24 each); the 22- and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,7 @@ def build_bounding_mesh(points, n_b: int = 24, margin: float = 1.0) -> Mesh4:
     table = subdivision_table(n_b)
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     extents = hi - lo
-    diag = float(np.sqrt(sum(e * e for e in extents)))
+    diag = math.hypot(*extents)
     half = (max(extents) + 2.0 * margin * (diag if diag > 0.0 else 1.0)) / 2.0
     lo, hi = tuple((lo + hi) / 2.0 - half), tuple((lo + hi) / 2.0 + half)
 

@@ -284,7 +284,7 @@ def find_candidates(mesh: Mesh4, starter: int, include_point_inserting: bool = T
                                               _accept_all)]
 
 
-def _accept_all(stage1):
+def _accept_all(stage1):  # noqa: a gate takes stage1
     """:func:`find_candidates`' gate: every configuration passes, with gain 0."""
     return lambda stage2, new_point: 0.0
 

@@ -13,9 +13,10 @@ Conventions
   holds the unit vectors, expanded with cofactor signs ``(+, -, +, -)``.
   With this sign choice the normal of a canonical facet of a positively
   oriented pentatope points *away* from the opposite vertex (outward);
-  callers that need inward normals negate it.  The expansion itself is
-  ``_facet_cofactors``, which insertion's visibility test also evaluates
-  over arrays of facets.
+  callers that need inward normals negate it.  Which side of a facet a
+  point lies on is an orientation predicate
+  (:func:`~pentamesh.predicates.orientation4`), not a product with this
+  float normal.
 * ``_det4`` is the one scalar 4x4 determinant (a Laplace expansion over
   the pair minors of rows 1-2 and 3-4); on Python ints it is exact.
 """
@@ -164,25 +165,6 @@ def hypervolume_exact(p1, p2, p3, p4, p5) -> Fraction:
     return Fraction(det, 24 * den ** 4)
 
 
-def _facet_cofactors(a, b, c, d):
-    """Outward cofactor normal of facet (a, b, c, d) as a 4-tuple.
-
-    Each corner is a sequence of four coordinates, floats or numpy arrays
-    (one entry per facet, which evaluates many facets at once).
-    """
-    u = (b[0] - a[0], b[1] - a[1], b[2] - a[2], b[3] - a[3])
-    v = (c[0] - a[0], c[1] - a[1], c[2] - a[2], c[3] - a[3])
-    w = (d[0] - a[0], d[1] - a[1], d[2] - a[2], d[3] - a[3])
-
-    def minor(i, j, k):
-        return (u[i] * (v[j] * w[k] - v[k] * w[j])
-                - u[j] * (v[i] * w[k] - v[k] * w[i])
-                + u[k] * (v[i] * w[j] - v[j] * w[i]))
-
-    # cofactor signs (+,-,+,-) along the trailing unit-vector row
-    return (minor(1, 2, 3), -minor(0, 2, 3), minor(0, 1, 3), -minor(0, 1, 2))
-
-
 def facet_normal(a, b, c, d) -> np.ndarray:
     """Generalized cross product of u=b-a, v=c-a, w=d-a.
 
@@ -190,7 +172,15 @@ def facet_normal(a, b, c, d) -> np.ndarray:
     product.  Degenerate facets yield the zero vector; the caller decides
     how to handle that.
     """
-    return np.array(_facet_cofactors(a, b, c, d))
+    u, v, w = ([q[j] - a[j] for j in range(4)] for q in (b, c, d))
+
+    def minor(i, j, k):
+        return (u[i] * (v[j] * w[k] - v[k] * w[j])
+                - u[j] * (v[i] * w[k] - v[k] * w[i])
+                + u[k] * (v[i] * w[j] - v[j] * w[i]))
+
+    # cofactor signs (+,-,+,-) along the trailing unit-vector row
+    return np.array([minor(1, 2, 3), -minor(0, 2, 3), minor(0, 1, 3), -minor(0, 1, 2)])
 
 
 def regular_pentatope(edge: float = 1.0) -> np.ndarray:
@@ -222,7 +212,7 @@ class Metric4:
     has the diagonal space-time form.
     """
 
-    __slots__ = ("m", "_det", "_rows", "_inv_rows", "diag")
+    __slots__ = ("m", "_det", "_rows", "diag")
 
     def __init__(self, m) -> None:
         m = np.asarray(m, dtype=float)
@@ -240,7 +230,6 @@ class Metric4:
         self.m = m
         self._det = float(np.linalg.det(m))
         self._rows = tuple(tuple(float(x) for x in row) for row in m)
-        self._inv_rows = None
         off = m[~np.eye(4, dtype=bool)]
         self.diag = tuple(float(m[j, j]) for j in range(4)) if not off.any() else None
 
@@ -252,14 +241,6 @@ class Metric4:
     def rows(self) -> tuple:
         """Metric entries as nested tuples (fast scalar access)."""
         return self._rows
-
-    @property
-    def inv_rows(self) -> tuple:
-        """Inverse metric entries as nested tuples (computed lazily)."""
-        if self._inv_rows is None:
-            inv = np.linalg.inv(self.m)
-            self._inv_rows = tuple(tuple(float(x) for x in row) for row in inv)
-        return self._inv_rows
 
     def quad(self, u) -> float:
         """Quadratic form u^T M u."""

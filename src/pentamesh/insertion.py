@@ -9,7 +9,10 @@ The metric is evaluated once per insertion, at the inserted point.
 Which side of a facet the point lies on decides the walk, the visibility
 repair and the orientation of every new element: one certified sign from
 the array bracket :func:`~pentamesh.predicates._orient4_core`, exact where
-its filter fails, so no decision depends on the scale or offset of a cloud.
+its filter fails (:func:`_sign`).  A boundary facet is visible exactly when
+that sign is positive, so each new element is positively oriented, the
+repaired cavity is star-shaped from the point, and no decision depends on
+the scale or offset of a cloud.
 """
 
 from __future__ import annotations
@@ -20,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    CANONICAL_FACETS,
-    _facet_cofactors,
-    as_point4,
-    resolve_field,
-)
+from .geometry import CANONICAL_FACETS, as_point4, resolve_field
 from .mesh import (
     CavityError,
     DuplicateVertexError,
@@ -60,7 +58,6 @@ __all__ = [
 ]
 
 DEFAULT_SNAP_RTOL = 1e-12   # duplicate-vertex snap, relative to the box diagonal
-_Q_MIN = 1e-16              # least normalized visibility product of a kept facet
 _FACET_CORNERS = np.array(CANONICAL_FACETS)
 
 
@@ -100,27 +97,38 @@ class AuditReport:
 # walking
 # ---------------------------------------------------------------------------
 
-def _element_facets(mesh: Mesh4, eids: list[int], p):
-    """Corners, float determinants and certified flags of the facets of ``eids``.
+def _oriented(F, p):
+    """Facets ``F``, an ``(n, 4, 4)`` corner array, bracketed against p.
 
-    One orientation bracket against p; row 5 j + li is facet li of ``eids[j]``.
+    Returns ``(F, det, certified)``: the float determinants and the flags of
+    the rows the filter certifies, as lists.
     """
-    verts, elems = mesh.vertices, mesh.elements
-    E = np.array([verts[v] for eid in eids for v in elems[eid]]).reshape(-1, 5, 4)
-    F = E[:, _FACET_CORNERS].reshape(-1, 4, 4)
     det, mag = _orient4_core(F, p)
     return F, det.tolist(), _orient4_certified(F, p, det, mag).tolist()
 
 
-def _exits(facets, j: int, p) -> list[int]:
-    """Local facets of element j of ``facets`` with p strictly outside, closest first.
+def _sign(facets, r: int, p):
+    """Sign of det(a-p, b-p, c-p, d-p) for row r of an :func:`_oriented` triple.
 
-    An uncertified sign is decided here by the exact ``orientation4``: only
-    the elements the walk visits pay for it.
+    The certified float determinant stands for its sign; an uncertified row
+    is decided by the exact ``orientation4``, so only the rows a caller
+    reads pay for it.
     """
     F, det, certified = facets
-    out = [r for r in range(5 * j, 5 * j + 5)
-           if (det[r] if certified[r] else orientation4(*F[r], p, mode="exact").sign) < 0]
+    return det[r] if certified[r] else orientation4(*F[r], p, mode="exact").sign
+
+
+def _element_facets(mesh: Mesh4, eids: list[int], p):
+    """The :func:`_oriented` facets of ``eids``: row 5 j + li is facet li of ``eids[j]``."""
+    verts, elems = mesh.vertices, mesh.elements
+    E = np.array([verts[v] for eid in eids for v in elems[eid]]).reshape(-1, 5, 4)
+    return _oriented(E[:, _FACET_CORNERS].reshape(-1, 4, 4), p)
+
+
+def _exits(facets, j: int, p) -> list[int]:
+    """Local facets of element j of ``facets`` with p strictly outside, closest first."""
+    det = facets[1]
+    out = [r for r in range(5 * j, 5 * j + 5) if _sign(facets, r, p) < 0]
     return [r - 5 * j for r in sorted(out, key=lambda r: abs(det[r]))]
 
 
@@ -260,54 +268,35 @@ def build_cavity(mesh: Mesh4, base: int, p, metric) -> Cavity:
     return Cavity(elements, cavity_boundary(mesh, elements))
 
 
-def _visible(mesh: Mesh4, facets, p, metric):
-    """Which facets ``(facet, owner, li)`` see p, as a boolean array.
+def _visible(mesh: Mesh4, facets, p) -> list[bool]:
+    """Which facets ``(facet, owner, li)`` see p: those whose :func:`_sign` is positive.
 
-    A facet sees p when the certified sign of det(a-p, b-p, c-p, d-p) is
-    positive, so that facet + p is positively oriented, and when the
-    normalized product Q = N^T M CP of the inward metric-space normal
-    N = M^{-1} N_e and the centroid C exceeds ``_Q_MIN``, a guard against
-    slivers.  M enters only through positive normalizers, so
-    Q = det / sqrt((N_e^T M^{-1} N_e) (CP^T M CP)).
+    A facet that sees p makes facet + p a positively oriented element.
     """
     verts = mesh.vertices
     corners = chain.from_iterable(verts[v] for facet, _, _ in facets for v in facet)
-    F = np.fromiter(corners, float, 16 * len(facets)).reshape(-1, 4, 4)
-    det, mag = _orient4_core(F, p)
-    positive = det > 0.0
-    for k in np.flatnonzero(~_orient4_certified(F, p, det, mag)).tolist():
-        positive[k] = orientation4(*F[k], p, mode="exact").sign > 0
-    C = F.transpose(1, 2, 0)  # corner, coordinate, facet
-    ne = _facet_cofactors(*C)
-    cp = np.asarray(p)[:, None] - (C[0] + C[1] + C[2] + C[3]) / 4.0
-    if metric is None:
-        nn = ne[0] * ne[0] + ne[1] * ne[1] + ne[2] * ne[2] + ne[3] * ne[3]
-        cc = cp[0] * cp[0] + cp[1] * cp[1] + cp[2] * cp[2] + cp[3] * cp[3]
-    else:
-        inv = metric.inv_rows
-        nn = sum(ne[i] * (inv[i][0] * ne[0] + inv[i][1] * ne[1]
-                          + inv[i][2] * ne[2] + inv[i][3] * ne[3]) for i in range(4))
-        cc = metric.quad(cp)
-    return positive & (det > _Q_MIN * np.sqrt(nn * cc))
+    rows = _oriented(np.fromiter(corners, float, 16 * len(facets)).reshape(-1, 4, 4), p)
+    return [_sign(rows, r, p) > 0 for r in range(len(facets))]
 
 
-def enforce_visibility(mesh: Mesh4, cavity: Cavity, p, metric,
-                       base: int | None = None) -> Cavity:
+def enforce_visibility(mesh: Mesh4, cavity: Cavity, p, base: int | None = None) -> Cavity:
     """Shrink the cavity until p is visible from every boundary facet.
 
-    Owners of facets that do not see p (:func:`_visible`) leave the cavity,
-    in rounds of one bracket each: the whole boundary, then the facets each
-    round's removals exposed.  Visibility is a property of the facet alone
-    and removals only expose facets, so the set removed does not depend on
-    the order, and every facet left has been tested.  Removing the base (or
-    every element) means the kernel is inconsistent: :class:`CavityError`.
+    A facet sees p when the exact sign of det(a-p, b-p, c-p, d-p) is
+    positive (:func:`_visible`); the metric does not enter.  Owners of facets
+    that do not see p leave the cavity, in rounds of one bracket each: the
+    whole boundary, then the facets each round's removals exposed.
+    Visibility is a property of the facet alone and removals only expose
+    facets, so the set removed does not depend on the order, and every
+    facet left has been tested.  Removing the base (or every element) means
+    the kernel is inconsistent: :class:`CavityError`.
     """
     elements, nbr = cavity.elements, mesh.nbr
     size = len(elements)
     front = cavity.boundary
     changed = False
     while front:
-        visible = _visible(mesh, front, p, metric).tolist()
+        visible = _visible(mesh, front, p)
         doomed = {owner for (_, owner, _), ok in zip(front, visible) if not ok}
         if not doomed:
             break
@@ -359,21 +348,16 @@ def insert_point(mesh: Mesh4, p, field=None) -> InsertionReport:
     metric = None if fld.kind == "identity" else fld(p)
     cavity = build_cavity(mesh, base, p, metric)
 
-    if mesh.bounding_lo is not None:
-        diag = math.sqrt(sum((hi[j] - lo[j]) ** 2 for j in range(4)))
-    else:
-        diag = 1.0
-    snap2 = (DEFAULT_SNAP_RTOL * diag) ** 2
+    snap = DEFAULT_SNAP_RTOL * (math.dist(lo, hi) if mesh.bounding_lo is not None else 1.0)
     corners = chain.from_iterable(mesh.elements[eid] for eid in cavity.elements)
     for v in dict.fromkeys(corners):  # each vertex once, in first-seen order
         q = mesh.vertices[v]
-        d2 = sum((p[j] - q[j]) ** 2 for j in range(4))
-        if d2 <= snap2:
+        if math.dist(p, q) <= snap:
             raise DuplicateVertexError(
                 f"point duplicates vertex {v} {q!r}; "
                 + _failure_context(p, base, base_verts, len(cavity.elements)))
 
-    enforce_visibility(mesh, cavity, p, metric, base=base)
+    enforce_visibility(mesh, cavity, p, base=base)
 
     new_vid = mesh.add_vertex(p)
     try:
@@ -504,14 +488,16 @@ def audit_delaunay(mesh: Mesh4, field=None) -> AuditReport:
     V = np.array(mesh.vertices, dtype=float)
     E = np.array([verts for _, verts in elems], dtype=np.int64)
     for metric, vids in groups.values():
-        # rows mapped by the Cholesky factor G of the metric, G^T G = M
-        W = V if metric is None else V @ np.linalg.cholesky(metric.m)
-        centers, r2 = _circumspheres(W[E])
-        Wv = W[np.array(vids)]
         pending: list[tuple[int, int]] = []
         chunk = 2048
-        for k0 in range(0, len(elems), chunk):
-            k1 = k0 + chunk
-            pending += _suspect_pairs(centers[k0:k1], r2[k0:k1], Wv, vids, elems[k0:k1])
+        # a square that overflows leaves a non-finite margin: the pair is suspect
+        with np.errstate(over="ignore", invalid="ignore"):
+            # rows mapped by the Cholesky factor G of the metric, G^T G = M
+            W = V if metric is None else V @ np.linalg.cholesky(metric.m)
+            centers, r2 = _circumspheres(W[E])
+            Wv = W[np.array(vids)]
+            for k0 in range(0, len(elems), chunk):
+                k1 = k0 + chunk
+                pending += _suspect_pairs(centers[k0:k1], r2[k0:k1], Wv, vids, elems[k0:k1])
         _audit_pairs_exact(mesh, pending, metric, violations)
     return AuditReport(violations, len(elems) * len(verts_alive))

@@ -89,6 +89,38 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def unused_parameters(source: str) -> list[str]:
+    """``function.parameter`` for each parameter of a ``def`` in ``source`` that
+    its body never reads, less ``*args``, ``**kwargs`` and those on a line
+    marked ``# noqa``.  A nested function's read counts for its encloser."""
+    lines = source.splitlines()
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            found += [f"{node.name}.{arg.arg}"
+                      for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                      if arg.arg not in read and "# noqa" not in lines[arg.lineno - 1]]
+    return found
+
+
+def test_unused_parameters_flags_and_exempts():
+    source = ("def f(a, b, *args, c, d=1, **kwargs):\n    return a + (lambda x: d)(0)\n"
+              "def g(e,  # noqa\n      h):\n    def inner():\n        return h\n    return inner\n"
+              "f2 = lambda unused: 0\n")
+    assert unused_parameters(source) == ["f.b", "f.c"]
+
+
+def test_no_def_has_a_parameter_it_never_reads():
+    # a parameter left behind when its last use goes is a lie about what a
+    # call depends on; a signature fixed by its caller carries # noqa
+    package = pathlib.Path(pentamesh.__file__).parent
+    found = {path.name: unused_parameters(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert len(found) > 5
+    assert {name: params for name, params in found.items() if params} == {}
+
+
 class TestProjection:
     def test_origin(self):
         assert project_to_3d((0, 0, 0, 0)) == (0.0, 0.0, 0.0)

@@ -1,10 +1,12 @@
 import copy
 import itertools
 import math
+import warnings
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pentamesh import insertion
 from pentamesh.bounding import build_bounding_mesh
@@ -249,44 +251,24 @@ class TestCavityMatchesReference:
         assert tiers["float"] > 0 and mesh.validate() == []
 
 
-def visibility_product(facet_pts, p, metric, det):
-    """Q = N^T M CP normalized, with the inward normal of the facet's corners.
-
-    ``det`` is the exact determinant det(a-p, b-p, c-p, d-p), which equals
-    N_e . CP; the normalizers are written out here independently.
-    """
-    a, b, c, d = facet_pts
-    u, v, w = ([q[j] - a[j] for j in range(4)] for q in (b, c, d))
-    ne = [(-1) ** j * np.linalg.det(np.delete(np.array([u, v, w]), j, axis=1))
-          for j in range(4)]
-    cp = np.asarray(p) - np.mean(facet_pts, axis=0)
-    m = np.eye(4) if metric is None else metric.m
-    nn = float(np.dot(ne, np.linalg.solve(m, ne)))
-    cc = float(cp @ m @ cp)
-    return float(det) / math.sqrt(nn * cc)
-
-
 class TestVisibilityMatchesOracle:
     def test_hypercylinder_speed_field(self, monkeypatch):
-        # cospherical boundary samples put many facets near the threshold;
-        # at every insertion each kept boundary facet sees p by the exact
-        # orientation, and each removed owner had a boundary facet that
-        # does not (or whose reconnection is a sliver below the threshold)
+        # cospherical boundary samples put many facets near zero; at every
+        # insertion each kept boundary facet sees p by the exact orientation,
+        # and each removed owner had a boundary facet that does not
         repair = insertion.enforce_visibility
         counts = {"kept": 0, "removed": 0}
 
         def oracle_sign(mesh, facet, p):
-            pts = [mesh.vertices[v] for v in facet]
-            det = 24 * hypervolume_fraction(*pts, p)
-            return (det > 0) - (det < 0), pts, det
+            det = hypervolume_fraction(*(mesh.vertices[v] for v in facet), p)
+            return (det > 0) - (det < 0)
 
-        def checked(mesh, cavity, p, metric, **kwargs):
+        def checked(mesh, cavity, p, **kwargs):
             before = set(cavity.elements)
-            out = repair(mesh, cavity, p, metric, **kwargs)
+            out = repair(mesh, cavity, p, **kwargs)
             after = out.elements
             for facet, _owner, _li in out.boundary:
-                sign, _, _ = oracle_sign(mesh, facet, p)
-                assert sign > 0
+                assert oracle_sign(mesh, facet, p) > 0
             counts["kept"] += len(out.boundary)
             for owner in before - after:
                 verts = mesh.elements[owner]
@@ -295,8 +277,7 @@ class TestVisibilityMatchesOracle:
                     if nb is not None and nb[0] in after:
                         continue  # an inner facet of the repaired cavity
                     facet = tuple(verts[i] for i in CANONICAL_FACETS[li])
-                    sign, pts, det = oracle_sign(mesh, facet, p)
-                    reasons.append(sign <= 0 or visibility_product(pts, p, metric, det) <= 1e-16)
+                    reasons.append(oracle_sign(mesh, facet, p) <= 0)
                 assert any(reasons)
                 counts["removed"] += 1
             return out
@@ -317,7 +298,7 @@ class TestEnforceVisibility:
         base, _ = find_base_element(mesh, p)
         cav = build_cavity(mesh, base, p, None)
         before = set(cav.elements)
-        enforce_visibility(mesh, cav, p, None, base=base)
+        enforce_visibility(mesh, cav, p, base=base)
         assert cav.elements == before  # random clouds: no repair expected
 
     def test_invisible_facet_removed(self, rng):
@@ -333,7 +314,7 @@ class TestEnforceVisibility:
         if far not in cav.elements:
             cav.elements.add(far)
             cav.boundary = cavity_boundary(mesh, cav.elements)
-            enforce_visibility(mesh, cav, p, None, base=base)
+            enforce_visibility(mesh, cav, p, base=base)
             assert far not in cav.elements
             # boundary is consistent after the repair
             assert cav.boundary == cavity_boundary(mesh, cav.elements)
@@ -393,7 +374,7 @@ class TestInsertPoint:
         base, _ = find_base_element(mesh, p)
         base_verts = mesh.elements[base]
         cav = build_cavity(mesh, base, p, None)
-        enforce_visibility(mesh, cav, p, None, base=base)
+        enforce_visibility(mesh, cav, p, base=base)
         self._degenerate_reconnection(mesh, monkeypatch)
         with pytest.raises(CavityError) as err:
             insert_point(mesh, p)
@@ -586,6 +567,71 @@ class TestScaleAndOffset:
         assert np.array_equal(back + offset, pts)
         qhull = {frozenset(s) for s in Delaunay(back).simplices.tolist()}
         assert _simplex_set(mesh, pts) <= qhull
+
+    @staticmethod
+    def _scales(pts):
+        """Least and greatest k for which ``pts * 2**k``, its box corners and
+        the box diagonal are finite normal doubles."""
+        box = build_bounding_mesh(pts)
+        mags = np.abs(np.concatenate([pts.ravel(), np.ravel(box.vertices),
+                                      [math.dist(box.bounding_lo, box.bounding_hi)]]))
+        # f * 2**e with 0.5 <= f < 1 is a finite normal double for -1021 <= e <= 1024
+        return -1021 - math.frexp(mags[mags > 0].min())[1], 1024 - math.frexp(mags.max())[1]
+
+    @staticmethod
+    def _mesh_quietly(pts, audit=False):
+        """Mesh, validate and, if asked, audit ``pts`` with every warning an error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mesh = triangulate(pts)
+            assert mesh.validate() == []
+            assert not audit or audit_delaunay(mesh).ok
+        return mesh
+
+    @settings(max_examples=5, deadline=None)
+    @example(seed=0, at=0.0, audit=False)
+    @example(seed=0, at=1.0, audit=True)
+    @given(seed=st.integers(0, 2**32 - 1), at=st.floats(0.0, 1.0), audit=st.just(False))
+    def test_every_power_of_two_scale_gives_the_unit_mesh(self, seed, at, audit):
+        # scaling by 2**k is exact, so every sign and the box scale with it;
+        # ``at`` places k in the cloud's admissible range, both ends included
+        pts = np.random.default_rng(seed).random((30, 4))
+        lo, hi = self._scales(pts)
+        moved = pts * 2.0 ** round(lo + at * (hi - lo))
+        mesh = self._mesh_quietly(moved, audit)
+        assert _simplex_set(mesh, moved) == _simplex_set(triangulate(pts), pts)
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(-20, 12),
+           c=st.lists(st.integers(-2**20, 2**20), min_size=4, max_size=4))
+    def test_exact_translation_gives_the_unit_mesh(self, seed, m, c):
+        pts = np.round(np.random.default_rng(seed).random((30, 4)) * 2.0 ** 20) / 2.0 ** 20
+        shift = np.array(c, dtype=float) * 2.0 ** m
+        moved = pts + shift
+        assert np.array_equal(moved - shift, pts)  # |moved| < 2**33 on the 2**-20 grid
+        mesh = self._mesh_quietly(moved)
+        assert _simplex_set(mesh, moved) == _simplex_set(triangulate(pts), pts)
+
+    @classmethod
+    def _flip_sequence(cls, pts):
+        mesh = cls._mesh_quietly(pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = improve_quality(mesh, heuristic=1)
+        return [(f.kind, sorted(sorted(mesh.elements[e]) for e in f.new_elements))
+                for f in rep.flips]
+
+    @settings(max_examples=3, deadline=None)
+    @example(k=-240)
+    @example(k=250)
+    @given(k=st.integers(-240, 250))
+    def test_scaled_cloud_makes_the_unit_flips(self, k):
+        # η is a float ratio of powers of lengths and a volume goes like
+        # s**4: this cloud makes other flips below 2**-256, and its exact
+        # total volume overflows a float above 2**256
+        pts = np.random.default_rng(1).random((20, 4))
+        unit = self._flip_sequence(pts)
+        assert len(unit) == 9 and self._flip_sequence(pts * 2.0 ** k) == unit
 
 
 def _perm_parity(a, b):

@@ -100,7 +100,7 @@ def carved_cavity(rng):
     p = tuple(float(c) for c in rng.random(4))
     base, _ = find_base_element(mesh, p)
     cav = build_cavity(mesh, base, p, None)
-    enforce_visibility(mesh, cav, p, None, base=base)
+    enforce_visibility(mesh, cav, p, base=base)
     return mesh, p, cav
 
 
