@@ -28,18 +28,18 @@ reconnections of an edge star by their sorted new edge, so a kind tag
 does not say which published 8-8 table a flip instantiates.
 
 The search takes a gate that sees each star once and each configuration's
-replacement tuples before its :class:`FlipCandidate` is built;
-:func:`find_candidates` passes one that keeps everything.  The greedy
-driver passes the elements earlier flips created as the frozen set and a
-gate that drops a configuration at its first replacement no better than
-the group's minimum.  For the length of the call it memoises each
-simplex's quality and float volume, measured under the call's field by
-:func:`~pentamesh.quality._eta_volume`, and each entity's gated candidates
-(:func:`improve_quality`).  It takes the best-ranked candidate that passes
-the live checks and then the checks on its own tuples and points, and
-applies it with the exact volumes of that validation, so an applied flip
-is validated once; :func:`validate_flip` and :func:`apply_flip` run every
-check afresh.
+replacement tuples before its :class:`FlipCandidate` is built.  One
+gatherer walks a starter's entities (:func:`_improving_candidates`):
+:func:`find_candidates` calls it with a fresh memo and a gate that keeps
+everything; the greedy driver (:func:`improve_quality`) with its memo of
+each entity's gated candidates, the elements earlier flips created as the
+frozen set, and a gate that drops a configuration at its first replacement
+no better than the group's minimum.  One verdict decides validity
+(:func:`_verdict`): :func:`validate_flip` and :func:`apply_flip` measure
+its float volumes afresh, the driver reads the same ones from its memo of
+each simplex's quality and volume in the mesh's power-of-two frame, and it
+applies the best-ranked candidate that passes with that verdict's exact
+volumes, so an applied flip is validated once.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from itertools import chain, combinations
 
-from .geometry import FACET_OPPOSITE, _hypervolumes_int, hypervolume, resolve_field
+from .geometry import FACET_OPPOSITE, _hypervolumes_int, resolve_field
 from .mesh import Mesh4, MeshError
 from .predicates import orientation4  # noqa: F401  perfbench/tracing.py wraps this name
 from .quality import _eta_volume
@@ -262,31 +262,38 @@ def find_candidates(mesh: Mesh4, starter: int, include_point_inserting: bool = T
 
     Configurations are matched against the stars of the starter's facets,
     triangles, edges and vertices, in that order, and of the starter
-    itself, by :func:`_entity_candidates`.  It reads only the entity's
-    vertex tuple and its star, walked in sorted element order, so the
-    candidates do not depend on the starter or on set iteration order;
-    :func:`improve_quality` gathers the same candidates in the same order
-    through its memo.  Every candidate of an entity has that entity's star
-    as stage 1, and a star that meets ``frozen`` is never built, so the
-    result is the unfiltered list, in the same order, less the candidates
-    whose ``stage1`` meets ``frozen``.  Distinct entities of the starter
-    have distinct stars, so no two candidates share kind, stage 1 and
-    stage 2.  An empty list is a perfectly normal outcome.  Geometric
-    validity is *not* checked here; run :func:`validate_flip` on each
-    candidate.
+    itself, by :func:`_entity_candidates`, and gathered as the driver
+    gathers them (:func:`_improving_candidates`).  It reads only the
+    entity's vertex tuple and its star, walked in sorted element order, so
+    the candidates do not depend on the starter or on set iteration order.
+    Every candidate of an entity has that entity's star as stage 1, and a
+    star that meets ``frozen`` is never built, so the result is the
+    unfiltered list, in the same order, less the candidates whose
+    ``stage1`` meets ``frozen``.  Distinct entities of the starter have
+    distinct stars, so no two candidates share kind, stage 1 and stage 2.
+    An empty list is a perfectly normal outcome.  Geometric validity is
+    *not* checked here; run :func:`validate_flip` on each candidate.
     """
     if not mesh.alive(starter):
         raise MeshError(f"starter element {starter} is not alive")
-    if starter in frozen:
-        return []
-    return [cand for key in _entity_keys(mesh.elements[starter])
-            for cand, _ in _entity_candidates(mesh, key, include_point_inserting, frozen,
-                                              _accept_all)]
+    return [cand for cand, _ in _improving_candidates(mesh, starter, {}, _accept_all,
+                                                      include_point_inserting, frozen)]
 
 
 def _accept_all(stage1):  # noqa: a gate takes stage1
     """:func:`find_candidates`' gate: every configuration passes, with gain 0."""
     return lambda stage2, new_point: 0.0
+
+
+def _improving_candidates(mesh, starter, memo, gate, with_points, frozen):
+    """The starter's gated ``(candidate, gain)`` pairs, each entity's from ``memo`` or built."""
+    out = []
+    for key in _entity_keys(mesh.elements[starter]):
+        entries = memo.get(key)
+        if entries is None:
+            entries = memo[key] = _entity_candidates(mesh, key, with_points, frozen, gate)
+        out += entries
+    return out
 
 
 def _entity_candidates(mesh, key, with_points, frozen, gate):
@@ -381,93 +388,72 @@ def _splits(link):
 # ---------------------------------------------------------------------------
 
 def _boundary_multiset(tuples):
-    cnt = Counter()
-    for tup in tuples:
-        for f in combinations(sorted(tup), 4):
-            cnt[f] += 1
-    return Counter({f: 1 for f, c in cnt.items() if c == 1}), max(cnt.values(), default=0)
+    cnt = Counter(f for tup in tuples for f in combinations(sorted(tup), 4))
+    return {f for f, c in cnt.items() if c == 1}, max(cnt.values(), default=0)
 
 
 _VOL_RTOL = 1e-12  # relative hypervolume tolerance of the float pre-filter
-
-_DUPLICATE = "replacement duplicates an existing element"
-_BOUNDARY = "boundary facets not preserved"
 
 
 def _points(mesh, tup, new_point):
     return [new_point if v == NEW_LABEL else mesh.vertices[v] for v in tup]
 
 
+def _frame(mesh) -> int:
+    """The least e with every vertex coordinate below ``2**e`` in magnitude, 0 for unit meshes.
+
+    Flips measure in the frame scaled by ``2**-e``; no flip changes e.
+    """
+    return math.frexp(max(map(abs, chain.from_iterable(mesh.vertices)), default=0.0))[1]
+
+
 def validate_flip(mesh: Mesh4, cand: FlipCandidate):
     """Geometric validity of a candidate: (ok, reject_reason).
 
-    Checks that all matched elements are alive, a removed vertex belongs
-    to stage-1 elements only and to no replacement, the boundary facet
-    multiset is preserved, no replacement duplicates an element outside
-    the group, and, exactly, that no replacement pentatope is degenerate
-    and the total unsigned hypervolume is conserved (:func:`_check_flip`).
-    Validity is metric-free.
+    The first check that fails, in this order, names the reason: a stage-1
+    element is dead, a removed vertex is still in use, the boundary facet
+    multiset changes, a replacement duplicates an element outside the
+    group, float sums of unsigned volumes differ by more than the relative
+    ``_VOL_RTOL``, and, exactly, a replacement is degenerate or the total
+    unsigned hypervolume changes.  Validity is metric-free.
     """
-    reason, _ = _check_flip(mesh, cand)
+    reason, _ = _verdict(mesh, cand)
     return not reason, reason
 
 
-def _check_flip(mesh, cand):
-    """:func:`validate_flip`'s reject reason, "" if none, and the exact stage-2 volumes.
+def _verdict(mesh, cand, measure=None):
+    """:func:`validate_flip`'s reason, "" if none, and a valid candidate's exact stage-2 volumes.
 
-    The live checks (:func:`_live_reason`) and the fixed ones
-    (:func:`_fixed_verdict`, on float volumes in stored vertex order)
-    report in the published order: dead element, removed vertex,
-    boundary, duplicate, then the volumes.
-    """
-    reason = _live_reason(mesh, cand)
-    if reason and reason != _DUPLICATE:
-        return reason, None
-    verdict = _fixed_verdict(mesh, cand, lambda tup, new_point: abs(
-        hypervolume(*_points(mesh, tup, new_point))))
-    return (reason, None) if reason and verdict[0] != _BOUNDARY else verdict
-
-
-def _live_reason(mesh, cand):
-    """The reject reason of the checks that flips elsewhere can change, "" if none.
-
-    A stage-1 element is dead, the removed vertex is still used outside
-    stage 1 or by a replacement, or a replacement duplicates an element
-    outside stage 1.
+    The float sums only reject; the integer volumes of
+    :func:`~pentamesh.geometry._hypervolumes_int` decide what they pass, and
+    their signs orient the replacements.  ``measure(tup, new_point)[1]`` is
+    a float volume, by default :func:`~pentamesh.quality._eta_volume`'s in
+    the mesh's :func:`_frame`, which the driver's memo holds.
     """
     if any(not mesh.alive(e) for e in cand.stage1):
-        return "dead element in stage 1"
+        return "dead element in stage 1", None
     gone = cand.removed_vertex
     if gone is not None and (not mesh.star[gone] <= set(cand.stage1)
                              or any(gone in tup for tup in cand.stage2)):
-        return "removed vertex still in use"
-    for tup in cand.stage2:
-        ext = set(tup) - {NEW_LABEL}
-        for eid in mesh.elements_with_vertices(tuple(ext)) - set(cand.stage1):
-            if set(mesh.elements[eid]) == ext:
-                return _DUPLICATE
-    return ""
-
-
-def _fixed_verdict(mesh, cand, volume):
-    """The reject reason of the checks on the candidate's own tuples and points, and the dets.
-
-    These read only the stage-1 vertex tuples, the replacement tuples and
-    their coordinates, none of which change while stage 1 is alive, so a
-    verdict holds as long as that.  The boundary facet multiset comes
-    first.  Then float sums of unsigned volumes, ``volume(tup,
-    new_point)``, that differ by more than the relative ``_VOL_RTOL``
-    reject; a candidate they pass is decided on the integer volumes of
-    :func:`~pentamesh.geometry._hypervolumes_int`, whose signs (returned
-    for a valid candidate only) orient the replacements.
-    """
+        return "removed vertex still in use", None
     stage1 = [mesh.elements[e] for e in cand.stage1]
     b1, mult1 = _boundary_multiset(stage1)
     b2, mult2 = _boundary_multiset(cand.stage2)
     if b1 != b2 or mult1 > 2 or mult2 > 2:
-        return _BOUNDARY, None
-    vol1 = sum(volume(tup, None) for tup in stage1)
-    vol2 = sum(volume(tup, cand.new_point) for tup in cand.stage2)
+        return "boundary facets not preserved", None
+    for tup in cand.stage2:
+        ext = set(tup) - {NEW_LABEL}
+        for eid in mesh.elements_with_vertices(tuple(ext)) - set(cand.stage1):
+            if set(mesh.elements[eid]) == ext:
+                return "replacement duplicates an existing element", None
+    if measure is None:
+        frame = _frame(mesh)
+
+        def measure(tup, new_point):
+            return _eta_volume(_points(mesh, tup, new_point), frame=frame)
+
+    vol1 = sum(measure(tup, None)[1] for tup in stage1)
+    vol2 = sum(measure(tup, cand.new_point)[1] for tup in cand.stage2)
     if abs(vol1 - vol2) > _VOL_RTOL * max(vol1, vol2):
         return "hypervolume not conserved", None
     tuples = stage1 + list(cand.stage2)
@@ -494,11 +480,11 @@ class FlipReport:
 def apply_flip(mesh: Mesh4, cand: FlipCandidate) -> FlipReport:
     """Execute a validated flip; the mesh is untouched if preconditions fail.
 
-    The flip is validated (:func:`_check_flip`), and the exact volume
+    The flip is validated (:func:`_verdict`), and the exact volume
     signs of that validation put each replacement pentatope in positive
     orientation (:func:`_apply`).
     """
-    reason, dets = _check_flip(mesh, cand)
+    reason, dets = _verdict(mesh, cand)
     if reason:
         raise MeshError(f"flip {cand.kind} rejected: {reason}")
     return _apply(mesh, cand, dets)
@@ -580,6 +566,14 @@ def _amq_table(qualities) -> dict:
     return {f: amq(qualities, f) for f in AMQ_FRACTIONS}
 
 
+def _float(x) -> float:
+    """``float(x)`` of a rational, ±inf beyond the double range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
                     include_point_inserting: bool = True) -> ImprovementReport:
     """Greedy quality improvement by bistellar flips.
@@ -603,20 +597,21 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
     What depends only on coordinates is computed once per call, since
     coordinates never change within it.  Each distinct simplex, keyed by
     its sorted vertex ids and inserted point, is measured once by
-    :func:`~pentamesh.quality._eta_volume` under ``field`` (quality and
-    Euclidean float volume); the gate, the created elements' qualities and
-    the float volume pre-filter read that memo.  Each entity's improving
-    candidates, the starter's own among them, are memoised too, as empty
-    without examination when its star meets the frozen set.  A flip
-    changes only the stars of the entities of the elements it removes or
-    creates, so those entries are dropped after it, and a live entry
-    equals a fresh build: each starter gets the candidates of
-    :func:`find_candidates`, in order, and the tie-break is unchanged.
-    Ranked candidates run the live checks of :func:`_check_flip` and then
-    its fixed ones, which read the volume memo, best first until one
-    passes; the exact volumes of that validation orient the replacements.
+    :func:`~pentamesh.quality._eta_volume` under ``field`` in the mesh's
+    power-of-two frame (:func:`_frame`), so no scale changes a flip; the
+    gate, the created elements' qualities and the verdicts read that memo.
+    Each entity's improving candidates are memoised too, as empty without
+    examination when its star meets the frozen set.  A flip changes only
+    the stars of the entities of the elements it removes or creates, so
+    those entries are dropped after it, and a live entry equals a fresh
+    build: each starter gets the candidates of :func:`find_candidates`, in
+    order.  Ranked candidates get :func:`validate_flip`'s verdict
+    (:func:`_verdict`), best first until one passes, and its exact volumes
+    orient the replacements.  A float hypervolume beyond the double range
+    is reported as ±inf; ``hv_conserved_exactly`` compares exact ones.
     """
     fld = resolve_field(field)
+    frame = _frame(mesh)
     simplices: dict[tuple, tuple[float, float]] = {}
 
     def measured(tup, new_point):
@@ -624,13 +619,14 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
         key = (tuple(sorted(tup)), new_point)
         m = simplices.get(key)
         if m is None:
-            m = simplices[key] = _eta_volume(_points(mesh, tup, new_point), heuristic, fld)
+            m = simplices[key] = _eta_volume(_points(mesh, tup, new_point), heuristic, fld,
+                                             frame)
         return m
 
     quality_of = {eid: measured(mesh.elements[eid], None)[0] for eid in mesh.alive_elements()}
     qualities_before = list(quality_of.values())
     hv_before_exact = mesh.total_hypervolume(exact=True)
-    hv_before = float(hv_before_exact)
+    hv_before = _float(hv_before_exact)
     n_before = mesh.n_alive
 
     def gate(stage1):
@@ -666,17 +662,14 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
         # stable: equal keys keep enumeration order, so the first seen wins
         ranked.sort(key=lambda item: (-item[1], item[0].kind, item[0].stage1))
         for cand, _ in ranked:
-            if _live_reason(mesh, cand):
-                continue
-            verdict = _fixed_verdict(mesh, cand,
-                                     lambda tup, new_point: measured(tup, new_point)[1])
-            if not verdict[0]:
+            reason, dets = _verdict(mesh, cand, measured)
+            if not reason:
                 break
         else:
             continue
 
         stale = [mesh.elements[e] for e in cand.stage1]
-        fr = _apply(mesh, cand, verdict[1])
+        fr = _apply(mesh, cand, dets)
         report.flips_by_kind[fr.kind] += 1
         report.flips.append(fr)
         for e in fr.removed_elements:
@@ -693,20 +686,7 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
     hv_after_exact = mesh.total_hypervolume(exact=True)
     report.n_elements_after = mesh.n_alive
     report.amq_after = _amq_table(qualities_after)
-    report.hypervolume_after = float(hv_after_exact)
+    report.hypervolume_after = _float(hv_after_exact)
     report.hv_conserved_exactly = (hv_after_exact == hv_before_exact)
     return report
 
-
-def _improving_candidates(mesh, starter, memo, gate, with_points, frozen):
-    """The starter's gated ``(candidate, gain)`` pairs in :func:`find_candidates` order.
-
-    Entity entries come from ``memo``, built by :func:`_entity_candidates` on a miss.
-    """
-    out = []
-    for key in _entity_keys(mesh.elements[starter]):
-        entries = memo.get(key)
-        if entries is None:
-            entries = memo[key] = _entity_candidates(mesh, key, with_points, frozen, gate)
-        out += entries
-    return out

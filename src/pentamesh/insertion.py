@@ -331,7 +331,8 @@ def insert_point(mesh: Mesh4, p, field=None) -> InsertionReport:
     followed by p, glued by :meth:`~pentamesh.mesh.Mesh4.cone`.  Raises
     :class:`GhostPointError` if p lies outside the bounding tesseract (or
     no element contains it), :class:`DuplicateVertexError` if p is within
-    ``DEFAULT_SNAP_RTOL`` of the box diagonal of a vertex and
+    ``DEFAULT_SNAP_RTOL`` of the box diagonal of a vertex (the tesseract's
+    box, else that of the alive vertices) and
     :class:`CavityError` if repair or reconnection fails; the mesh, its
     ``grain`` included, is then unchanged and the error names the exact
     point, the base element and the cavity size.
@@ -348,7 +349,10 @@ def insert_point(mesh: Mesh4, p, field=None) -> InsertionReport:
     metric = None if fld.kind == "identity" else fld(p)
     cavity = build_cavity(mesh, base, p, metric)
 
-    snap = DEFAULT_SNAP_RTOL * (math.dist(lo, hi) if mesh.bounding_lo is not None else 1.0)
+    if mesh.bounding_lo is None:  # the box of the alive vertices
+        cols = list(zip(*(q for q, ok in zip(mesh.vertices, mesh.vertex_alive) if ok)))
+        lo, hi = tuple(map(min, cols)), tuple(map(max, cols))
+    snap = DEFAULT_SNAP_RTOL * math.dist(lo, hi)
     corners = chain.from_iterable(mesh.elements[eid] for eid in cavity.elements)
     for v in dict.fromkeys(corners):  # each vertex once, in first-seen order
         q = mesh.vertices[v]

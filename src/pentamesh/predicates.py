@@ -155,15 +155,18 @@ def _coarse(values, least: float) -> bool:
     return True
 
 
+def _coarse_rows(P, least: float):
+    """:func:`_coarse` of each row of an array of corners, True when every row is."""
+    fine = np.abs(P) < least
+    return ~(fine & (P != 0.0)).any(axis=(1, 2)) if fine.any() else True
+
+
 # ---------------------------------------------------------------------------
 # determinants with error magnitudes
 # ---------------------------------------------------------------------------
 
 def _det_mag(rows):
     """Determinant of square rows and a magnitude bound of its rounding error."""
-    if len(rows) == 4:
-        det, mag = _orient4_core(np.array([rows], dtype=float), (0.0, 0.0, 0.0, 0.0))
-        return float(det[0]), float(mag[0])
     if len(rows) == 1:
         v = rows[0][0]
         return v, abs(v)
@@ -299,11 +302,8 @@ def _orient4_core(F, p):
 def _orient4_certified(F, p, det, mag):
     """Rows of an :func:`_orient4_core` result whose float sign is certified."""
     least = _least_input(4)
-    certified = (np.abs(det) > _ORIENT_SAFETY * _EPS * mag) & _coarse(p, least)
-    fine = np.abs(F) < least
-    if fine.any():
-        certified &= ~(fine & (F != 0.0)).any(axis=(1, 2))
-    return certified
+    return ((np.abs(det) > _ORIENT_SAFETY * _EPS * mag) & _coarse_rows(F, least)
+            & _coarse(p, least))
 
 
 def _insphere4_core(P, f, mrows, mdiag):
@@ -357,9 +357,8 @@ def _insphere4_core(P, f, mrows, mdiag):
 def _insphere4_certified(P, f, total, mag, mrows, mdiag):
     """Rows of a :func:`_insphere4_core` result whose float sign is certified."""
     least = _least_input(6, mdiag if mdiag is not None else mrows)
-    A = np.abs(P)
-    coarse = ((A >= least) | (A == 0.0)).all(axis=(1, 2)) & _coarse(f, least)
-    return (np.abs(total) > _INSPHERE_SAFETY * _EPS * mag) & coarse
+    return ((np.abs(total) > _INSPHERE_SAFETY * _EPS * mag) & _coarse_rows(P, least)
+            & _coarse(f, least))
 
 
 def _det_exact(rows):
@@ -413,9 +412,15 @@ def orientation_m_d(M, pts, mode: str = "auto") -> PredicateResult:
         raise ValueError(f"orientation in {d}D needs {d + 1} points, got {len(pts)}")
     _rows, _diag, pref = _metric_info(M, d)
 
-    det, mag = _det_mag(_orientation_rows(pts))
-    if mode == "float" or (mode != "exact" and abs(det) > _ORIENT_SAFETY * _EPS * mag
-                           and _coarse(chain.from_iterable(pts), _least_input(d))):
+    if d == 4:
+        F = np.array([pts[:4]])
+        dets, mags = _orient4_core(F, pts[4])
+        det, certified = float(dets[0]), _orient4_certified(F, pts[4], dets, mags)[0]
+    else:
+        det, mag = _det_mag(_orientation_rows(pts))
+        certified = (abs(det) > _ORIENT_SAFETY * _EPS * mag
+                     and _coarse(chain.from_iterable(pts), _least_input(d)))
+    if mode == "float" or (mode != "exact" and certified):
         sign = 0 if det == 0.0 else (1 if det > 0.0 else -1)
         return PredicateResult(sign, pref * det, "float")
     if d == 4:

@@ -20,7 +20,7 @@ Every heuristic first sorts the five points lexicographically, so its value
 is a function of the point set: any order of the same points gives the
 same float, bit for bit.  One kernel (:func:`_eta_volume`) measures the
 Euclidean and the point-wise metric heuristics; it also returns the unsigned
-Euclidean hypervolume, which the flip driver reads for its volume pre-filter.
+Euclidean hypervolume, which flip validation reads for its volume pre-filter.
 """
 
 from __future__ import annotations
@@ -102,15 +102,18 @@ def _eta_from(v: float, lsq, which: int) -> float:
     raise ValueError(f"heuristic must be 1, 2 or 3, got {which}")
 
 
-def _eta_volume(pts, which: int = 1, field=None) -> tuple[float, float]:
+def _eta_volume(pts, which: int = 1, field=None, frame: int = 0) -> tuple[float, float]:
     """``(η, |hypervolume|)`` of five points, taken in lexicographic point order.
 
-    The ten edge rows, in :data:`EDGE_ORDER`, are built once; the first four
-    give the Euclidean volume v.  Under the identity (``field`` None or of
-    kind ``"identity"``) η reads their squared lengths, else ``quad(row)``
-    and ``v * sqrt(det M)`` under the metric ``M`` of ``field`` at the centroid.
+    The ten edge rows, in :data:`EDGE_ORDER`, are built once from the points
+    scaled by ``2**-frame``; the first four give the Euclidean volume v.
+    Under the identity (``field`` None or of kind ``"identity"``) η reads
+    their squared lengths, else ``quad(row)`` and ``v * sqrt(det M)`` under
+    the metric ``M`` of ``field`` at the centroid.  The scaling changes v
+    but not η, as long as every value stays a normal double.
     """
-    p, *rest = sorted(map(tuple, pts))
+    pts = sorted(map(tuple, pts))
+    p, *rest = [tuple(math.ldexp(c, -frame) for c in q) for q in pts] if frame else pts
     x, y, z, t = p
     rows = [(q[0] - x, q[1] - y, q[2] - z, q[3] - t) for q in rest]
     for i, j in EDGE_ORDER[4:]:
@@ -120,7 +123,7 @@ def _eta_volume(pts, which: int = 1, field=None) -> tuple[float, float]:
     if field is None or field.kind == "identity":
         lsq = [r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3 for r0, r1, r2, r3 in rows]
         return _eta_from(v, lsq, which), v
-    metric = field(tuple(sum(c) / 5.0 for c in zip(p, *rest)))
+    metric = field(tuple(sum(c) / 5.0 for c in zip(*pts)))
     return _eta_from(v * math.sqrt(metric.det), [metric.quad(r) for r in rows], which), v
 
 

@@ -277,6 +277,21 @@ class TestValidity:
         ok, reason = validate_flip(mesh, cand)
         assert ok, reason
 
+    def test_the_first_failing_check_names_the_reason(self):
+        # the checks run in the published order: a replacement set that
+        # breaks the boundary and also duplicates an element outside the
+        # group is a boundary reject, and a dead stage-1 element outranks both
+        mesh = triangulate(np.random.default_rng(5).random((20, 4)))
+        cand = next(c for e in sorted(mesh.alive_elements()) for c in find_candidates(mesh, e)
+                    if validate_flip(mesh, c)[0])
+        outside = next(mesh.elements[e] for e in mesh.alive_elements() if e not in cand.stage1)
+        both = dataclasses.replace(cand, stage2=cand.stage2 + (outside,))
+        assert validate_flip(mesh, both) == (False, "boundary facets not preserved")
+        with pytest.raises(MeshError, match="boundary facets not preserved"):
+            apply_flip(mesh, both)
+        mesh.remove_element(cand.stage1[0])
+        assert validate_flip(mesh, both) == (False, "dead element in stage 1")
+
     def test_degeneracy_band_follows_the_scale(self):
         # the same flips at every power-of-two scale
         pts = np.random.default_rng(7).random((50, 4))
@@ -665,10 +680,10 @@ class TestOncePerCall:
         calls, kinds = Counter(), set()
         original = flips._eta_volume
 
-        def counted(pts, which, fld):
+        def counted(pts, which, fld, frame):
             calls[tuple(sorted(map(tuple, pts)))] += 1
             kinds.add((which, fld.kind))
-            return original(pts, which, fld)
+            return original(pts, which, fld, frame)
 
         mesh = triangulate(np.random.default_rng(seed).random((n_points, 4)), field)
         with mock.patch.object(flips, "_eta_volume", counted):
@@ -706,6 +721,43 @@ class TestOncePerCall:
         with mock.patch.object(flips, "_apply", checked):
             rep = improve_quality(mesh, heuristic=2, include_point_inserting=with_points)
         assert applied == rep.flips
+        assume(applied)
+
+
+class TestOneVerdict:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 5),
+           n_points=st.integers(12, 30), heuristic=st.sampled_from([1, 2, 3]))
+    def test_driver_applies_the_first_ranked_candidate_validate_flip_accepts(
+            self, seed, index, n_points, heuristic):
+        # the driver sorts each starter's gathered list in place and validates
+        # it best first; whatever it applies is the first candidate of that
+        # list the public validate_flip accepts, and a starter it applies
+        # nothing for has none
+        mesh = triangulate(improve_benchmark_points(seed, index, n_points))
+        gather, real = flips._improving_candidates, flips._apply
+        pending, applied = [], []
+
+        def none_valid():
+            if pending:
+                assert not any(validate_flip(mesh, c)[0] for c, _ in pending.pop())
+
+        def gathered(*args):
+            none_valid()
+            pending.append(gather(*args))
+            return pending[-1]
+
+        def applying(target, cand, dets):
+            ranked = pending.pop()
+            assert cand == next(c for c, _ in ranked if validate_flip(target, c)[0])
+            applied.append(cand)
+            return real(target, cand, dets)
+
+        with mock.patch.object(flips, "_improving_candidates", gathered), \
+                mock.patch.object(flips, "_apply", applying):
+            rep = improve_quality(mesh, heuristic=heuristic)
+        none_valid()
+        assert len(applied) == len(rep.flips)
         assume(applied)
 
 

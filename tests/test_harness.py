@@ -121,6 +121,65 @@ def test_no_def_has_a_parameter_it_never_reads():
     assert {name: params for name, params in found.items() if params} == {}
 
 
+def private_name_reach(sources: dict[str, str]) -> tuple[int, list[str]]:
+    """How many module-level private names ``sources`` (module -> source)
+    define, and ``module.name`` for each that no module reads outside its
+    own definition.
+
+    A definition is a top-level ``def``, ``class`` or assignment; dunder
+    names are exempt.  A read is a loaded identifier, resolved through the
+    module's relative ``from . import``s, that lies in another module or
+    outside the lines of the statement that binds the name.
+    """
+    defined, origin, reads = [], {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                origin.update({(module, a.asname or a.name): node.module for a in node.names})
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name, node.lineno, node.end_lineno) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        reads |= {(origin.get((module, n.id), module), n.id, module, n.lineno)
+                  for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return len(defined), [
+        f"{module}.{name}" for module, name, first, last in defined
+        if not any((owner, read) == (module, name)
+                   and (where != module or not first <= line <= last)
+                   for owner, read, where, line in reads)]
+
+
+def test_private_name_reach_flags_and_exempts():
+    sources = {
+        "a": ("_used = 1\n_self_only = 2\n_lonely: int = 3\n__dunder__ = 4\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n"
+              "def _imported():\n    return _used\nclass _Read:\n    pass\n"),
+        "b": ("from .a import _imported\nfrom .c import _read_elsewhere\n"
+              "_imported(); _Read(); _read_elsewhere\n"),
+        "c": "_read_elsewhere = 5\n_self_only = _self_only\n",
+    }
+    assert private_name_reach(sources) == (8, ["a._self_only", "a._lonely", "a._recursive",
+                                               "a._Read", "c._self_only"])
+
+
+def test_every_private_name_is_read_in_src():
+    # a private name only its own definition reaches is dead code; tests and
+    # the benchmark's tracer do not count as readers
+    package = pathlib.Path(pentamesh.__file__).parent
+    count, unreached = private_name_reach({path.stem: path.read_text(encoding="utf-8")
+                                           for path in sorted(package.glob("*.py"))})
+    assert count > 50
+    assert unreached == []
+
+
 class TestProjection:
     def test_origin(self):
         assert project_to_3d((0, 0, 0, 0)) == (0.0, 0.0, 0.0)

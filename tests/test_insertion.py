@@ -612,6 +612,27 @@ class TestScaleAndOffset:
         mesh = self._mesh_quietly(moved)
         assert _simplex_set(mesh, moved) == _simplex_set(triangulate(pts), pts)
 
+    @settings(max_examples=5, deadline=None)
+    @example(at=0.0)
+    @example(at=1.0)
+    @given(at=st.floats(0.0, 1.0))
+    def test_stripped_mesh_inserts_the_centroid_at_every_scale(self, at):
+        # a stripped mesh has no tesseract, so its duplicate snap is relative
+        # to the box of its alive vertices: at every k in the cloud's
+        # admissible range the centroid goes in as it does at unit scale
+        pts = np.random.default_rng(0).random((40, 4))[:39]
+        lo, hi = self._scales(pts)
+        meshes = []
+        for factor in (1.0, 2.0 ** round(lo + at * (hi - lo))):
+            cloud, centroid = pts * factor, pts.mean(axis=0) * factor
+            mesh = self._mesh_quietly(cloud)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                insert_point(mesh, centroid)
+            assert mesh.validate() == []
+            meshes.append(_simplex_set(mesh, np.vstack([cloud, centroid])))
+        assert meshes[0] == meshes[1]
+
     @classmethod
     def _flip_sequence(cls, pts):
         mesh = cls._mesh_quietly(pts)
@@ -622,16 +643,20 @@ class TestScaleAndOffset:
                 for f in rep.flips]
 
     @settings(max_examples=3, deadline=None)
-    @example(k=-240)
-    @example(k=250)
-    @given(k=st.integers(-240, 250))
-    def test_scaled_cloud_makes_the_unit_flips(self, k):
-        # η is a float ratio of powers of lengths and a volume goes like
-        # s**4: this cloud makes other flips below 2**-256, and its exact
-        # total volume overflows a float above 2**256
+    @example(at=0.0)
+    @example(at=1.0)
+    @given(at=st.floats(0.0, 1.0))
+    def test_scaled_cloud_makes_the_unit_flips(self, at):
+        # a volume goes like s**4 and leaves the double range long before
+        # the coordinates do; η and the volume pre-filter are measured in one
+        # power-of-two frame and the exact total volume is reported as inf
+        # above it, so every k in the cloud's admissible range (``at`` places
+        # it, both ends included) makes the unit cloud's flips
         pts = np.random.default_rng(1).random((20, 4))
+        lo, hi = self._scales(pts)
         unit = self._flip_sequence(pts)
-        assert len(unit) == 9 and self._flip_sequence(pts * 2.0 ** k) == unit
+        moved = self._flip_sequence(pts * 2.0 ** round(lo + at * (hi - lo)))
+        assert len(unit) == 9 and moved == unit
 
 
 def _perm_parity(a, b):

@@ -206,7 +206,7 @@ class TestFlipThenReverse:
                        and set(c.stage1) == set(rep.new_elements)
                        and {frozenset(rep.removed_vertex if v == NEW_LABEL else v
                                       for v in t) for t in c.stage2} == removed)
-            reason, rev_dets = flips._check_flip(trial, rev)
+            reason, rev_dets = flips._verdict(trial, rev)
             assert not reason
             back = real(trial, rev, rev_dets)
             restored = simplex_set(trial)

@@ -7,17 +7,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from pentamesh.geometry import Metric4, _det4, _grain, hypervolume_exact
 from pentamesh.predicates import (
-    _EPS,
-    _ORIENT_SAFETY,
     _Lift,
-    _det_mag,
     _insphere4_certified,
     _insphere4_core,
     _insphere_exact,
     _metric_info,
     _orient4_certified,
     _orient4_core,
-    _orientation_rows,
     decompose_metric,
     inhypersphere4,
     inhypersphere_m_d,
@@ -531,8 +527,9 @@ class TestPredicateProperties:
     @given(near_coplanar())
     def test_uncertified_orientation_is_exact(self, pts):
         # inputs the float filter cannot certify go straight to the exact tier
-        det, mag = _det_mag(_orientation_rows(pts))
-        assume(abs(det) <= _ORIENT_SAFETY * _EPS * mag)
+        F = np.array([pts[:4]])
+        det, mag = _orient4_core(F, pts[4])
+        assume(not _orient4_certified(F, pts[4], det, mag)[0])
         res = orientation_m_d(None, pts)
         vol = hypervolume_fraction(*pts)
         assert (res.sign, res.exactness) == ((vol > 0) - (vol < 0), "exact")
