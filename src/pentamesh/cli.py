@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 
 from . import meshio
 from .flips import improve_quality
@@ -52,8 +53,17 @@ def parse_metric(spec: str) -> MetricField:
         f"unknown metric {spec!r}; use 'identity' or 'speed:c0,beta[,center]'")
 
 
-def _open_out(path):
-    return open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+def _write_tables(path, *tables) -> None:
+    """Write CSV tables, a blank line apart, to ``path`` or stdout.
+
+    The file is opened only once the rows exist, and closed on every path.
+    """
+    with (open(path, "w", encoding="utf-8", newline="") if path
+          else nullcontext(sys.stdout)) as out:
+        for i, rows in enumerate(tables):
+            if i:
+                out.write("\n")
+            write_csv(rows, out)
 
 
 def cmd_mesh(args) -> int:
@@ -79,10 +89,7 @@ def cmd_quality(args) -> int:
     rows = [{"element": eid, column: quality_metric(mesh.element_points(eid), args.metric,
                                                     which=args.heuristic)}
             for eid in mesh.alive_elements()]
-    out = _open_out(args.output)
-    write_csv(rows, out)
-    if out is not sys.stdout:
-        out.close()
+    _write_tables(args.output, rows)
     qs = [r[column] for r in rows]
     if qs:
         print(f"elements {len(qs)}  min {min(qs):.6f}  mean {sum(qs)/len(qs):.6f}",
@@ -101,17 +108,13 @@ def cmd_improve(args) -> int:
     row = {"heuristic": rep.heuristic, **rep.as_row()}
     for kind in sorted(rep.flips_by_kind):
         row[f"flips_{kind}"] = rep.flips_by_kind[kind]
-    out = _open_out(args.output)
-    write_csv([row], out)
-    if out is not sys.stdout:
-        out.close()
+    _write_tables(args.output, [row])
     if args.mesh_out:
         meshio.save_p4m(mesh, args.mesh_out)
     return 0
 
 
 def cmd_study(args) -> int:
-    out = _open_out(args.output)
     if args.which == "convergence":
         rows = []
         metrics = (["identity", "speed"] if args.metric_mode == "both"
@@ -122,21 +125,15 @@ def cmd_study(args) -> int:
                                     h_exponent=args.h_exponent, margin=args.margin)
             for r in res.rows:
                 rows.append({"metric": metric, **r})
-        write_csv(rows, out)
+        tables = [rows]
     elif args.which == "predicates":
         dims = tuple(int(x) for x in args.dims.split(","))
-        rows = predicate_comparison_study(dims=dims, trials=args.trials,
-                                          seed=args.seed, exact=args.exact)
-        write_csv(rows, out)
-    elif args.which == "flips":
+        tables = [predicate_comparison_study(dims=dims, trials=args.trials,
+                                             seed=args.seed, exact=args.exact)]
+    else:  # flips
         sizes = tuple(int(x) for x in args.sizes.split(","))
-        summary, histogram = quality_study(
-            sizes=sizes, heuristic=args.heuristic, seed=args.seed)
-        write_csv(summary, out)
-        out.write("\n")
-        write_csv(histogram, out)
-    if out is not sys.stdout:
-        out.close()
+        tables = quality_study(sizes=sizes, heuristic=args.heuristic, seed=args.seed)
+    _write_tables(args.output, *tables)
     return 0
 
 

@@ -47,12 +47,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import chain, combinations
+from itertools import combinations
 
 from .geometry import FACET_OPPOSITE, _hypervolumes_int, resolve_field
 from .mesh import Mesh4, MeshError
 from .predicates import orientation4  # noqa: F401  perfbench/tracing.py wraps this name
-from .quality import _eta_volume
+from .quality import _eta_volume, _frame
 from .quality import pentatope_quality  # noqa: F401  perfbench/tracing.py wraps this name
 
 __all__ = [
@@ -399,14 +399,6 @@ def _points(mesh, tup, new_point):
     return [new_point if v == NEW_LABEL else mesh.vertices[v] for v in tup]
 
 
-def _frame(mesh) -> int:
-    """The least e with every vertex coordinate below ``2**e`` in magnitude, 0 for unit meshes.
-
-    Flips measure in the frame scaled by ``2**-e``; no flip changes e.
-    """
-    return math.frexp(max(map(abs, chain.from_iterable(mesh.vertices)), default=0.0))[1]
-
-
 def validate_flip(mesh: Mesh4, cand: FlipCandidate):
     """Geometric validity of a candidate: (ok, reject_reason).
 
@@ -428,7 +420,7 @@ def _verdict(mesh, cand, measure=None):
     :func:`~pentamesh.geometry._hypervolumes_int` decide what they pass, and
     their signs orient the replacements.  ``measure(tup, new_point)[1]`` is
     a float volume, by default :func:`~pentamesh.quality._eta_volume`'s in
-    the mesh's :func:`_frame`, which the driver's memo holds.
+    the frame of the mesh's vertices, which the driver's memo holds.
     """
     if any(not mesh.alive(e) for e in cand.stage1):
         return "dead element in stage 1", None
@@ -447,7 +439,7 @@ def _verdict(mesh, cand, measure=None):
             if set(mesh.elements[eid]) == ext:
                 return "replacement duplicates an existing element", None
     if measure is None:
-        frame = _frame(mesh)
+        frame = _frame(mesh.vertices)
 
         def measure(tup, new_point):
             return _eta_volume(_points(mesh, tup, new_point), frame=frame)
@@ -598,8 +590,9 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
     coordinates never change within it.  Each distinct simplex, keyed by
     its sorted vertex ids and inserted point, is measured once by
     :func:`~pentamesh.quality._eta_volume` under ``field`` in the mesh's
-    power-of-two frame (:func:`_frame`), so no scale changes a flip; the
-    gate, the created elements' qualities and the verdicts read that memo.
+    power-of-two frame (:func:`~pentamesh.quality._frame`), so no scale
+    changes a flip; the gate, the created elements' qualities and the
+    verdicts read that memo.
     Each entity's improving candidates are memoised too, as empty without
     examination when its star meets the frozen set.  A flip changes only
     the stars of the entities of the elements it removes or creates, so
@@ -611,7 +604,7 @@ def improve_quality(mesh: Mesh4, heuristic: int = 1, field=None, *,
     is reported as ±inf; ``hv_conserved_exactly`` compares exact ones.
     """
     fld = resolve_field(field)
-    frame = _frame(mesh)
+    frame = _frame(mesh.vertices)
     simplices: dict[tuple, tuple[float, float]] = {}
 
     def measured(tup, new_point):

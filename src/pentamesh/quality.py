@@ -26,6 +26,7 @@ Euclidean hypervolume, which flip validation reads for its volume pre-filter.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from .geometry import (
     _det4,
@@ -87,6 +88,8 @@ def theta(lsq) -> float:
 
 def _eta_from(v: float, lsq, which: int) -> float:
     """Shared heuristic evaluation from a volume and squared edge lengths."""
+    if which not in (1, 2, 3):
+        raise ValueError(f"heuristic must be 1, 2 or 3, got {which}")
     ssum = sum(lsq)
     if ssum <= 0.0:
         return 0.0
@@ -97,9 +100,16 @@ def _eta_from(v: float, lsq, which: int) -> float:
         return 0.0
     if which == 2:
         return 6.0 * ssum / math.sqrt(th)
-    if which == 3:
-        return _ETA3_COEF * math.sqrt(384.0 * v / th)
-    raise ValueError(f"heuristic must be 1, 2 or 3, got {which}")
+    return _ETA3_COEF * math.sqrt(384.0 * v / th)
+
+
+def _frame(points) -> int:
+    """The least e with every coordinate below ``2**e`` in magnitude, 0 for unit points.
+
+    Scaling by ``2**-e`` is exact in the normal range and brings the largest
+    magnitude into [1/2, 1), so η's powers of the lengths stay normal doubles.
+    """
+    return math.frexp(max(map(abs, chain.from_iterable(points)), default=0.0))[1]
 
 
 def _eta_volume(pts, which: int = 1, field=None, frame: int = 0) -> tuple[float, float]:
@@ -129,22 +139,22 @@ def _eta_volume(pts, which: int = 1, field=None, frame: int = 0) -> tuple[float,
 
 def eta1(p1, p2, p3, p4, p5) -> float:
     """Geometric/arithmetic mean-ratio quality (0 degenerate .. 1 regular)."""
-    return _eta_volume((p1, p2, p3, p4, p5), 1)[0]
+    return pentatope_quality((p1, p2, p3, p4, p5), 1)
 
 
 def eta2(p1, p2, p3, p4, p5) -> float:
     """Arithmetic/RMS mean-ratio quality."""
-    return _eta_volume((p1, p2, p3, p4, p5), 2)[0]
+    return pentatope_quality((p1, p2, p3, p4, p5), 2)
 
 
 def eta3(p1, p2, p3, p4, p5) -> float:
     """Geometric/RMS mean-ratio quality; equals eta1 * eta2."""
-    return _eta_volume((p1, p2, p3, p4, p5), 3)[0]
+    return pentatope_quality((p1, p2, p3, p4, p5), 3)
 
 
 def pentatope_quality(pts, which: int = 1) -> float:
-    """Euclidean quality of five points with the chosen heuristic."""
-    return _eta_volume(pts, which)[0]
+    """Euclidean quality of five points with the chosen heuristic, in their own :func:`_frame`."""
+    return _eta_volume(pts, which, frame=_frame(pts))[0]
 
 
 def quality_metric(pts, field, mode: str = "pointwise", which: int = 1) -> float:
@@ -154,11 +164,12 @@ def quality_metric(pts, field, mode: str = "pointwise", which: int = 1) -> float
     ``quadrature`` integrates edge lengths (Gauss-Legendre of order
     ``_QUADRATURE_ORDER``) and the volume density (simplex rule of half
     that order).  Both coincide for constant fields.  The points are
-    sorted lexicographically first, as for the Euclidean heuristics.
+    sorted lexicographically first, as for the Euclidean heuristics, and
+    ``pointwise`` measures in their own :func:`_frame` too.
     """
     fld = resolve_field(field)
     if mode == "pointwise":
-        return _eta_volume(pts, which, fld)[0]
+        return _eta_volume(pts, which, fld, _frame(pts))[0]
     if mode != "quadrature":
         raise ValueError(f"mode must be 'pointwise' or 'quadrature', got {mode!r}")
     pts = sorted(map(tuple, pts))

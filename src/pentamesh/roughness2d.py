@@ -12,6 +12,12 @@ Delaunay one.
 
 The 2D space-time metric is ``diag(1, c^2)`` with characteristic speed c;
 "metric space" means scaling the second coordinate by c.
+
+Every sign that builds or flips a triangulation is exact, from
+:func:`~pentamesh.predicates.orientation_m_d` and
+:func:`~pentamesh.predicates.inhypersphere_m_d` with d = 2, as the proof
+assumes.  So the sweep needs no containment scan and the LOP no convexity
+test; their docstrings say why.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+
+from .predicates import inhypersphere_m_d, orientation_m_d
 
 __all__ = [
     "CanonicalQuad",
@@ -34,7 +42,7 @@ __all__ = [
     "total_roughness",
 ]
 
-_LOP_MAX_PASSES = 200  # lop's guard: queue pops per triangle before it stops
+_LOP_MAX_PASSES = 200  # lop's guard for a varying field: queue pops per triangle
 
 
 def _cross(o, a, b) -> float:
@@ -55,9 +63,8 @@ class QuadConfig2:
             raise ValueError("need four points and four nodal values")
         if self.c_v <= 0.0:
             raise ValueError("characteristic speed must be positive")
-        pts = [tuple(map(float, p)) for p in self.u]
         for i in range(4):
-            if _cross(pts[i], pts[(i + 1) % 4], pts[(i + 2) % 4]) <= 0.0:
+            if orientation_m_d(None, (self.u[i - 2], self.u[i - 1], self.u[i])).sign <= 0:
                 raise ValueError(
                     "points must form a strictly convex counterclockwise quadrilateral")
 
@@ -193,47 +200,39 @@ def incircle_m2(c_v: float, tri, w) -> float:
 # triangulations and the local optimization procedure
 # ---------------------------------------------------------------------------
 
+def _turn(pts, a, b, c) -> int:
+    """Exact sign of the turn a -> b -> c; positive counterclockwise."""
+    return orientation_m_d(None, (pts[a], pts[b], pts[c])).sign
+
+
 def sweep_triangulation(points) -> list[tuple[int, int, int]]:
     """Incremental lexicographic triangulation: a valid, non-optimized seed.
 
-    Points in general position (no three exactly collinear beyond the
-    leading sweep line, no exact duplicates); each point either splits the
-    triangle containing it or connects to the hull edges it sees.  All
-    triangles come out counterclockwise.
+    Points without exact duplicates, not all collinear.  Taken in
+    lexicographic order, each point lies strictly outside the hull of the
+    earlier ones, since a convex combination of points never comes after all
+    of them; the collinear leading points lie on line ab beyond b.  So
+    no point falls inside or on an earlier triangle, and no containment
+    scan is needed: each point connects to the hull edges it strictly sees.
+    All triangles come out counterclockwise.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     if n < 3:
         raise ValueError("need at least three points")
     order = sorted(range(n), key=lambda i: (pts[i][0], pts[i][1]))
-    first = next((k for k in range(2, n)
-                  if _cross(pts[order[0]], pts[order[1]], pts[order[k]]) != 0.0), None)
+    first = next((k for k in range(2, n) if _turn(pts, *order[:2], order[k])), None)
     if first is None:
         raise ValueError("all points are collinear")
     a, b, c = order[0], order[1], order[first]
-    seed = (a, b, c) if _cross(pts[a], pts[b], pts[c]) > 0.0 else (b, a, c)
+    seed = (a, b, c) if _turn(pts, a, b, c) > 0 else (b, a, c)
     tris: list[tuple[int, int, int]] = [seed]
     hull: list[int] = list(seed)
     pending = order[2:first] + order[first + 1:]
 
     for v in pending:
-        placed = False
-        for ti, tri in enumerate(tris):
-            crs = [_cross(pts[tri[i]], pts[tri[(i + 1) % 3]], pts[v]) for i in range(3)]
-            if all(cr > 0.0 for cr in crs):
-                i, j, k = tri
-                tris[ti] = (i, j, v)
-                tris.append((j, k, v))
-                tris.append((k, i, v))
-                placed = True
-                break
-            if all(cr >= 0.0 for cr in crs):
-                raise ValueError(f"point {v} lies exactly on an edge")
-        if placed:
-            continue
         m = len(hull)
-        visible = [i for i in range(m)
-                   if _cross(pts[hull[i]], pts[hull[(i + 1) % m]], pts[v]) < 0.0]
+        visible = [i for i in range(m) if _turn(pts, hull[i], hull[(i + 1) % m], v) < 0]
         if not visible:
             raise ValueError(f"point {v} is degenerate with the hull")
         for i in visible:
@@ -276,18 +275,23 @@ def lop(points, values=None, c_field=1.0, *, return_history: bool = False):
 
     ``c_field`` is either a constant characteristic speed or a callable
     ``(x, t) -> c`` evaluated at edge midpoints.  Starting from a sweep
-    triangulation, every interior edge whose two triangles form a strictly
-    convex quadrilateral is tested with the metric circumcircle criterion
-    and flipped on strict violation; ties are left alone.  Each flip
-    strictly lowers the roughness of the affected pair, so the loop
-    terminates; a guard still stops it after ``_LOP_MAX_PASSES`` queue pops
-    per triangle.
+    triangulation, every interior edge ab with triangles abc (stored
+    counterclockwise) and abd is flipped to cd when d lies strictly inside
+    the circumcircle of abc under ``diag(1, c^2)``, decided exactly by
+    :func:`~pentamesh.predicates.inhypersphere_m_d`; ties are left alone.
+    No convexity test is needed: d strictly inside that circle keeps
+    segment cd in the open disk, crossing line ab on the chord, so the
+    quadrilateral is strictly convex, under any linear map too.  Each flip
+    strictly lowers the roughness of the affected pair, so under a constant
+    speed the loop terminates at the metric Delaunay triangulation.  A
+    varying field can cycle, so a guard stops the loop after
+    ``_LOP_MAX_PASSES`` queue pops per triangle.
 
     Returns the triangle list, or ``(triangles, roughness_history)`` when
     ``return_history`` is set (requires ``values`` and a constant field).
     """
     pts = np.asarray(points, dtype=float)
-    tris = [tuple(t) for t in sweep_triangulation(pts)]
+    tris = sweep_triangulation(pts)
     speed = c_field if callable(c_field) else (lambda x, t, c=float(c_field): c)
     track = return_history and values is not None and not callable(c_field)
     history = []
@@ -310,47 +314,37 @@ def lop(points, values=None, c_field=1.0, *, return_history: bool = False):
     passes = 0
     while queue:
         passes += 1
-        if passes > _LOP_MAX_PASSES * max(1, len(tris)):
+        if passes > _LOP_MAX_PASSES * len(tris):
             break
         e = queue.popleft()
-        owners = [ti for ti in edge_map.get(e, []) if tris[ti] is not None]
-        if len(owners) != 2:
+        if len(edge_map[e]) != 2:
             continue
-        t1, t2 = owners
-        a, b = e
-        c = next(v for v in tris[t1] if v not in e)
+        t1, t2 = edge_map[e]
+        tri1 = tris[t1]
+        k = next(i for i, v in enumerate(tri1) if v not in e)
+        c, a, b = tri1[k], tri1[k - 2], tri1[k - 1]  # tri1 is (a, b, c) up to rotation
         d = next(v for v in tris[t2] if v not in e)
-        # strict convexity of quad (c, a, d, b)
-        s1 = _cross(pts[c], pts[a], pts[d])
-        s2 = _cross(pts[a], pts[d], pts[b])
-        s3 = _cross(pts[d], pts[b], pts[c])
-        s4 = _cross(pts[b], pts[c], pts[a])
-        if not (min(s1, s2, s3, s4) > 0.0 or max(s1, s2, s3, s4) < 0.0):
-            continue
         mid = 0.5 * (pts[a] + pts[b])
         c_v = float(speed(mid[0], mid[1]))
-        crit = incircle_m2(c_v, (pts[a], pts[b], pts[c]), pts[d])
-        scale = max(abs(crit), (pts[a] - pts[b]) @ (pts[a] - pts[b]))
-        if crit >= -1e-12 * max(scale, 1.0):
+        if c_v <= 0.0:
+            raise ValueError("characteristic speed must be positive")
+        metric = ((1.0, 0.0), (0.0, c_v * c_v))
+        if inhypersphere_m_d(metric, (pts[a], pts[b], pts[c], pts[d])).sign <= 0:
             continue
-        # flip e = (a, b) to (c, d)
-        for ti, tri in ((t1, tris[t1]), (t2, tris[t2])):
+        # flip ab to cd; (c, a, d) and (c, d, b) turn counterclockwise as abc does
+        for ti, tri in ((t1, tri1), (t2, tris[t2])):
             for ed in edges_of(tri):
-                lst = edge_map.get(ed, [])
-                if ti in lst:
-                    lst.remove(ti)
-        new1 = (c, a, d) if _cross(pts[c], pts[a], pts[d]) > 0 else (c, d, a)
-        new2 = (c, d, b) if _cross(pts[c], pts[d], pts[b]) > 0 else (c, b, d)
-        tris[t1], tris[t2] = new1, new2
+                edge_map[ed].remove(ti)
+        tris[t1], tris[t2] = (c, a, d), (c, d, b)
         register(t1)
         register(t2)
-        for ed in set(edges_of(new1) + edges_of(new2)):
-            if ed != tuple(sorted((c, d))) and len(edge_map.get(ed, [])) == 2:
+        cd = tuple(sorted((c, d)))
+        for ed in set(edges_of(tris[t1]) + edges_of(tris[t2])):
+            if ed != cd and len(edge_map[ed]) == 2:
                 queue.append(ed)
-        queue.append(tuple(sorted((c, d))))
+        queue.append(cd)
         if track:
             history.append(total_roughness(pts, values, tris, float(c_field)))
-    result = [t for t in tris if t is not None]
     if return_history:
-        return result, history
-    return result
+        return tris, history
+    return tris

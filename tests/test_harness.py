@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import gc
 import importlib
 import io
 import math
@@ -50,6 +51,25 @@ def test_every_module_export_resolves():
             if not hasattr(module, name):
                 stale.append(f"{info.name}.{name}")
     assert checked and stale == []
+
+
+def _env_with_src():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(pathlib.Path(pentamesh.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_import_loads_neither_scipy_nor_hypothesis():
+    # the benchmark times a fresh-interpreter import and reads memory before
+    # it loads scipy; both are for tests and oracles only
+    code = ("import sys, pentamesh; "
+            "print(sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'hypothesis'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_env_with_src(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -422,6 +442,15 @@ class TestCli:
         assert cli_main(["export", mesh_path, "--format", "tet3", "-o", out]) == 0
         assert pathlib.Path(out).read_text().startswith("tet3 1")
 
+    def test_failed_study_leaves_no_output_file(self, tmp_path):
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least 3 refinement levels"):
+                cli_main(["study", "convergence", "--levels", "2", "-o", str(out)])
+            gc.collect()  # an unclosed handle would warn here
+        assert not out.exists()
+
     def test_study_predicates(self, tmp_path):
         out = str(tmp_path / "pred.csv")
         assert cli_main(["study", "predicates", "--dims", "2,3",
@@ -453,11 +482,8 @@ class TestCli:
 
     def test_demo_meshing_basics_runs(self):
         demo = pathlib.Path(__file__).resolve().parents[1] / "demos" / "demo_meshing_basics.py"
-        src = str(pathlib.Path(pentamesh.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                              text=True, env=env, timeout=600)
+                              text=True, env=_env_with_src(), timeout=600)
         assert proc.returncode == 0, proc.stderr
         assert "audit: 0 strict violations" in proc.stdout
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pentamesh import insertion
 from pentamesh.bounding import build_bounding_mesh
-from pentamesh.flips import improve_quality
+from pentamesh.flips import AMQ_FRACTIONS, amq, improve_quality
 from pentamesh.geometry import CANONICAL_FACETS, MetricField, Metric4, _grain, hypervolume
 from pentamesh.insertion import (
     audit_delaunay,
@@ -30,6 +30,7 @@ from pentamesh.mesh import (
 )
 from pentamesh.pointsets import generate_hypercylinder_points
 from pentamesh.predicates import inhypersphere_m_d
+from pentamesh.quality import pentatope_quality
 from conftest import (
     circumsphere,
     facet_table,
@@ -635,12 +636,16 @@ class TestScaleAndOffset:
 
     @classmethod
     def _flip_sequence(cls, pts):
+        """The flips of ``improve_quality`` on the mesh of ``pts``, and the AMQ
+        tables of ``pentatope_quality`` over the final mesh and of the report."""
         mesh = cls._mesh_quietly(pts)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = improve_quality(mesh, heuristic=1)
-        return [(f.kind, sorted(sorted(mesh.elements[e]) for e in f.new_elements))
-                for f in rep.flips]
+            final = [pentatope_quality(mesh.element_points(e)) for e in mesh.alive_elements()]
+        return ([(f.kind, sorted(sorted(mesh.elements[e]) for e in f.new_elements))
+                 for f in rep.flips],
+                {f: amq(final, f) for f in AMQ_FRACTIONS}, rep.amq_after)
 
     @settings(max_examples=3, deadline=None)
     @example(at=0.0)
@@ -654,9 +659,11 @@ class TestScaleAndOffset:
         # it, both ends included) makes the unit cloud's flips
         pts = np.random.default_rng(1).random((20, 4))
         lo, hi = self._scales(pts)
-        unit = self._flip_sequence(pts)
-        moved = self._flip_sequence(pts * 2.0 ** round(lo + at * (hi - lo)))
+        unit, _, _ = self._flip_sequence(pts)
+        moved, public, reported = self._flip_sequence(pts * 2.0 ** round(lo + at * (hi - lo)))
         assert len(unit) == 9 and moved == unit
+        # the public quality is scale-free too: it reads the report's AMQs
+        assert public == reported
 
 
 def _perm_parity(a, b):

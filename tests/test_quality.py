@@ -93,6 +93,15 @@ class TestEtaValues:
         assert eta1(p, p, p, p, p) == 0.0
         assert eta2(p, p, p, p, p) == 0.0
 
+    @pytest.mark.parametrize("pts", [[(0.0, 0.0, 0.0, 0.0)] * 5,
+                                     np.vstack([np.zeros(4), np.eye(4)])])
+    def test_unknown_heuristic_is_rejected_for_every_element(self, pts):
+        # the degenerate element used to return 0.0 before the check
+        with pytest.raises(ValueError, match="heuristic must be 1, 2 or 3"):
+            pentatope_quality(pts, which=7)
+        with pytest.raises(ValueError, match="heuristic must be 1, 2 or 3"):
+            quality_metric(pts, MetricField.identity(), which=7)
+
     def test_matrix_oracle(self, rng):
         for _ in range(300):
             pts = random_pentatope(rng, min_vol=1e-4)
