@@ -29,6 +29,7 @@ import math
 from itertools import chain
 
 from .geometry import (
+    MetricField,
     _det4,
     metric_length_quadrature,
     metric_volume_quadrature,
@@ -165,15 +166,20 @@ def quality_metric(pts, field, mode: str = "pointwise", which: int = 1) -> float
     ``_QUADRATURE_ORDER``) and the volume density (simplex rule of half
     that order).  Both coincide for constant fields.  The points are
     sorted lexicographically first, as for the Euclidean heuristics, and
-    ``pointwise`` measures in their own :func:`_frame` too.
+    both modes measure in their own :func:`_frame` too.
     """
     fld = resolve_field(field)
     if mode == "pointwise":
         return _eta_volume(pts, which, fld, _frame(pts))[0]
     if mode != "quadrature":
         raise ValueError(f"mode must be 'pointwise' or 'quadrature', got {mode!r}")
-    pts = sorted(map(tuple, pts))
-    lsq = [metric_length_quadrature(pts[i], pts[j], fld, order=_QUADRATURE_ORDER) ** 2
+    # the rules run on the points scaled by 2**-e, which scales every length
+    # by 2**-e and the volume by 2**-4e but not η; the field reads true points
+    e = _frame(pts)
+    pts = sorted(tuple(math.ldexp(c, -e) for c in p) for p in pts)
+    framed = fld if fld.is_constant else MetricField(
+        lambda p: fld(tuple(math.ldexp(c, e) for c in p)))
+    lsq = [metric_length_quadrature(pts[i], pts[j], framed, order=_QUADRATURE_ORDER) ** 2
            for i, j in EDGE_ORDER]
-    v = metric_volume_quadrature(pts, fld, order=_QUADRATURE_ORDER // 2)
+    v = metric_volume_quadrature(pts, framed, order=_QUADRATURE_ORDER // 2)
     return _eta_from(v, lsq, which)

@@ -185,15 +185,17 @@ def incircle_m2(c_v: float, tri, w) -> float:
     """
     if c_v <= 0.0:
         raise ValueError("characteristic speed must be positive")
-    a, b, c = (np.array([p[0], c_v * p[1]], dtype=float) for p in tri)
-    ww = np.array([w[0], c_v * w[1]], dtype=float)
-    A = 2.0 * np.array([b - a, c - a])
-    rhs = np.array([b @ b - a @ a, c @ c - a @ a])
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    (ax, ay), (bx, by), (cx, cy), (wx, wy) = (
+        (float(p[0]), c_v * float(p[1])) for p in (*tri, w))
+    # Cramer's rule for the circumcentre o: 2 [b - a; c - a] o = [|b|^2 - |a|^2; |c|^2 - |a|^2]
+    a00, a01, a10, a11 = 2.0 * (bx - ax), 2.0 * (by - ay), 2.0 * (cx - ax), 2.0 * (cy - ay)
+    aa = ax * ax + ay * ay
+    r0, r1 = bx * bx + by * by - aa, cx * cx + cy * cy - aa
+    det = a00 * a11 - a01 * a10
     if det == 0.0:
         raise ValueError("triangle is collinear in metric space")
-    o = np.linalg.solve(A, rhs)
-    return float((ww - o) @ (ww - o) - (a - o) @ (a - o))
+    ox, oy = (r0 * a11 - a01 * r1) / det, (a00 * r1 - r0 * a10) / det
+    return (wx - ox) ** 2 + (wy - oy) ** 2 - ((ax - ox) ** 2 + (ay - oy) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import tracemalloc
 import warnings
 from collections import deque
 
@@ -805,3 +806,85 @@ class TestAudit:
         mesh = triangulate(pts, field)
         report = audit_delaunay(mesh, field)
         assert report.n_checked > 0
+
+
+def _whole_array_screen(mesh):
+    """The audit's float screen under the identity, every pair at once.
+
+    One ``(elements, vertices, 4)`` difference array summed along its last
+    axis: the suspect (vertex, element) pairs in element-major order.
+    """
+    elems = [(eid, mesh.elements[eid]) for eid in mesh.alive_elements()]
+    vids = [v for v in range(len(mesh.vertices)) if mesh.vertex_alive[v]]
+    V = np.array(mesh.vertices)
+    P = V[np.array([verts for _, verts in elems])]
+    A = 2.0 * (P[:, 1:] - P[:, :1])
+    rhs = (P[:, 1:] ** 2).sum(axis=2) - (P[:, :1] ** 2).sum(axis=2)
+    centers = np.linalg.solve(A, rhs[..., None])[..., 0]
+    r2 = ((P[:, 0] - centers) ** 2).sum(axis=1)
+    d2 = ((V[vids][None, :, :] - centers[:, None, :]) ** 2).sum(axis=2)
+    margin = r2[:, None] - d2
+    band = 1e-7 * (r2[:, None] + d2) + 1e-300
+    hit = (margin > band) | (np.abs(margin) <= band) | ~np.isfinite(margin)
+    return [(vids[j], elems[k][0]) for k, j in zip(*np.nonzero(hit))
+            if vids[j] not in elems[k][1]]
+
+
+class TestAuditBlocks:
+    """The float screen works in fixed blocks of (element, vertex) pairs."""
+
+    @pytest.fixture(scope="class")
+    def uniform(self):
+        return triangulate(np.random.default_rng(77).random((200, 4)))
+
+    @pytest.fixture(scope="class")
+    def lattice(self):
+        # the first 120 points of the 4^4 lattice of spacing 0.25: many exact ties
+        grid = 0.25 * np.array(list(itertools.product(range(4), repeat=4))[:120], dtype=float)
+        return triangulate(grid, shuffle=True, seed=0)
+
+    def test_working_memory_is_a_fixed_block(self, uniform):
+        # one (2048, 200, 4) difference array alone took 13 MB; a block of
+        # 2**15 pairs leaves the whole audit at about 1.5 MB
+        audit_delaunay(uniform)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            report = audit_delaunay(uniform)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak - held <= 4 * 2 ** 20
+
+    @pytest.mark.parametrize("case", ["lattice", "planted"])
+    def test_blocked_screen_matches_the_whole_array_screen(self, request, monkeypatch, case):
+        planted = None
+        if case == "lattice":
+            mesh = request.getfixturevalue("lattice")
+        else:
+            # a loose vertex at the circumcentre of the last element
+            mesh = copy.deepcopy(request.getfixturevalue("uniform"))
+            last = list(mesh.alive_elements())[-1]
+            planted = (mesh.add_vertex(circumsphere(mesh.element_points(last))[0]), last)
+        vids = [v for v in range(len(mesh.vertices)) if mesh.vertex_alive[v]]
+        assert mesh.n_alive > 2 * (insertion._AUDIT_BLOCK_PAIRS // len(vids))  # >= 3 blocks
+        sent = []
+        exact = insertion._audit_pairs_exact
+
+        def record(m, pairs, metric, violations):
+            sent.extend(pairs)
+            exact(m, pairs, metric, violations)
+
+        monkeypatch.setattr(insertion, "_audit_pairs_exact", record)
+        report = audit_delaunay(mesh)
+        want = _whole_array_screen(mesh)
+        assert sent and sent == want
+        expected = []
+        for vid, eid in want:
+            res = inhypersphere_m_d(None, list(mesh.element_points(eid)) + [mesh.vertices[vid]])
+            if res.sign > 0:
+                expected.append((vid, eid, res.value))
+        assert report.violations == expected
+        assert report.n_checked == mesh.n_alive * len(vids)
+        assert planted is None or planted in [(v, e) for v, e, _ in expected]

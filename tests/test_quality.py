@@ -144,6 +144,15 @@ class TestEtaProperties:
         assert prev[0] < 1e-3 and prev[1] < 1e-3
 
 
+# metric fields of points scaled by s, each the unit field seen at that scale
+_QUADRATURE_FIELDS = {
+    "identity": lambda s: None,
+    "constant": lambda s: MetricField.constant(np.diag([1.0, 4.0, 0.25, 2.0])),
+    "varying": lambda s: MetricField.from_function(
+        lambda p: np.diag([1.0, 1.0, 1.0, 1.0 + (p[3] / s) ** 2])),
+}
+
+
 class TestQualityMetric:
     def test_identity_field(self, rng):
         # bit for bit: the identity field takes the Euclidean kernel path
@@ -197,6 +206,16 @@ class TestQualityMetric:
             a = quality_metric(pts, field, mode="pointwise", which=which)
             b = quality_metric(pts, field, mode="quadrature", which=which)
             assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [-300, 0, 300])
+    @pytest.mark.parametrize("field_at", _QUADRATURE_FIELDS.values(), ids=_QUADRATURE_FIELDS)
+    def test_quadrature_reads_the_unit_value_at_every_power_of_two_scale(self, field_at, k):
+        # the rules run in the points' frame while the field reads the true
+        # points, so the points times 2**k under field_at(2**k) score what
+        # the unit points score under field_at(1), bit for bit
+        unit = np.random.default_rng(1).random((5, 4))
+        want = quality_metric(unit, field_at(1.0), mode="quadrature")
+        assert quality_metric(unit * 2.0 ** k, field_at(2.0 ** k), mode="quadrature") == want
 
     def test_edge_order_is_lexicographic(self):
         assert EDGE_ORDER == ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2),
