@@ -203,48 +203,61 @@ def regular_pentatope(edge: float = 1.0) -> np.ndarray:
 # metric tensors and fields
 # ---------------------------------------------------------------------------
 
+def _spd(m, d: int) -> tuple[tuple, float]:
+    """Rows and determinant of a d x d symmetric positive-definite matrix.
+
+    The rows are symmetrised elementwise, ``0.5 * (a_ij + a_ji)``, and must
+    be finite (an entry whose sum overflows is not); the entries must be
+    symmetric to 1e-12 of the largest magnitude (at least 1).  One LDL^T
+    elimination without pivoting then runs on the rows.  Its pivots are the
+    ratios of successive leading principal minors, so the matrix is positive
+    definite exactly when every pivot is positive, and the determinant is
+    their product.
+    """
+    a = np.asarray(m, dtype=float)
+    if a.shape != (d, d):
+        raise ValueError(f"metric must be {d}x{d}, got shape {a.shape}")
+    a = a.tolist()
+    rows = tuple(tuple(0.5 * (x + y) for x, y in zip(row, col)) for row, col in zip(a, zip(*a)))
+    if not all(math.isfinite(x) for row in rows for x in row):
+        raise ValueError(f"metric has a non-finite entry: {a}")
+    tol = 1e-12 * max(1.0, max(abs(x) for row in a for x in row))
+    if any(abs(x - y) > tol for row, col in zip(a, zip(*a)) for x, y in zip(row, col)):
+        raise ValueError("metric is not symmetric")
+    low = [list(row[:i + 1]) for i, row in enumerate(rows)]  # the Schur complements
+    det = 1.0
+    for k in range(d):
+        pivot = low[k][k]
+        if not pivot > 0.0:
+            raise ValueError("metric is not positive definite")
+        det *= pivot
+        for i in range(k + 1, d):
+            f = low[i][k] / pivot
+            for j in range(k + 1, i + 1):
+                low[i][j] -= f * low[j][k]
+    return rows, det
+
+
 class Metric4:
     """A 4x4 symmetric positive-definite metric tensor.
 
-    Construction validates finiteness, symmetry (to representation
-    exactness) and positive definiteness via the leading principal minors.  The (4,4)
+    ``rows`` holds the entries as nested tuples and ``det`` the determinant,
+    both from :func:`_spd`, which validates the argument.  ``diag`` is the
+    diagonal when every off-diagonal entry is zero, else None.  The (4,4)
     entry carries the square of the characteristic speed when the metric
     has the diagonal space-time form.
     """
 
-    __slots__ = ("m", "_det", "_rows", "diag")
+    __slots__ = ("rows", "diag", "det")
 
     def __init__(self, m) -> None:
-        m = np.asarray(m, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"metric must be 4x4, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError(f"metric has a non-finite entry: {m.tolist()}")
-        scale = max(np.abs(m).max(), 1.0)
-        if np.abs(m - m.T).max() > 1e-12 * scale:
-            raise ValueError("metric is not symmetric")
-        m = 0.5 * (m + m.T)
-        for k in range(1, 5):
-            if np.linalg.det(m[:k, :k]) <= 0.0:
-                raise ValueError("metric is not positive definite")
-        self.m = m
-        self._det = float(np.linalg.det(m))
-        self._rows = tuple(tuple(float(x) for x in row) for row in m)
-        off = m[~np.eye(4, dtype=bool)]
-        self.diag = tuple(float(m[j, j]) for j in range(4)) if not off.any() else None
-
-    @property
-    def det(self) -> float:
-        return self._det
-
-    @property
-    def rows(self) -> tuple:
-        """Metric entries as nested tuples (fast scalar access)."""
-        return self._rows
+        self.rows, self.det = _spd(m, 4)
+        off = [x for i, row in enumerate(self.rows) for j, x in enumerate(row) if i != j]
+        self.diag = None if any(off) else tuple(row[i] for i, row in enumerate(self.rows))
 
     def quad(self, u) -> float:
         """Quadratic form u^T M u."""
-        r = self._rows
+        r = self.rows
         u0, u1, u2, u3 = u
         return (u0 * (r[0][0] * u0 + r[0][1] * u1 + r[0][2] * u2 + r[0][3] * u3)
                 + u1 * (r[1][0] * u0 + r[1][1] * u1 + r[1][2] * u2 + r[1][3] * u3)
@@ -252,7 +265,7 @@ class Metric4:
                 + u3 * (r[3][0] * u0 + r[3][1] * u1 + r[3][2] * u2 + r[3][3] * u3))
 
     def __repr__(self) -> str:
-        return f"Metric4({self.m.tolist()})"
+        return f"Metric4({[list(row) for row in self.rows]})"
 
 
 IDENTITY_METRIC = Metric4(np.eye(4))
@@ -281,10 +294,6 @@ class MetricField:
             return self._const
         return self._fn(p)
 
-    @property
-    def constant_metric(self) -> Metric4 | None:
-        return self._const
-
     @staticmethod
     def identity() -> "MetricField":
         return MetricField(lambda p: IDENTITY_METRIC, kind="identity", is_constant=True)
@@ -303,7 +312,8 @@ class MetricField:
         def evaluate(p):
             t = p[3]
             c = c0 + math.sqrt(math.exp(-((t - center) ** 2))) / beta
-            return Metric4(np.diag([1.0, 1.0, 1.0, c * c]))
+            return Metric4(((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                            (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, c * c)))
 
         return MetricField(evaluate, kind="speed",
                            params={"c0": c0, "beta": beta, "center": center})
@@ -323,11 +333,9 @@ def resolve_field(field) -> MetricField:
         return MetricField.identity()
     if isinstance(field, MetricField):
         return field
-    if isinstance(field, Metric4):
-        return MetricField.constant(field)
     if callable(field):
         return MetricField.from_function(field)
-    return MetricField.constant(Metric4(field))
+    return MetricField.constant(field)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +376,7 @@ def metric_length_quadrature(a, b, field, order: int = 4) -> float:
     field = resolve_field(field)
     d = (b[0] - a[0], b[1] - a[1], b[2] - a[2], b[3] - a[3])
     if field.is_constant:
-        q = field.constant_metric.quad(d)
+        q = field(a).quad(d)
         return math.sqrt(q) if q > 0.0 else 0.0
     nodes, weights = _gauss_legendre_01(order)
     total = 0.0
@@ -414,7 +422,7 @@ def metric_volume_quadrature(pts, field, order: int = 2) -> float:
     field = resolve_field(field)
     vol = abs(hypervolume(*pts))
     if field.is_constant:
-        return vol * math.sqrt(field.constant_metric.det)
+        return vol * math.sqrt(field(pts[0]).det)
     bary, weights = _grundmann_moller(4, order)
     verts = np.array([[float(c) for c in p] for p in pts])
     nodes = bary @ verts

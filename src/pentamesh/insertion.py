@@ -491,7 +491,7 @@ def audit_delaunay(mesh: Mesh4, field=None) -> AuditReport:
     groups: dict = {}  # metric entries -> (metric, its vertices)
     for vid in verts_alive:
         metric = None if fld.kind == "identity" else fld(mesh.vertices[vid])
-        key = None if metric is None else metric.m.tobytes()
+        key = None if metric is None else metric.rows
         groups.setdefault(key, (metric, []))[1].append(vid)
     V = np.array(mesh.vertices, dtype=float)
     E = np.array([verts for _, verts in elems], dtype=np.int64)
@@ -501,7 +501,7 @@ def audit_delaunay(mesh: Mesh4, field=None) -> AuditReport:
         # a square that overflows leaves a non-finite margin: the pair is suspect
         with np.errstate(over="ignore", invalid="ignore"):
             # rows mapped by the Cholesky factor G of the metric, G^T G = M
-            W = V if metric is None else V @ np.linalg.cholesky(metric.m)
+            W = V if metric is None else V @ np.linalg.cholesky(np.array(metric.rows))
             Wv = W[np.array(vids)]
             for k0 in range(0, len(elems), block):
                 k1 = k0 + block

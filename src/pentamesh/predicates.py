@@ -8,6 +8,10 @@ Two formulations are provided for metric-weighted tests:
   quadratic forms ``(x-f)^T M (x-f)`` and a ``sqrt(det M)`` prefactor and
   never decomposes the metric.
 
+A metric argument (None for the identity) is validated alike in every
+dimension, by the LDL^T pass that :class:`~pentamesh.geometry.Metric4` also
+runs: it must be d x d, finite, symmetric and positive definite.
+
 Signs are exact on demand, in two tiers (Shewchuk's filter pattern): a
 forward-error filter certifies the double precision result when it can
 (a bound of 16 eps for orientation, 64 eps for in-hypersphere, times the
@@ -60,7 +64,7 @@ from itertools import chain
 
 import numpy as np
 
-from .geometry import Metric4, _grain, _laplace4, _pair_minors, _scale_to_ints
+from .geometry import Metric4, _grain, _laplace4, _pair_minors, _scale_to_ints, _spd
 
 __all__ = [
     "MetricDecomposition",
@@ -109,23 +113,11 @@ def _metric_info(M, d):
     """(rows, diag, sqrt_det) of a metric argument; (None, None, 1) = identity."""
     if M is None:
         return None, None, 1.0
-    if isinstance(M, Metric4):
-        return M.rows, M.diag, math.sqrt(M.det)
-    m = np.asarray(M, dtype=float)
-    if m.shape != (d, d):
-        raise ValueError(f"metric must be {d}x{d}, got {m.shape}")
     if d == 4:
-        mt = Metric4(m)  # validates SPD
+        mt = M if isinstance(M, Metric4) else Metric4(M)
         return mt.rows, mt.diag, math.sqrt(mt.det)
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.T).max() > 1e-12 * scale:
-        raise ValueError("metric is not symmetric")
-    try:
-        np.linalg.cholesky(0.5 * (m + m.T))
-    except np.linalg.LinAlgError:
-        raise ValueError("metric is not positive definite") from None
-    rows = tuple(tuple(float(x) for x in row) for row in m)
-    return rows, None, math.sqrt(float(np.linalg.det(m)))
+    rows, det = _spd(M, d)
+    return rows, None, math.sqrt(det)
 
 
 @functools.lru_cache(maxsize=64)
@@ -313,8 +305,8 @@ def _insphere4_core(P, f, mrows, mdiag):
     point; the result is a pair of ``(k,)`` arrays.  The five 4x4
     determinants of the cofactor expansion share their 2x2 pair minors;
     only six of the ten row pairs are needed when each determinant is
-    expanded across its first and last two rows.  Diagonal metrics take a
-    reduced quadratic-form path.
+    expanded across its first and last two rows.  The identity and diagonal
+    metrics share a reduced quadratic-form path.
 
     Every sum is written out term by term with elementwise ufuncs, in the
     order of the scalar expansion, so each row is the IEEE result of that
@@ -323,12 +315,8 @@ def _insphere4_core(P, f, mrows, mdiag):
     """
     U = P - np.asarray(f, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        if mrows is None:
-            S = U * U
-            qs = S[:, :, 0] + S[:, :, 1] + S[:, :, 2] + S[:, :, 3]
-            qmags = qs
-        elif mdiag is not None:
-            S = np.array(mdiag) * U * U
+        if mrows is None or mdiag is not None:
+            S = U * U if mrows is None else np.array(mdiag) * U * U
             qs = S[:, :, 0] + S[:, :, 1] + S[:, :, 2] + S[:, :, 3]
             qmags = qs  # all terms non-negative
         else:
@@ -563,11 +551,11 @@ def decompose_metric(M, kind: str = "cholesky") -> MetricDecomposition:
 
     Also reports the Frobenius reconstruction error ||M - G^T G||_F, the
     quantity that pollutes standard-route predicates in float arithmetic.
+    The metric is validated and symmetrised as every predicate's is.
     """
     m = np.asarray(M, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("metric must be square")
-    m = 0.5 * (m + m.T)
+    m = np.array(_spd(m, len(m) if m.ndim else 0)[0])
+    # LAPACK can still round a matrix that _spd accepts to an indefinite one
     if kind == "cholesky":
         try:
             G = np.linalg.cholesky(m).T  # upper triangular, G^T G = M

@@ -45,6 +45,14 @@ __all__ = [
 _LOP_MAX_PASSES = 200  # lop's guard for a varying field: queue pops per triangle
 
 
+def _speed(c_v) -> float:
+    """A characteristic speed as a float; raises unless 0 < c_v < inf."""
+    c = float(c_v)
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"characteristic speed must be positive and finite, got {c_v!r}")
+    return c
+
+
 def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -61,8 +69,7 @@ class QuadConfig2:
     def __post_init__(self):
         if len(self.u) != 4 or len(self.f) != 4:
             raise ValueError("need four points and four nodal values")
-        if self.c_v <= 0.0:
-            raise ValueError("characteristic speed must be positive")
+        _speed(self.c_v)
         for i in range(4):
             if orientation_m_d(None, (self.u[i - 2], self.u[i - 1], self.u[i])).sign <= 0:
                 raise ValueError(
@@ -150,8 +157,7 @@ def relative_roughness(cq: CanonicalQuad, f1, f2, f3, f4,
     triangle ((0,0),(1,0),(p,q)) against (r,s) - non-negative exactly when
     the u2u4 diagonal is the anisotropic Delaunay choice.
     """
-    if c_v <= 0.0:
-        raise ValueError("characteristic speed must be positive")
+    c_v = _speed(c_v)
     g2, g3, g4 = f2 - f1, f3 - f1, f4 - f1
     (a1t, b1t), (a2t, b2t), (a1s, b1s), (a2s, b2s) = _coefficients(cq, g2, g3, g4, c_v)
     p, q, r, s, m = cq.p, cq.q, cq.r, cq.s, cq.m
@@ -183,8 +189,7 @@ def incircle_m2(c_v: float, tri, w) -> float:
     distance of the mapped query from the circumcenter minus the squared
     circumradius.  Raises for (metrically) collinear triangles.
     """
-    if c_v <= 0.0:
-        raise ValueError("characteristic speed must be positive")
+    c_v = _speed(c_v)
     (ax, ay), (bx, by), (cx, cy), (wx, wy) = (
         (float(p[0]), c_v * float(p[1])) for p in (*tri, w))
     # Cramer's rule for the circumcentre o: 2 [b - a; c - a] o = [|b|^2 - |a|^2; |c|^2 - |a|^2]
@@ -327,9 +332,7 @@ def lop(points, values=None, c_field=1.0, *, return_history: bool = False):
         c, a, b = tri1[k], tri1[k - 2], tri1[k - 1]  # tri1 is (a, b, c) up to rotation
         d = next(v for v in tris[t2] if v not in e)
         mid = 0.5 * (pts[a] + pts[b])
-        c_v = float(speed(mid[0], mid[1]))
-        if c_v <= 0.0:
-            raise ValueError("characteristic speed must be positive")
+        c_v = _speed(speed(mid[0], mid[1]))
         metric = ((1.0, 0.0), (0.0, c_v * c_v))
         if inhypersphere_m_d(metric, (pts[a], pts[b], pts[c], pts[d])).sign <= 0:
             continue

@@ -35,6 +35,7 @@ from pentamesh.geometry import (
 )
 from pentamesh.insertion import triangulate
 from pentamesh.mesh import Mesh4, MeshError
+from pentamesh.pointsets import generate_hypercylinder_points
 from pentamesh.quality import pentatope_quality, quality_metric
 from conftest import facet_table, improve_benchmark_points
 
@@ -780,3 +781,32 @@ def test_improve_flip_sequences_are_pinned(seed, index):
                 for f in rep.flips]
     digest = hashlib.sha256(json.dumps(sequence).encode()).hexdigest()
     assert digest == _PINNED_SEQUENCES[seed, index], digest
+
+
+# the paper's pipeline: the speed-field hypercylinder mesh of seed s, improved
+# by heuristic 1 under that field; the same digest as above, and the final
+# AMQ table, which may move by an ulp with the metric's determinant
+_PINNED_PIPELINE = {
+    0: ("fe0a419eb20c45de696cf7732251596eb0d8bfb07008e6d6cf0504a918cac968",
+        (0.0076473028141383, 0.011427101873174039, 0.015947486737107233, 0.024820106871074474)),
+    1: ("5ef4eee397c9e1a26bc0a83f5c4a073a0dc597d17e83d71535dc82e1147efee8",
+        (0.01096184864193676, 0.01749002455541978, 0.022280676513287478, 0.03081972885815378)),
+    2: ("be634ec506451f6919e9a57719009d657df248b042f831af1cd414cdc30639cd",
+        (0.006186451825697437, 0.014091122767641656, 0.018727617444145278, 0.029646904021941343)),
+    3: ("b48f7de0efe49167c9771335ef5adf246e1f95c36abdda74918a68f4dc56b22d",
+        (0.013772498271203259, 0.019343793274158756, 0.02544704609906718, 0.034379196838561575)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_PIPELINE))
+def test_speed_pipeline_flip_sequences_are_pinned(seed):
+    speed = MetricField.speed(c0=1.0, beta=0.1, center=2.0)
+    mesh = triangulate(generate_hypercylinder_points(1.0, 4.0, 1.0, 1.0, seed), speed,
+                       shuffle=True, seed=seed, skip_duplicates=True)
+    rep = improve_quality(mesh, heuristic=1, field=speed)
+    sequence = [[f.kind, sorted(sorted(mesh.elements[e]) for e in f.new_elements)]
+                for f in rep.flips]
+    digest = hashlib.sha256(json.dumps(sequence).encode()).hexdigest()
+    pinned, amq_after = _PINNED_PIPELINE[seed]
+    assert digest == pinned, digest
+    assert [rep.amq_after[f] for f in AMQ_FRACTIONS] == pytest.approx(amq_after, rel=1e-12)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pentamesh.geometry import (
     Metric4,
@@ -18,6 +18,7 @@ from pentamesh.geometry import (
     metric_volume_quadrature,
     regular_pentatope,
     _grundmann_moller,
+    _spd,
 )
 from pentamesh.mesh import Mesh4
 from conftest import hypervolume_fraction, random_pentatope
@@ -171,6 +172,16 @@ class TestMetric4:
         with pytest.raises(ValueError, match="non-finite"):
             Metric4(m)
 
+    def test_rejects_an_entry_that_overflows_when_symmetrised(self):
+        m = np.eye(4)
+        m[0, 0] = 1e308  # 0.5 * (1e308 + 1e308) is inf
+        with pytest.raises(ValueError, match="non-finite"):
+            Metric4(m)
+        m = np.eye(4)
+        m[0, 1] = m[1, 0] = 1e308
+        with pytest.raises(ValueError, match="non-finite"):
+            Metric4(m)
+
     def test_non_finite_speed_fails_at_its_first_evaluation(self):
         field = MetricField.speed(c0=float("nan"))
         with pytest.raises(ValueError, match="non-finite"):
@@ -181,7 +192,51 @@ class TestMetric4:
         for _ in range(50):
             m = Metric4(spd_metric(rng))
             u = rng.normal(size=4)
-            assert m.quad(tuple(u)) == pytest.approx(u @ m.m @ u, rel=1e-12)
+            assert m.quad(tuple(u)) == pytest.approx(u @ np.array(m.rows) @ u, rel=1e-12)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A symmetric d x d matrix, d in 2..5, with |lambda_min| >= 1e-6 max |lambda|."""
+    d = draw(st.integers(2, 5))
+    lam = [draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(1e-6, 1.0)) for _ in range(d)]
+    q, _ = np.linalg.qr(np.array([[draw(st.floats(-1.0, 1.0)) for _ in range(d)]
+                                  for _ in range(d)]))
+    a = ((q * lam) @ q.T) * 2.0 ** draw(st.integers(-40, 40))
+    a = 0.5 * (a + a.T)
+    w = np.linalg.eigvalsh(a)
+    assume(abs(w[0]) >= 1e-6 * np.abs(w).max())
+    return a, w
+
+
+class TestSpdValidator:
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_matrices())
+    def test_accepts_exactly_the_positive_definite_matrices(self, drawn):
+        a, w = drawn
+        d = len(a)
+        if w[0] <= 0.0:
+            with pytest.raises(ValueError, match="positive definite"):
+                _spd(a, d)
+            return
+        rows, det = _spd(a, d)
+        assert rows == tuple(map(tuple, a.tolist()))
+        # a determinant is as sensitive to rounding as the matrix is ill-conditioned:
+        # both values are within a few d * eps * cond(a) of the exact one
+        cond = w[-1] / w[0]
+        assert det == pytest.approx(np.linalg.det(a), rel=max(1e-12, 32 * d * 2.0 ** -53 * cond))
+
+    @given(st.lists(st.floats(1e-50, 1e50), min_size=4, max_size=4))
+    def test_diagonal_det_is_the_in_order_product(self, entries):
+        m = Metric4(np.diag(entries))
+        assert m.diag == tuple(entries)
+        assert m.det == ((entries[0] * entries[1]) * entries[2]) * entries[3]
+
+    @given(st.floats(-50.0, 50.0))
+    def test_speed_det_is_c_squared(self, t):
+        c = 1.0 + math.sqrt(math.exp(-((t - 2.0) ** 2))) / 0.1
+        m = MetricField.speed(c0=1.0, beta=0.1, center=2.0)((0.0, 0.0, 0.0, t))
+        assert m.det == m.diag[3] == c * c
 
 
 class TestMetricLengths:
@@ -281,13 +336,13 @@ class TestMetricField:
     def test_speed_profile(self):
         field = MetricField.speed(c0=1.0, beta=0.1, center=2.0)
         m = field((0, 0, 0, 2.0))
-        assert m.m[3, 3] == pytest.approx(11.0 ** 2)
+        assert m.rows[3][3] == pytest.approx(11.0 ** 2)
         far = field((0, 0, 0, 50.0))
-        assert far.m[3, 3] == pytest.approx(1.0, abs=1e-6)
+        assert far.rows[3][3] == pytest.approx(1.0, abs=1e-6)
 
     def test_field_values_are_spd(self, rng):
         field = MetricField.speed()
         for _ in range(50):
             p = rng.normal(size=4) * 3
             m = field(tuple(p))
-            assert np.linalg.eigvalsh(m.m).min() > 0.0
+            assert np.linalg.eigvalsh(m.rows).min() > 0.0

@@ -182,6 +182,34 @@ class TestGeneralDimension:
             inhypersphere_m_d(np.eye(2), [(0, 0)] * 3)
 
 
+def _rejected_metrics():
+    """(d, metric, message): bad metrics that every dimension rejects alike."""
+    for d in (2, 3, 4, 5):
+        for bad in (math.nan, math.inf, -math.inf):
+            on, off = np.eye(d), np.eye(d)
+            on[d - 1, d - 1] = bad
+            off[0, 1] = off[1, 0] = bad
+            yield pytest.param(d, on, "non-finite", id=f"{d}d-diagonal-{bad}")
+            yield pytest.param(d, off, "non-finite", id=f"{d}d-off-diagonal-{bad}")
+        asymmetric = np.eye(d)
+        asymmetric[0, 1] = 0.5
+        yield pytest.param(d, asymmetric, "not symmetric", id=f"{d}d-asymmetric")
+        # indefinite with determinant +1
+        yield pytest.param(d, np.diag([-1.0, -1.0] + [1.0] * (d - 2)), "not positive definite",
+                           id=f"{d}d-indefinite")
+        yield pytest.param(d, np.eye(d + 1), rf"must be {d}x{d}, got .*\({d + 1}, {d + 1}\)",
+                           id=f"{d}d-shape")
+
+
+@pytest.mark.parametrize("d,metric,message", _rejected_metrics())
+def test_every_dimension_validates_a_metric_alike(d, metric, message):
+    simplex = [tuple(row) for row in np.vstack([np.zeros(d), np.eye(d)])]
+    with pytest.raises(ValueError, match=message):
+        orientation_m_d(metric, simplex)
+    with pytest.raises(ValueError, match=message):
+        inhypersphere_m_d(metric, simplex + [(0.25,) * d])
+
+
 # one ulp off the diag(1, 1, 1, 4) unit sphere through a subnormal coordinate:
 # the exact bracket is 0, the float bracket underflows to 64 * 2**-1074
 SUBNORMAL_CASE = ([(5e-324, -2.0, -2.0, -0.5), (0.0, -2.0, -2.0, 0.5),

@@ -69,6 +69,23 @@ class TestQuadConfig:
             QuadConfig2(u=((0, 0), (1, 0), (1, 1), (0, 1)), f=(0, 0, 0, 0), c_v=0.0)
 
 
+@pytest.mark.parametrize("c_v", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_every_entry_point_rejects_a_speed_outside_zero_to_infinity(c_v):
+    square = ((0, 0), (1, 0), (1, 1), (0, 1))
+    cloud = np.random.default_rng(0).random((10, 2))
+    message = "speed must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        QuadConfig2(u=square, f=(0, 0, 0, 0), c_v=c_v)
+    with pytest.raises(ValueError, match=message):
+        relative_roughness(CanonicalQuad(p=0.0, q=1.0, r=1.0, s=1.0), 0.3, -1.2, 0.7, 2.0, c_v)
+    with pytest.raises(ValueError, match=message):
+        incircle_m2(c_v, square[:3], square[3])
+    with pytest.raises(ValueError, match=message):
+        lop(cloud, c_field=c_v)
+    with pytest.raises(ValueError, match=message):
+        lop(cloud, c_field=lambda x, t: c_v)
+
+
 class TestMapToCanonical:
     def test_unit_square(self):
         cfg = QuadConfig2(u=((0, 0), (1, 0), (1, 1), (0, 1)), f=(0, 0, 0, 0), c_v=1.0)
