@@ -18,7 +18,8 @@ Conventions
   (:func:`~pentamesh.predicates.orientation4`), not a product with this
   float normal.
 * ``_det4`` is the one scalar 4x4 determinant (a Laplace expansion over
-  the pair minors of rows 1-2 and 3-4); on Python ints it is exact.
+  the pair minors of rows 1-2 and 3-4), ``_det_mag`` that of any size with
+  its error magnitude; on Python ints both are exact.
 """
 
 from __future__ import annotations
@@ -101,6 +102,78 @@ def _det4(r1, r2, r3, r4):
     return _laplace4(_pair_minors(r1, r2), _pair_minors(r3, r4))
 
 
+def _det_mag(rows, mags=None):
+    """``(value, mag)``: the determinant of n square rows and its expansion's magnitude.
+
+    A cofactor expansion along the first row over the column-subset minors
+    of the rows below (:func:`_subset_expansion`), with n = 2 and 3 written
+    out bit for bit.  ``mag`` takes every product and sum in absolute value,
+    ``mags`` (default the absolute values) standing for the first row.
+    Exact on ints and ``Fraction``s.  On floats, let each first-row entry
+    carry at most e roundings relative to its ``mags`` entry and every other
+    entry at most r.  A k-row minor, k >= 2, adds one rounding per product
+    and at most k - 1 in its sum, so each elementary product meets at most
+    D = e + (n - 1) r + n(n+1)/2 - 1 roundings, and
+    |value - det| <= gamma_D mag (1 + gamma_D), gamma_D = D u / (1 - D u),
+    u = 2**-53 (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    3.1-3.3; the second factor covers the rounding of ``mag``, a sum of
+    the same products in absolute value).  Hence |value| > (D + 1) u mag
+    certifies the sign unless a product rounds in the subnormal range; an
+    overflow makes ``mag`` inf and certifies nothing.
+    """
+    n = len(rows)
+    if n == 2:
+        (a0, a1), (b0, b1) = rows
+        m0, m1 = (abs(a0), abs(a1)) if mags is None else mags
+        return a0 * b1 - a1 * b0, m0 * abs(b1) + m1 * abs(b0)
+    if n == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+        m0, m1, m2 = (abs(a0), abs(a1), abs(a2)) if mags is None else mags
+        det = (a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0)
+               + a2 * (b0 * c1 - b1 * c0))
+        mag = (m0 * (abs(b1 * c2) + abs(b2 * c1)) + m1 * (abs(b0 * c2) + abs(b2 * c0))
+               + m2 * (abs(b0 * c1) + abs(b1 * c0)))
+        return det, mag
+    return _subset_expansion(rows, [abs(x) for x in rows[0]] if mags is None else mags)
+
+
+@lru_cache(maxsize=None)
+def _subset_terms(n: int, k: int):
+    """Per k-subset s of n columns, its first term and the rest: ``(s[t], i)`` for each t.
+
+    i indexes the (k-1)-subset s without s[t] in a list of those minors
+    followed by their negations, taking the negation at odd t.
+    """
+    index = {s: i for i, s in enumerate(itertools.combinations(range(n), k - 1))}
+    terms = [[(j, index[s[:t] + s[t + 1:]] + t % 2 * len(index)) for t, j in enumerate(s)]
+             for s in itertools.combinations(range(n), k)]
+    return tuple((first, tuple(rest)) for first, *rest in terms)
+
+
+def _subset_expansion(rows, mags):
+    """:func:`_det_mag` at any size: the last k rows' minors on all k-subsets, k = 0..n.
+
+    ``v + x * -y`` rounds as ``v - x * y``, so the alternating signs become
+    lookups into the negated minors.
+    """
+    n = len(rows)
+    vals = mins = (1,)
+    for r in range(n - 1, -1, -1):
+        row = rows[r]
+        arow = mags if r == 0 else [abs(x) for x in row]
+        vals, mins = [*vals, *[-v for v in vals]], [*mins, *mins]
+        next_vals, next_mins = [], []
+        for (j, i), rest in _subset_terms(n, n - r):
+            v, m = row[j] * vals[i], arow[j] * mins[i]
+            for j, i in rest:
+                v = v + row[j] * vals[i]
+                m = m + arow[j] * mins[i]
+            next_vals.append(v)
+            next_mins.append(m)
+        vals, mins = next_vals, next_mins
+    return vals[0], mins[0]
+
+
 def hypervolume(p1, p2, p3, p4, p5) -> float:
     """Signed hypervolume det[p2-p1, .., p5-p1] / 4!.
 
@@ -172,15 +245,10 @@ def facet_normal(a, b, c, d) -> np.ndarray:
     product.  Degenerate facets yield the zero vector; the caller decides
     how to handle that.
     """
-    u, v, w = ([q[j] - a[j] for j in range(4)] for q in (b, c, d))
-
-    def minor(i, j, k):
-        return (u[i] * (v[j] * w[k] - v[k] * w[j])
-                - u[j] * (v[i] * w[k] - v[k] * w[i])
-                + u[k] * (v[i] * w[j] - v[j] * w[i]))
-
+    uvw = [[q[j] - a[j] for j in range(4)] for q in (b, c, d)]
     # cofactor signs (+,-,+,-) along the trailing unit-vector row
-    return np.array([minor(1, 2, 3), -minor(0, 2, 3), minor(0, 1, 3), -minor(0, 1, 2)])
+    return np.array([sign * _det_mag([[r[j] for j in cols] for r in uvw])[0] for sign, cols
+                     in ((1, (1, 2, 3)), (-1, (0, 2, 3)), (1, (0, 1, 3)), (-1, (0, 1, 2)))])
 
 
 def regular_pentatope(edge: float = 1.0) -> np.ndarray:
@@ -204,15 +272,16 @@ def regular_pentatope(edge: float = 1.0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _spd(m, d: int) -> tuple[tuple, float]:
-    """Rows and determinant of a d x d symmetric positive-definite matrix.
+    """Rows and ``sqrt(det)`` of a d x d symmetric positive-definite matrix.
 
     The rows are symmetrised elementwise, ``0.5 * (a_ij + a_ji)``, and must
     be finite (an entry whose sum overflows is not); the entries must be
     symmetric to 1e-12 of the largest magnitude (at least 1).  One LDL^T
     elimination without pivoting then runs on the rows.  Its pivots are the
     ratios of successive leading principal minors, so the matrix is positive
-    definite exactly when every pivot is positive, and the determinant is
-    their product.
+    definite exactly when every pivot is positive.  The root of their
+    product is the product of their roots, finite and nonzero for entries
+    within about 1e+-154 (a matrix whose root is not is rejected).
     """
     a = np.asarray(m, dtype=float)
     if a.shape != (d, d):
@@ -225,33 +294,35 @@ def _spd(m, d: int) -> tuple[tuple, float]:
     if any(abs(x - y) > tol for row, col in zip(a, zip(*a)) for x, y in zip(row, col)):
         raise ValueError("metric is not symmetric")
     low = [list(row[:i + 1]) for i, row in enumerate(rows)]  # the Schur complements
-    det = 1.0
+    root = 1.0
     for k in range(d):
         pivot = low[k][k]
         if not pivot > 0.0:
             raise ValueError("metric is not positive definite")
-        det *= pivot
+        root *= math.sqrt(pivot)
         for i in range(k + 1, d):
             f = low[i][k] / pivot
             for j in range(k + 1, i + 1):
                 low[i][j] -= f * low[j][k]
-    return rows, det
+    if not 0.0 < root < math.inf:
+        raise ValueError(f"sqrt(det) of the metric leaves the double range: {a}")
+    return rows, root
 
 
 class Metric4:
     """A 4x4 symmetric positive-definite metric tensor.
 
-    ``rows`` holds the entries as nested tuples and ``det`` the determinant,
-    both from :func:`_spd`, which validates the argument.  ``diag`` is the
+    ``rows`` holds the entries as nested tuples and ``sqrt_det`` the root of
+    the determinant, both from :func:`_spd`, which validates the argument.  ``diag`` is the
     diagonal when every off-diagonal entry is zero, else None.  The (4,4)
     entry carries the square of the characteristic speed when the metric
     has the diagonal space-time form.
     """
 
-    __slots__ = ("rows", "diag", "det")
+    __slots__ = ("rows", "diag", "sqrt_det")
 
     def __init__(self, m) -> None:
-        self.rows, self.det = _spd(m, 4)
+        self.rows, self.sqrt_det = _spd(m, 4)
         off = [x for i, row in enumerate(self.rows) for j, x in enumerate(row) if i != j]
         self.diag = None if any(off) else tuple(row[i] for i, row in enumerate(self.rows))
 
@@ -355,7 +426,7 @@ def metric_volume_pointwise(pts, metric: Metric4) -> float:
     """Pentatope measure |v| * sqrt(det M) under a fixed metric tensor."""
     if not isinstance(metric, Metric4):
         metric = Metric4(metric)
-    return abs(hypervolume(*pts)) * math.sqrt(metric.det)
+    return abs(hypervolume(*pts)) * metric.sqrt_det
 
 
 @lru_cache(maxsize=None)
@@ -422,12 +493,11 @@ def metric_volume_quadrature(pts, field, order: int = 2) -> float:
     field = resolve_field(field)
     vol = abs(hypervolume(*pts))
     if field.is_constant:
-        return vol * math.sqrt(field(pts[0]).det)
+        return vol * field(pts[0]).sqrt_det
     bary, weights = _grundmann_moller(4, order)
     verts = np.array([[float(c) for c in p] for p in pts])
     nodes = bary @ verts
     total = 0.0
     for node, w in zip(nodes, weights):
-        det = field(tuple(node)).det
-        total += w * math.sqrt(det)
+        total += w * field(tuple(node)).sqrt_det
     return vol * total

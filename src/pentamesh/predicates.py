@@ -15,14 +15,16 @@ runs: it must be d x d, finite, symmetric and positive definite.
 Signs are exact on demand, in two tiers (Shewchuk's filter pattern): a
 forward-error filter certifies the double precision result when it can
 (a bound of 16 eps for orientation, 64 eps for in-hypersphere, times the
-magnitude of the expansion), and otherwise the sign is evaluated exactly.
-In 4D the exact tier is an integer lift of the query point (:class:`_Lift`):
-the float inputs, dyadic rationals, become integers at one binary scale and
-the float expansions (pair minors, ``_laplace4``) run on them; cavity growth
-shares one lift among an insertion's uncertified rows, and the audit one
-among a query vertex's.  Other dimensions
-use one rational bracket, :func:`_insphere_exact`, and fraction-free
-elimination.  There is no 80-bit middle tier: on
+magnitude of the expansion), and otherwise the sign is evaluated exactly:
+the float inputs, dyadic rationals, become integers at one binary scale
+and the float expansions run on them.  The value is the float
+expansion's in both tiers.  In 4D the exact tier is an integer lift of the
+query point (:class:`_Lift`); cavity growth shares one lift among an
+insertion's uncertified rows, and the audit one among a query vertex's.
+Other dimensions expand one determinant,
+:func:`~pentamesh.geometry._det_mag`, of the rows p_i - p_last or of the
+lifted rows (:func:`_insphere_bracket`); its error bound raises the
+constants where it needs more.  There is no 80-bit middle tier: on
 near-degenerate 4D input an extended-precision retry costs more than the
 integer-exact sign and still has to fall through to it when it fails.
 
@@ -59,12 +61,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 
-from .geometry import Metric4, _grain, _laplace4, _pair_minors, _scale_to_ints, _spd
+from .geometry import Metric4, _det_mag, _grain, _laplace4, _pair_minors, _scale_to_ints, _spd
 
 __all__ = [
     "MetricDecomposition",
@@ -115,9 +116,9 @@ def _metric_info(M, d):
         return None, None, 1.0
     if d == 4:
         mt = M if isinstance(M, Metric4) else Metric4(M)
-        return mt.rows, mt.diag, math.sqrt(mt.det)
-    rows, det = _spd(M, d)
-    return rows, None, math.sqrt(det)
+        return mt.rows, mt.diag, mt.sqrt_det
+    rows, root = _spd(M, d)
+    return rows, None, root
 
 
 @functools.lru_cache(maxsize=64)
@@ -151,32 +152,6 @@ def _coarse_rows(P, least: float):
     """:func:`_coarse` of each row of an array of corners, True when every row is."""
     fine = np.abs(P) < least
     return ~(fine & (P != 0.0)).any(axis=(1, 2)) if fine.any() else True
-
-
-# ---------------------------------------------------------------------------
-# determinants with error magnitudes
-# ---------------------------------------------------------------------------
-
-def _det_mag(rows):
-    """Determinant of square rows and a magnitude bound of its rounding error."""
-    if len(rows) == 1:
-        v = rows[0][0]
-        return v, abs(v)
-    if len(rows) == 2:
-        (a0, a1), (b0, b1) = rows
-        return a0 * b1 - a1 * b0, abs(a0 * b1) + abs(a1 * b0)
-    if len(rows) == 3:
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
-        det = (a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0)
-               + a2 * (b0 * c1 - b1 * c0))
-        mag = (abs(a0) * (abs(b1 * c2) + abs(b2 * c1))
-               + abs(a1) * (abs(b0 * c2) + abs(b2 * c0))
-               + abs(a2) * (abs(b0 * c1) + abs(b1 * c0)))
-        return det, mag
-    # a Hadamard-style bound for the generic determinant
-    a = np.array(rows, dtype=float)
-    n = len(a)
-    return float(np.linalg.det(a)), float(np.prod(np.sqrt((a * a).sum(axis=1)))) * n * n
 
 
 class _Lift:
@@ -349,42 +324,27 @@ def _insphere4_certified(P, f, total, mag, mrows, mdiag):
             & _coarse(f, least))
 
 
-def _det_exact(rows):
-    """Exact determinant by fraction-free elimination over rationals."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign = 1
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        pv = a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / pv
-            if factor:
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-    det = Fraction(sign)
-    for k in range(n):
-        det *= a[k][k]
-    return det
-
-
 # ---------------------------------------------------------------------------
 # orientation
 # ---------------------------------------------------------------------------
 
-def _orientation_rows(pts, cast=float):
+def _safety(base: float, e: int, n: int) -> float:
+    """``base``, or the D + 1 of :func:`_det_mag`'s bound on n rows if that is more.
+
+    The rows below the first are differences, one rounding each.
+    """
+    return max(base, e + n * (n + 1) // 2 + n - 1)
+
+
+def _int_rows(values, d: int):
+    """Rows of d of ``values`` times one power of two, as ints; no sign changes."""
+    ints = _scale_to_ints(list(values))[0]
+    return [ints[i:i + d] for i in range(0, len(ints), d)]
+
+
+def _orientation_rows(pts):
     last = pts[-1]
-    d = len(last)
-    return [tuple(cast(p[j]) - cast(last[j]) for j in range(d)) for p in pts[:-1]]
+    return [[x - y for x, y in zip(p, last)] for p in pts[:-1]]
 
 
 def orientation_m_d(M, pts, mode: str = "auto") -> PredicateResult:
@@ -406,17 +366,17 @@ def orientation_m_d(M, pts, mode: str = "auto") -> PredicateResult:
         det, certified = float(dets[0]), _orient4_certified(F, pts[4], dets, mags)[0]
     else:
         det, mag = _det_mag(_orientation_rows(pts))
-        certified = (abs(det) > _ORIENT_SAFETY * _EPS * mag
+        certified = (abs(det) > _safety(_ORIENT_SAFETY, 1, d) * _EPS * mag
                      and _coarse(chain.from_iterable(pts), _least_input(d)))
     if mode == "float" or (mode != "exact" and certified):
         sign = 0 if det == 0.0 else (1 if det > 0.0 else -1)
         return PredicateResult(sign, pref * det, "float")
     if d == 4:
         sign = _Lift(pts, pts[4], _grain(chain.from_iterable(pts))).orient(0, 1, 2, 3)
-        return PredicateResult(sign, pref * det, "exact")
-    det = _det_exact(_orientation_rows(pts, cast=Fraction))
-    sign = 0 if det == 0 else (1 if det > 0 else -1)
-    return PredicateResult(sign, pref * float(det), "exact")
+    else:
+        exact = _det_mag(_orientation_rows(_int_rows(chain.from_iterable(pts), d)))[0]
+        sign = (exact > 0) - (exact < 0)
+    return PredicateResult(sign, pref * det, "exact")
 
 
 def orientation4(a, b, c, d, e, mode: str = "auto") -> PredicateResult:
@@ -428,69 +388,35 @@ def orientation4(a, b, c, d, e, mode: str = "auto") -> PredicateResult:
 # in-hypersphere
 # ---------------------------------------------------------------------------
 
-def _insphere_terms(pts, mrows):
-    """Quadratic forms Q_i and difference rows u_i = p_i - f, in floats."""
-    f = pts[-1]
-    d = len(f)
-    us = [tuple(p[j] - f[j] for j in range(d)) for p in pts[:-1]]
-    qs = []
-    for u in us:
-        if mrows is None:
-            q = sum(x * x for x in u)
-            qs.append((q, q))
-        else:
-            val = 0.0
-            mag = 0.0
-            for i in range(d):
-                s = 0.0
-                smag = 0.0
-                for j in range(d):
-                    s += mrows[i][j] * u[j]
-                    smag += abs(mrows[i][j] * u[j])
-                val += u[i] * s
-                mag += abs(u[i]) * smag
-            qs.append((val, mag))
-    return us, qs
+def _insphere_bracket(pts, mrows):
+    """(-1)^d sum_i (-1)^i Q_i det(rows without i) of d+2 points, and its magnitude.
 
-
-def _insphere_bracket_float(us, qs, d):
-    """(-1)^d sum_i (-1)^i Q_i det(rows without i), with magnitude bound."""
-    total = 0.0
-    mag = 0.0
-    parity = 1 if d % 2 == 0 else -1
-    sign = parity
-    for i in range(d + 1):
-        rows = us[:i] + us[i + 1:]
-        det, dmag = _det_mag(rows)
-        q, qmag = qs[i]
-        total += sign * q * det
-        mag += qmag * dmag
-        sign = -sign
-    return total, mag
-
-
-def _insphere_exact(pts, mrows) -> Fraction:
-    """(-1)^d sum_i (-1)^i Q_i det(rows without i) of d+2 points, exactly.
-
-    Points and metric rows may hold floats, ints or ``Fraction``s; all are
-    converted to ``Fraction`` without rounding.  ``mrows`` None means the
-    identity metric.  No ``sqrt(det M)`` prefactor is applied.
+    Rows u_i = p_i - f, f the last point, and Q_i = u_i^T M u_i, ``mrows``
+    None for the identity: (-1)^d times the :func:`_det_mag` of the lifted
+    rows, the Q row first (each Q has at most 2d + 2 roundings on floats)
+    and then the coordinate columns.  Exact on ints and ``Fraction``s.  No
+    ``sqrt(det M)`` prefactor is applied.
     """
-    f = [Fraction(x) for x in pts[-1]]
-    d = len(f)
-    us = [tuple(Fraction(p[j]) - f[j] for j in range(d)) for p in pts[:-1]]
-    if mrows is not None:
-        mrows = [[Fraction(x) for x in row] for row in mrows]
-    total = Fraction(0)
-    sign = 1 if d % 2 == 0 else -1
-    for i, u in enumerate(us):
-        if mrows is None:
-            q = sum(x * x for x in u)
-        else:
-            q = sum(u[a] * sum(mrows[a][b] * u[b] for b in range(d)) for a in range(d))
-        total += sign * q * _det_exact(us[:i] + us[i + 1:])
-        sign = -sign
-    return total
+    f = pts[-1]
+    us = [[x - y for x, y in zip(p, f)] for p in pts[:-1]]
+    if mrows is None:
+        qs = mags = [sum([x * x for x in u]) for u in us]
+    else:
+        qs, mags = [], []
+        for u in us:
+            q = mag = 0
+            for x, row in zip(u, mrows):
+                s = smag = 0
+                for m, y in zip(row, u):
+                    s += m * y
+                    smag += abs(m * y)
+                q += x * s
+                mag += abs(x) * smag
+            qs.append(q)
+            mags.append(mag)
+    det, mag = _det_mag([qs, *zip(*us)], mags)
+    # from 0, as a sum from 0 would, so a float zero comes out positive
+    return (0 + det if len(f) % 2 == 0 else 0 - det), mag
 
 
 def inhypersphere_m_d(M, pts, mode: str = "auto") -> PredicateResult:
@@ -511,25 +437,22 @@ def inhypersphere_m_d(M, pts, mode: str = "auto") -> PredicateResult:
         P = np.array([pts[:5]])
         totals, mags = _insphere4_core(P, pts[5], mrows, mdiag)
         total = float(totals[0])
-        if mode == "float" or (mode != "exact" and _insphere4_certified(
-                P, pts[5], totals, mags, mrows, mdiag)[0]):
-            sign = 0 if total == 0.0 else (1 if total > 0.0 else -1)
-            return PredicateResult(sign, pref * total, "float")
+        certified = _insphere4_certified(P, pts[5], totals, mags, mrows, mdiag)[0]
+    else:
+        total, mag = _insphere_bracket(pts, mrows)
+        certified = (abs(total) > _safety(_INSPHERE_SAFETY, 2 * d + 2, d + 1) * _EPS * mag
+                     and _coarse(chain.from_iterable(pts), _least_input(d + 2, mrows)))
+    if mode == "float" or (mode != "exact" and certified):
+        sign = 0 if total == 0.0 else (1 if total > 0.0 else -1)
+        return PredicateResult(sign, pref * total, "float")
+    if d == 4:
         lift = _Lift(pts, pts[5], _grain(chain.from_iterable(pts)), mrows, mdiag)
-        return PredicateResult(lift.insphere(range(5)), pref * total, "exact")
-
-    if mode != "exact":
-        us, qs = _insphere_terms(pts, mrows)
-        total, mag = _insphere_bracket_float(us, qs, d)
-        if mode == "float" or (abs(total) > _INSPHERE_SAFETY * _EPS * mag
-                               and _coarse(chain.from_iterable(pts),
-                                           _least_input(d + 2, mrows))):
-            sign = 0 if total == 0.0 else (1 if total > 0.0 else -1)
-            return PredicateResult(sign, pref * total, "float")
-
-    total = _insphere_exact(pts, mrows)
-    sign = 0 if total == 0 else (1 if total > 0 else -1)
-    return PredicateResult(sign, pref * float(total), "exact")
+        sign = lift.insphere(range(5))
+    else:
+        ints = None if mrows is None else _int_rows(chain.from_iterable(mrows), d)
+        exact = _insphere_bracket(_int_rows(chain.from_iterable(pts), d), ints)[0]
+        sign = (exact > 0) - (exact < 0)
+    return PredicateResult(sign, pref * total, "exact")
 
 
 def inhypersphere4(a, b, c, d, e, f, mode: str = "auto") -> PredicateResult:

@@ -135,7 +135,7 @@ def _eta_volume(pts, which: int = 1, field=None, frame: int = 0) -> tuple[float,
         lsq = [r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3 for r0, r1, r2, r3 in rows]
         return _eta_from(v, lsq, which), v
     metric = field(tuple(sum(c) / 5.0 for c in zip(*pts)))
-    return _eta_from(v * math.sqrt(metric.det), [metric.quad(r) for r in rows], which), v
+    return _eta_from(v * metric.sqrt_det, [metric.quad(r) for r in rows], which), v
 
 
 def eta1(p1, p2, p3, p4, p5) -> float:

@@ -9,19 +9,19 @@ serialization.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .flips import improve_quality
-from .geometry import MetricField, resolve_field
+from .geometry import MetricField, _det_mag, resolve_field
 from .insertion import triangulate
 from .pointsets import generate_hypercylinder_points
 from .predicates import (
-    _det_exact,
-    _insphere_exact,
+    _insphere_bracket,
+    _int_rows,
     decompose_metric,
     inhypersphere_m_d,
     scale_points_standard,
@@ -143,22 +143,21 @@ def predicate_comparison_study(dims=(2, 3, 4, 5, 10), trials: int = 100,
             M = S.T @ S
             pts = [tuple(rng.uniform(0.0, 1.0, size=d)) for _ in range(d + 2)]
             if exact:
-                # rational factor with positive determinant; the metric is
-                # the exact rational product G^T G (float M would break the
-                # identity before the predicates even run)
-                G = [row[:] for row in S.tolist()]
-                if np.linalg.det(S) < 0:
+                # G = S with positive determinant and the exact metric G^T G
+                # (a float M would break the identity), as integers: G and
+                # the points scaled by 2**a and 2**b scale both sides by
+                # 2**((a + b)(d + 2))
+                G = _int_rows(S.flat, d)
+                det_g = _det_mag(G)[0]
+                if det_g < 0:
                     G[0] = [-x for x in G[0]]
-                Gf = [[Fraction(x) for x in row] for row in G]
-                M_exact = [[sum(Gf[k][i] * Gf[k][j] for k in range(d))
+                    det_g = -det_g
+                M_exact = [[sum(G[k][i] * G[k][j] for k in range(d))
                             for j in range(d)] for i in range(d)]
-                scaled = []
-                for p in pts:
-                    scaled.append(tuple(
-                        sum(Gf[i][j] * Fraction(p[j]) for j in range(d))
-                        for i in range(d)))
-                std = _insphere_exact(scaled, None)
-                alt = _det_exact(Gf) * _insphere_exact(pts, M_exact)
+                P = _int_rows(itertools.chain.from_iterable(pts), d)
+                scaled = [[sum(g * x for g, x in zip(row, p)) for row in G] for p in P]
+                std = _insphere_bracket(scaled, None)[0]
+                alt = det_g * _insphere_bracket(P, M_exact)[0]
                 if std != alt:
                     exact_nonzero += 1
                 continue

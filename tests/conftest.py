@@ -1,12 +1,18 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pentamesh.geometry import CANONICAL_FACETS, hypervolume
-from pentamesh.predicates import _det_exact
+
+# one profile for every property test: no deadline on a shared host, and a
+# failing example prints the blob that reproduces it
+settings.register_profile("tier1", deadline=None, print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture
@@ -32,23 +38,45 @@ def random_pentatope(rng, scale=1.0, min_vol=1e-6):
             return pts
 
 
-def insphere_sign_fraction(pts6, M=None):
-    """Exact in-hypersphere sign straight from the cofactor expansion."""
-    f = pts6[5]
-    us = [tuple(Fraction(float(p[j])) - Fraction(float(f[j])) for j in range(4))
-          for p in pts6[:5]]
+def det_fraction(rows):
+    """Leibniz determinant of square rows over ``Fraction``s: a sum over permutations."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for row, col in zip(rows, perm):
+            term *= row[col]
+        total += term
+    return total
+
+
+def insphere_fraction(pts, M=None):
+    """Exact in-hypersphere bracket of d+2 points straight from the cofactor expansion."""
+    f = [Fraction(float(c)) for c in pts[-1]]
+    d = len(f)
+    us = [[Fraction(float(c)) - x for c, x in zip(p, f)] for p in pts[:-1]]
     if M is None:
         qs = [sum(x * x for x in u) for u in us]
     else:
-        mf = [[Fraction(float(M[i][j])) for j in range(4)] for i in range(4)]
-        qs = [sum(u[i] * sum(mf[i][j] * u[j] for j in range(4)) for i in range(4))
+        mf = [[Fraction(float(M[i][j])) for j in range(d)] for i in range(d)]
+        qs = [sum(u[i] * sum(mf[i][j] * u[j] for j in range(d)) for i in range(d))
               for u in us]
-    tot = Fraction(0)
-    s = 1
-    for i in range(5):
-        tot += s * qs[i] * _det_exact(us[:i] + us[i + 1:])
-        s = -s
-    return 0 if tot == 0 else (1 if tot > 0 else -1)
+    tot = sum((-1) ** i * qs[i] * det_fraction(us[:i] + us[i + 1:]) for i in range(d + 1))
+    return tot * (-1) ** d
+
+
+def insphere_sign_fraction(pts, M=None):
+    """Exact in-hypersphere sign of d+2 points."""
+    tot = insphere_fraction(pts, M)
+    return (tot > 0) - (tot < 0)
+
+
+def orientation_sign_fraction(pts):
+    """Exact sign of det(p_i - p_last) of d+1 points."""
+    last = [Fraction(float(c)) for c in pts[-1]]
+    det = det_fraction([[Fraction(float(c)) - x for c, x in zip(p, last)] for p in pts[:-1]])
+    return (det > 0) - (det < 0)
 
 
 def hypervolume_fraction(p1, p2, p3, p4, p5):

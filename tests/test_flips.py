@@ -193,7 +193,7 @@ class TestCandidates:
         kinds = {c.kind for c in find_candidates(mesh, 0, include_point_inserting=False)}
         assert "2_8" not in kinds and "1_5" not in kinds
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(8, 16),
            with_points=st.booleans(), data=st.data())
     def test_frozen_filter_and_no_duplicates(self, seed, n_points, with_points, data):
@@ -563,7 +563,7 @@ class TestExactValidity:
         assert rep.flips and rep.hv_conserved_exactly
         assert mesh.validate() == []
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(8, 12),
            n_flips=st.integers(0, 3))
     @example(seed=213, n_points=9, n_flips=1)
@@ -617,7 +617,7 @@ def _with_memo_hook(hook):
 
 
 class TestMemo:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     # a tiny mesh whose first flip touches every entity: the memo is empty at
     # both starters, so nothing live is compared
     @example(seed=143558795, n_points=8, n_flips=0, heuristic=2, with_points=False)
@@ -694,7 +694,7 @@ class TestOncePerCall:
         assert calls and max(calls.values()) == 1
         assert kinds == {(heuristic, "identity" if field is None else field.kind)}
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(8, 20),
            n_flips=st.integers(0, 3), with_points=st.booleans())
     def test_applied_flips_match_the_public_validate_and_apply(self, seed, n_points,
@@ -726,7 +726,7 @@ class TestOncePerCall:
 
 
 class TestOneVerdict:
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 5),
            n_points=st.integers(12, 30), heuristic=st.sampled_from([1, 2, 3]))
     def test_driver_applies_the_first_ranked_candidate_validate_flip_accepts(

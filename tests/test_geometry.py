@@ -17,11 +17,13 @@ from pentamesh.geometry import (
     metric_volume_pointwise,
     metric_volume_quadrature,
     regular_pentatope,
+    _det_mag,
     _grundmann_moller,
     _spd,
+    _subset_expansion,
 )
 from pentamesh.mesh import Mesh4
-from conftest import hypervolume_fraction, random_pentatope
+from conftest import det_fraction, hypervolume_fraction, random_pentatope
 
 E = np.eye(4)
 UNIT_CORNER = np.vstack([np.zeros(4), E])
@@ -84,12 +86,12 @@ POINTS = st.tuples(COORDS, COORDS, COORDS, COORDS)
 
 
 class TestHypervolumeExactOracle:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.lists(POINTS, min_size=5, max_size=5))
     def test_matches_fraction_cofactor_expansion(self, pts):
         assert hypervolume_exact(*pts) == hypervolume_fraction(*pts)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.sampled_from([(np.int64, 2 ** 62), (np.int32, 2 ** 31 - 1)]).flatmap(
         lambda dt: st.lists(st.tuples(*[st.integers(-dt[1], dt[1])] * 4),
                             min_size=5, max_size=5).map(
@@ -99,7 +101,7 @@ class TestHypervolumeExactOracle:
         as_ints = [tuple(int(c) for c in p) for p in pts]
         assert hypervolume_exact(*pts) == hypervolume_fraction(*as_ints)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.lists(st.tuples(WIDE_FLOATS, WIDE_FLOATS, WIDE_FLOATS, WIDE_FLOATS),
                     min_size=8, max_size=8))
     def test_mesh_total_is_sum_of_elements(self, pts):
@@ -182,6 +184,22 @@ class TestMetric4:
         with pytest.raises(ValueError, match="non-finite"):
             Metric4(m)
 
+    def test_root_of_det_stays_in_range_where_det_does_not(self):
+        # det is 1e400, which no double holds; its root is 1e200
+        m = Metric4(np.diag([1e200, 1e200, 1.0, 1.0]))
+        assert m.sqrt_det == pytest.approx(1e200, rel=1e-15)
+        assert metric_volume_pointwise(regular_pentatope(), m) == pytest.approx(
+            math.sqrt(5.0) / 96.0 * 1e200, rel=1e-12)
+        assert Metric4(np.diag([1e-200, 1e-200, 1.0, 1.0])).sqrt_det == pytest.approx(
+            1e-200, rel=1e-15)
+
+    @pytest.mark.parametrize("entry", [1e300, 1e-300])
+    def test_rejects_a_root_beyond_the_double_range(self, entry):
+        with pytest.raises(ValueError, match="double range"):
+            Metric4(np.diag([entry] * 4))
+        with pytest.raises(ValueError, match="double range"):
+            _spd(np.diag([entry] * 3), 3)
+
     def test_non_finite_speed_fails_at_its_first_evaluation(self):
         field = MetricField.speed(c0=float("nan"))
         with pytest.raises(ValueError, match="non-finite"):
@@ -210,7 +228,7 @@ def symmetric_matrices(draw):
 
 
 class TestSpdValidator:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(symmetric_matrices())
     def test_accepts_exactly_the_positive_definite_matrices(self, drawn):
         a, w = drawn
@@ -219,24 +237,74 @@ class TestSpdValidator:
             with pytest.raises(ValueError, match="positive definite"):
                 _spd(a, d)
             return
-        rows, det = _spd(a, d)
+        rows, root = _spd(a, d)
         assert rows == tuple(map(tuple, a.tolist()))
         # a determinant is as sensitive to rounding as the matrix is ill-conditioned:
         # both values are within a few d * eps * cond(a) of the exact one
         cond = w[-1] / w[0]
-        assert det == pytest.approx(np.linalg.det(a), rel=max(1e-12, 32 * d * 2.0 ** -53 * cond))
+        assert root * root == pytest.approx(np.linalg.det(a),
+                                            rel=max(1e-12, 32 * d * 2.0 ** -53 * cond))
 
     @given(st.lists(st.floats(1e-50, 1e50), min_size=4, max_size=4))
     def test_diagonal_det_is_the_in_order_product(self, entries):
         m = Metric4(np.diag(entries))
         assert m.diag == tuple(entries)
-        assert m.det == ((entries[0] * entries[1]) * entries[2]) * entries[3]
+        e0, e1, e2, e3 = map(math.sqrt, entries)
+        assert m.sqrt_det == ((e0 * e1) * e2) * e3
 
     @given(st.floats(-50.0, 50.0))
     def test_speed_det_is_c_squared(self, t):
         c = 1.0 + math.sqrt(math.exp(-((t - 2.0) ** 2))) / 0.1
         m = MetricField.speed(c0=1.0, beta=0.1, center=2.0)((0.0, 0.0, 0.0, t))
-        assert m.det == m.diag[3] == c * c
+        assert m.diag[3] == c * c
+        assert m.sqrt_det == math.sqrt(c * c)
+
+
+def _rows_of(entries):
+    """n square rows of any entry strategy, n in 1..3, and first-row magnitudes."""
+    return st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(entries.map(abs), min_size=n, max_size=n)))
+
+
+# -0.0 and subnormals included; no product of three leaves the double range
+DET_FLOATS = st.floats(-1e90, 1e90)
+DET_INTS = st.integers(-10 ** 30, 10 ** 30)
+DET_FRACTIONS = st.fractions(max_denominator=10 ** 6)
+# 0 or at least 2**-100 in magnitude: no product of up to 7 of them is subnormal
+BOUND_FLOATS = st.floats(-1e6, 1e6).map(lambda x: x if abs(x) >= 2.0 ** -100 else 0.0)
+
+
+class TestDetMag:
+    @settings(max_examples=300)
+    @given(st.one_of(_rows_of(DET_FLOATS), _rows_of(DET_INTS), _rows_of(DET_FRACTIONS)))
+    def test_written_cases_are_the_subset_expansion(self, case):
+        rows, mags = case
+        for m in (None, mags):
+            got = _det_mag(rows, m)
+            want = _subset_expansion(rows, [abs(x) for x in rows[0]] if m is None else m)
+            assert [type(x) for x in got] == [type(x) for x in want]
+            assert [repr(x) for x in got] == [repr(x) for x in want]  # -0.0 too
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(DET_INTS, DET_FRACTIONS), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_exact_on_ints_and_fractions(self, rows):
+        assert _det_mag(rows)[0] == det_fraction(rows)
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 7).flatmap(lambda n: st.lists(
+        st.lists(BOUND_FLOATS, min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_float_error_is_within_the_stated_bound(self, rows):
+        # exact entries (e = r = 0): D = n(n+1)/2 - 1 roundings bound every
+        # elementary product (a product that rounds in the subnormal range,
+        # as 2.2e-311 * 0.25 does, is outside the bound; the predicates'
+        # _coarse screens those)
+        n = len(rows)
+        value, mag = _det_mag(rows)
+        bound = n * (n + 1) // 2 * Fraction(1, 2 ** 53) * Fraction(mag)
+        assert abs(Fraction(value) - det_fraction(rows)) <= bound
 
 
 class TestMetricLengths:

@@ -590,7 +590,7 @@ class TestScaleAndOffset:
             assert not audit or audit_delaunay(mesh).ok
         return mesh
 
-    @settings(max_examples=5, deadline=None)
+    @settings(max_examples=5)
     @example(seed=0, at=0.0, audit=False)
     @example(seed=0, at=1.0, audit=True)
     @given(seed=st.integers(0, 2**32 - 1), at=st.floats(0.0, 1.0), audit=st.just(False))
@@ -603,7 +603,7 @@ class TestScaleAndOffset:
         mesh = self._mesh_quietly(moved, audit)
         assert _simplex_set(mesh, moved) == _simplex_set(triangulate(pts), pts)
 
-    @settings(max_examples=5, deadline=None)
+    @settings(max_examples=5)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(-20, 12),
            c=st.lists(st.integers(-2**20, 2**20), min_size=4, max_size=4))
     def test_exact_translation_gives_the_unit_mesh(self, seed, m, c):
@@ -614,7 +614,7 @@ class TestScaleAndOffset:
         mesh = self._mesh_quietly(moved)
         assert _simplex_set(mesh, moved) == _simplex_set(triangulate(pts), pts)
 
-    @settings(max_examples=5, deadline=None)
+    @settings(max_examples=5)
     @example(at=0.0)
     @example(at=1.0)
     @given(at=st.floats(0.0, 1.0))
@@ -648,7 +648,7 @@ class TestScaleAndOffset:
                  for f in rep.flips],
                 {f: amq(final, f) for f in AMQ_FRACTIONS}, rep.amq_after)
 
-    @settings(max_examples=3, deadline=None)
+    @settings(max_examples=3)
     @example(at=0.0)
     @example(at=1.0)
     @given(at=st.floats(0.0, 1.0))

@@ -183,7 +183,7 @@ class TestCompact:
 
 
 class TestFlipThenReverse:
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @example(seed=57829, heuristic=1)  # an 8_8v1 flip whose reverse is found as 8_8v2
     @example(seed=1491, heuristic=2)  # a 6_12a flip: its 12_6a reverse has two pole pairs
     @given(seed=st.integers(0, 2**32 - 1), heuristic=st.sampled_from((1, 2)))

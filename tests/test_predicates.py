@@ -1,19 +1,25 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pentamesh.geometry import Metric4, _det4, _grain, hypervolume_exact
+from pentamesh.geometry import Metric4, _det4, _det_mag, _grain, hypervolume_exact
 from pentamesh.predicates import (
+    _EPS,
+    _INSPHERE_SAFETY,
+    _ORIENT_SAFETY,
     _Lift,
     _insphere4_certified,
     _insphere4_core,
-    _insphere_exact,
+    _insphere_bracket,
     _metric_info,
     _orient4_certified,
     _orient4_core,
+    _orientation_rows,
+    _safety,
     decompose_metric,
     inhypersphere4,
     inhypersphere_m_d,
@@ -23,8 +29,11 @@ from pentamesh.predicates import (
 )
 from conftest import (
     circumsphere,
+    det_fraction,
     hypervolume_fraction,
+    insphere_fraction,
     insphere_sign_fraction,
+    orientation_sign_fraction,
     random_pentatope,
     spd_metric,
 )
@@ -311,10 +320,10 @@ MANTISSA = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def wide_points(draw, n):
+def wide_points(draw, n, d=4):
     shift = draw(st.integers(-100, 100))
     return [tuple(math.ldexp(draw(MANTISSA), shift + draw(st.integers(-40, 40)))
-                  for _ in range(4)) for _ in range(n)]
+                  for _ in range(d)) for _ in range(n)]
 
 
 @st.composite
@@ -342,7 +351,7 @@ def metrics(draw):
 
 
 def _oracle_metric(metric):
-    return None if metric is None else metric.rows
+    return metric.rows if isinstance(metric, Metric4) else metric
 
 
 # every point with |x|^2 = 9 among the sign flips and permutations of
@@ -352,28 +361,39 @@ SPHERE_9 = sorted({tuple(s * c for s, c in zip(signs, perm))
                    for perm in itertools.permutations(base)
                    for signs in itertools.product((1, -1), repeat=4)})
 
+# in the other dimensions, the points with |x|^2 = 25 among the sign flips
+# and permutations of (3, 4, 0, ..) and (5, 0, ..)
+SPHERE_25 = {d: sorted({tuple(s * c for s, c in zip(signs, perm))
+                        for base in ((3, 4) + (0,) * (d - 2), (5,) + (0,) * (d - 1))
+                        for perm in itertools.permutations(base)
+                        for signs in itertools.product((1, -1), repeat=d)})
+             for d in (2, 3, 5)}
+
 
 @st.composite
-def cospherical(draw, n):
+def cospherical(draw, n, d=4):
     """n distinct points on one metric sphere, as exact floats, and the metric.
 
     Coordinates are scaled by a power of two and offset by integers.  With
     the diagonal metric diag(4**a_j), coordinate j is also scaled by
-    2**-a_j, which keeps the points on the metric sphere.
+    2**-a_j, which keeps the points on the metric sphere.  The metric is a
+    :class:`Metric4` in 4D and an array in the other dimensions.
     """
-    pts = draw(st.lists(st.sampled_from(SPHERE_9), min_size=n, max_size=n, unique=True))
+    sphere = SPHERE_9 if d == 4 else SPHERE_25[d]
+    pts = draw(st.lists(st.sampled_from(sphere), min_size=n, max_size=n, unique=True))
     k = draw(st.integers(-30, 30))
-    exps = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
-    offset = draw(st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=4, max_size=4))
+    exps = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    offset = draw(st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=d, max_size=d))
     pts = [tuple(math.ldexp(c, k - a) + o for c, a, o in zip(p, exps, offset)) for p in pts]
-    metric = Metric4(np.diag([4.0 ** a for a in exps])) if any(exps) else None
+    diag = np.diag([4.0 ** a for a in exps])
+    metric = None if not any(exps) else Metric4(diag) if d == 4 else diag
     return pts, metric
 
 
 @st.composite
 def one_ulp_off(draw, pts):
     """pts with one coordinate of one point moved by one ulp."""
-    i, j = draw(st.integers(0, len(pts) - 1)), draw(st.integers(0, 3))
+    i, j = draw(st.integers(0, len(pts) - 1)), draw(st.integers(0, len(pts[0]) - 1))
     toward = draw(st.sampled_from([math.inf, -math.inf]))
     moved = list(pts[i])
     moved[j] = math.nextafter(moved[j], toward)
@@ -381,22 +401,22 @@ def one_ulp_off(draw, pts):
 
 
 @st.composite
-def near_coplanar(draw, n=5):
-    """n >= 5 4D points on or next to one hyperplane.
+def near_coplanar(draw, n=5, d=4):
+    """n >= d + 1 points in d dimensions on or next to one hyperplane.
 
-    Four integer points and integer affine combinations of them, scaled
-    by a power of two and offset by integers (which may round), and
-    sometimes with one coordinate moved by one ulp.
+    d integer points and integer affine combinations of them, scaled by a
+    power of two and offset by integers (which may round), and sometimes
+    with one coordinate moved by one ulp.
     """
     coord = st.integers(-50, 50)
-    base = [tuple(draw(coord) for _ in range(4)) for _ in range(4)]
-    for _ in range(n - 4):
-        w = [draw(st.integers(-3, 3)) for _ in range(3)]
+    base = [tuple(draw(coord) for _ in range(d)) for _ in range(d)]
+    for _ in range(n - d):
+        w = [draw(st.integers(-3, 3)) for _ in range(d - 1)]
         base.append(tuple(base[0][j] + sum(w[i] * (base[i + 1][j] - base[0][j])
-                                           for i in range(3)) for j in range(4)))
+                                           for i in range(d - 1)) for j in range(d)))
     order = draw(st.permutations(range(n)))
     k = draw(st.integers(-40, 40))
-    offset = draw(st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=4, max_size=4))
+    offset = draw(st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=d, max_size=d))
     pts = [tuple(math.ldexp(c, k) + o for c, o in zip(base[i], offset)) for i in order]
     if draw(st.booleans()):
         pts = draw(one_ulp_off(pts))
@@ -409,9 +429,9 @@ FINE = st.sampled_from([0.0, 1.0, -1.0, 3.0, 5e-324, -5e-324, 2.0 ** -1070,
 
 
 @st.composite
-def fine_grain_points(draw, n):
+def fine_grain_points(draw, n, d=4):
     """n points with coordinates of the subnormal grain among unit ones."""
-    return [tuple(draw(FINE) for _ in range(4)) for _ in range(n)]
+    return [tuple(draw(FINE) for _ in range(d)) for _ in range(n)]
 
 
 @st.composite
@@ -521,20 +541,20 @@ def _bits(x) -> bytes:
 
 
 class TestPredicateProperties:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(wide_points(6), metrics())
     def test_insphere_matches_fraction_oracle(self, pts, metric):
         res = inhypersphere_m_d(metric, pts)
         assert res.sign == insphere_sign_fraction(pts, _oracle_metric(metric))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(cospherical(6))
     def test_cospherical_is_exact_zero(self, case):
         pts, metric = case
         res = inhypersphere_m_d(metric, pts)
         assert (res.sign, res.exactness) == (0, "exact")
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(cospherical(6).flatmap(
         lambda case: st.tuples(one_ulp_off(case[0]), st.just(case[1]))))
     @example(case=SUBNORMAL_CASE)
@@ -543,7 +563,7 @@ class TestPredicateProperties:
         res = inhypersphere_m_d(metric, pts)
         assert res.sign == insphere_sign_fraction(pts, _oracle_metric(metric))
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.one_of(wide_points(5), cospherical(5).map(lambda case: case[0]),
                      cospherical(5).flatmap(lambda case: one_ulp_off(case[0])),
                      near_coplanar(), fine_grain_points(5)))
@@ -551,7 +571,7 @@ class TestPredicateProperties:
         vol = hypervolume_fraction(*pts)
         assert orientation4(*pts).sign == (vol > 0) - (vol < 0)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(near_coplanar())
     def test_uncertified_orientation_is_exact(self, pts):
         # inputs the float filter cannot certify go straight to the exact tier
@@ -562,7 +582,7 @@ class TestPredicateProperties:
         vol = hypervolume_fraction(*pts)
         assert (res.sign, res.exactness) == ((vol > 0) - (vol < 0), "exact")
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(lift_layers(), st.integers(0, 3))
     def test_lift_signs_match_fraction_oracles(self, case, slack):
         # one lift serves every simplex of a layer, at the points' grain or
@@ -573,12 +593,11 @@ class TestPredicateProperties:
         lift = _Lift(pts, p, _grain(itertools.chain(*pts)) + slack, mrows, mdiag)
         for keys in simplices:
             corners = [pts[k] for k in keys]
-            total = _insphere_exact(corners + [p], mrows)
-            assert lift.insphere(keys) == (total > 0) - (total < 0)
+            assert lift.insphere(keys) == insphere_sign_fraction(corners + [p], mrows)
             vol = hypervolume_exact(*corners[:4], p)
             assert lift.orient(*keys[:4]) == (vol > 0) - (vol < 0)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.integers(1, 8).flatmap(lambda k: st.one_of(wide_points(5 * k + 1),
                                                          clustered_points(5 * k + 1))),
            metrics())
@@ -597,7 +616,7 @@ class TestPredicateProperties:
             assert _bits(total[r]) == _bits(one_total[0]) == _bits(ref_total)
             assert _bits(mag[r]) == _bits(one_mag[0]) == _bits(ref_mag)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(orientation_rows())
     def test_orientation_kernel_rows(self, case):
         # each row of a k-row call equals the one-row call and _det4 bit for
@@ -620,3 +639,124 @@ class TestPredicateProperties:
             assert scalar.sign == (vol > 0) - (vol < 0)
             if certified[r]:
                 assert np.sign(det[r]) == scalar.sign
+
+
+# ---------------------------------------------------------------------------
+# the other dimensions against the same Fraction oracles
+# ---------------------------------------------------------------------------
+
+OTHER_DIMS = pytest.mark.parametrize("d", (2, 3, 5))
+MODES = st.sampled_from(["auto", "exact"])
+
+
+@st.composite
+def rational_metrics(draw, d):
+    """None (identity) or an SPD matrix (S^T S + k I) 2**a with small integer S."""
+    if draw(st.booleans()):
+        return None
+    S = np.array([[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(d)], dtype=float)
+    return (S.T @ S + draw(st.integers(1, 4)) * np.eye(d)) * 2.0 ** draw(st.integers(-6, 6))
+
+
+def _other_dim_points(d, n):
+    """n points in d dimensions: wide, cospherical, one ulp off, near a hyperplane, fine."""
+    sphere = cospherical(n, d).map(lambda case: case[0])
+    return st.one_of(wide_points(n, d), sphere, sphere.flatmap(one_ulp_off),
+                     near_coplanar(n, d), fine_grain_points(n, d))
+
+
+class TestOtherDimensionProperties:
+    @OTHER_DIMS
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_insphere_matches_fraction_oracle(self, d, data):
+        pts = data.draw(_other_dim_points(d, d + 2))
+        metric, mode = data.draw(rational_metrics(d)), data.draw(MODES)
+        res = inhypersphere_m_d(metric, pts, mode=mode)
+        assert res.sign == insphere_sign_fraction(pts, metric)
+
+    @OTHER_DIMS
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_orientation_matches_fraction_oracle(self, d, data):
+        pts = data.draw(_other_dim_points(d, d + 1))
+        metric, mode = data.draw(rational_metrics(d)), data.draw(MODES)
+        res = orientation_m_d(metric, pts, mode=mode)
+        assert res.sign == orientation_sign_fraction(pts)
+
+    @OTHER_DIMS
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_cospherical_is_exact_zero(self, d, data):
+        pts, metric = data.draw(cospherical(d + 2, d))
+        res = inhypersphere_m_d(metric, pts, mode=data.draw(MODES))
+        assert (res.sign, res.exactness) == (0, "exact")
+
+    @OTHER_DIMS
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_one_ulp_off_sphere_matches_oracle(self, d, data):
+        pts, metric = data.draw(cospherical(d + 2, d))
+        pts = data.draw(one_ulp_off(pts))
+        res = inhypersphere_m_d(metric, pts, mode=data.draw(MODES))
+        assert res.sign == insphere_sign_fraction(pts, _oracle_metric(metric))
+
+    @OTHER_DIMS
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_fine_grain_matches_oracle(self, d, data):
+        # products that round in the subnormal range are never certified
+        pts = data.draw(fine_grain_points(d + 2, d))
+        metric, mode = data.draw(rational_metrics(d)), data.draw(MODES)
+        assert (inhypersphere_m_d(metric, pts, mode=mode).sign
+                == insphere_sign_fraction(pts, metric))
+        assert orientation_m_d(metric, pts[:d + 1], mode=mode).sign == orientation_sign_fraction(
+            pts[:d + 1])
+
+    @OTHER_DIMS
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_signs_hold_at_every_power_of_two_scale(self, d, data):
+        # far from unit scale the float brackets overflow or underflow; the
+        # exact tier still decides, and reports the float expansion's value
+        pts = data.draw(_other_dim_points(d, d + 2))
+        metric, mode = data.draw(rational_metrics(d)), data.draw(MODES)
+        k = data.draw(st.integers(-400, 400))
+        pts = [tuple(math.ldexp(c, k) for c in p) for p in pts]
+        res = inhypersphere_m_d(metric, pts, mode=mode)
+        assert res.sign == insphere_sign_fraction(pts, metric)
+        assert isinstance(res.value, float)
+        res = orientation_m_d(metric, pts[:d + 1], mode=mode)
+        assert res.sign == orientation_sign_fraction(pts[:d + 1])
+
+    @pytest.mark.parametrize("d", (1, 2, 3, 5, 6))
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_float_error_stays_within_the_filter_constants(self, d, data):
+        # on difference rows (r = 1) with e = 1 (orientation) or 2d + 2 (the
+        # metric Q row), |float - exact| <= (D + 1) eps mag; coordinates of
+        # at least 2**-60 keep every product out of the subnormal range
+        coord = st.floats(-1e3, 1e3).map(lambda x: x if abs(x) >= 2.0 ** -60 else 0.0)
+        pts = data.draw(st.lists(st.tuples(*[coord] * d), min_size=d + 2, max_size=d + 2))
+        metric = data.draw(rational_metrics(d))
+        eps = Fraction(_EPS)
+        det, mag = _det_mag(_orientation_rows(pts[:d + 1]))
+        exact = det_fraction([[Fraction(x) - Fraction(y) for x, y in zip(p, pts[d])]
+                              for p in pts[:d]])
+        assert abs(Fraction(det) - exact) <= _safety(_ORIENT_SAFETY, 1, d) * eps * Fraction(mag)
+        total, mag = _insphere_bracket(pts, _metric_info(metric, d)[0])
+        exact = insphere_fraction(pts, metric)
+        assert (abs(Fraction(total) - exact)
+                <= _safety(_INSPHERE_SAFETY, 2 * d + 2, d + 1) * eps * Fraction(mag))
+
+
+@pytest.mark.parametrize("d,scale", [(2, 1e110), (3, 1e80), (5, 1e60)])
+def test_exact_tier_answers_where_the_bracket_overflows(d, scale):
+    # the bracket's value leaves the double range (the float expansion
+    # reads inf - inf), but its sign is still decided, and the value
+    # reported is the float expansion's, as in 4D
+    pts = np.random.default_rng(d).random((d + 2, d)) * scale
+    res = inhypersphere_m_d(None, pts)
+    assert res.exactness == "exact"
+    assert res.sign == insphere_sign_fraction(pts)
+    assert _bits(res.value) == _bits(inhypersphere_m_d(None, pts, mode="float").value)

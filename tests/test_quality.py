@@ -234,7 +234,7 @@ _coordinate = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
 
 class TestPointOrder:
-    @settings(max_examples=3, deadline=None)
+    @settings(max_examples=3)
     @given(pts=st.lists(st.tuples(*[_coordinate] * 4), min_size=5, max_size=5))
     @example(pts=_ORDER_FOUND)
     def test_every_heuristic_is_a_function_of_the_point_set(self, pts):
@@ -251,3 +251,14 @@ class TestPointOrder:
         first = values(rows)
         for perm in itertools.permutations(range(5)):
             assert values(rows[list(perm)]) == first, perm
+
+
+@pytest.mark.parametrize("mode", ["pointwise", "quadrature"])
+@pytest.mark.parametrize("c", [1e-100, 1e-80, 1e80, 1e100])
+def test_metric_quality_is_blind_to_a_uniform_metric_scale(c, mode):
+    # det(c I) = c**4 leaves the double range at these c; sqrt(det) does not
+    p = np.random.default_rng(1).random((5, 4))
+    want = quality_metric(p, None, mode=mode)
+    assert want == pytest.approx(0.383588346983, abs=1e-12)
+    got = quality_metric(p, MetricField.constant(c * np.eye(4)), mode=mode)
+    assert got == pytest.approx(want, rel=1e-12)

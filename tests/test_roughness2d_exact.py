@@ -49,7 +49,7 @@ near_collinear_clouds = st.builds(
     st.lists(st.tuples(st.floats(0.0, 30.0), st.floats(0.0, 30.0)), max_size=3))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @example(pts=_near_collinear([0.0, 0.0, 0.0, 1.0], [0, 1, -1, 2, 0, 0, 0, 0], []))
 @example(pts=_near_collinear([0.0, 1.0, 2.0, 3.0, 4.0], [1, 0, 0, 0, -1, 0, 0, 0], [(20.0, 1.0)]))
 @example(pts=_near_collinear([0.0, 1.0, 2.0, 3.0, 4.0], [-1, 0, 0, 0, 1, 0, 0, 0], [(1.0, 20.0)]))
@@ -92,7 +92,7 @@ def _assert_locally_delaunay(pts, tris, c_v):
             assert sign <= 0, f"edge {sorted(edge)} is not locally Delaunay"
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(cloud=st.one_of(
     st.tuples(st.builds(_lattice, st.integers(2, 5), st.integers(2, 5), st.integers(-3, 3)),
               st.sampled_from([0.5, 1.0, 3.0]) | st.floats(0.25, 4.0)),
